@@ -152,8 +152,12 @@ def dump_json(obj: dict, path) -> None:
 
 def load_json(path) -> dict:
     path = Path(path)
+
+    def reject_constant(name: str):
+        raise ValueError(f"{path}: non-finite number {name} is not allowed")
+
     try:
-        obj = json.loads(path.read_text())
+        obj = json.loads(path.read_text(), parse_constant=reject_constant)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: invalid JSON ({exc.msg})") from exc
     if not isinstance(obj, dict):

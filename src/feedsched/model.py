@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "FAMILIES",
     "SurvivalModel",
@@ -19,6 +21,7 @@ __all__ = [
     "FollowerProfile",
     "ProblemInstance",
     "survival_eval",
+    "survival_array",
     "follower_survival",
     "cluster_survival",
 ]
@@ -72,6 +75,20 @@ def survival_eval(model: SurvivalModel, x: float) -> float:
     if fam == "loglogistic":
         return 1.0 / (1.0 + model.lam * x**model.p)
     return math.exp(-(x * x) / (2.0 * model.lam * model.lam))
+
+
+def survival_array(family: str, lam, p: float, x: np.ndarray) -> np.ndarray:
+    """`survival_eval` on arrays: `lam` broadcasts against `x >= 0`, and the
+    parameters are taken as already checked by `SurvivalModel`."""
+    if family == "exponential":
+        return np.exp(-lam * x)
+    if family == "geometric":
+        return (1.0 - lam) ** x
+    if family == "weibull":
+        return np.exp(-lam * x**p)
+    if family == "loglogistic":
+        return 1.0 / (1.0 + lam * x**p)
+    return np.exp(-(x * x) / (2.0 * lam * lam))
 
 
 @dataclass(frozen=True)
@@ -136,11 +153,12 @@ class FollowerProfile:
             raise ValueError(f"rho must lie in [0, 1], got {self.rho}")
         if not 0.0 <= self.delta <= 1.0:
             raise ValueError(f"delta must lie in [0, 1], got {self.delta}")
-        if not self.gamma >= 0.0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
+        if not 0.0 <= self.gamma < math.inf:
+            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
         load = tuple(float(c) for c in self.competitor_load)
-        if any(c < 0 for c in load):
-            raise ValueError("competitor_load entries must be >= 0")
+        bad = [c for c in load if not 0.0 <= c < math.inf]
+        if bad:
+            raise ValueError(f"competitor_load entries must be finite and >= 0, got {bad[0]}")
         object.__setattr__(self, "competitor_load", load)
 
 
@@ -171,9 +189,16 @@ class ProblemInstance:
         object.__setattr__(self, "slots", int(self.slots))
         object.__setattr__(self, "budget", int(self.budget))
         object.__setattr__(self, "followers", tuple(self.followers))
-        for fam in (self.follower_survival_family, self.cluster_survival_family):
+        for fam, p in (
+            (self.follower_survival_family, self.follower_survival_p),
+            (self.cluster_survival_family, self.cluster_survival_p),
+        ):
             if fam not in FAMILIES:
                 raise ValueError(f"unknown survival family {fam!r}; expected one of {FAMILIES}")
+            if not math.isfinite(p):
+                raise ValueError(f"survival shape p must be finite, got p={p}")
+            if fam in ("weibull", "loglogistic") and not p > 0.0:
+                raise ValueError(f"{fam} survival requires p > 0, got p={p}")
         for f in self.followers:
             if f.sigma >= self.slots:
                 raise ValueError(

@@ -3,13 +3,14 @@ small instances, popular heuristic generators, and seeded multistart."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .model import ProblemInstance, Schedule
-from .objective import attention_total
+from .objective import TimelineLayout, attention_total
 
 __all__ = [
     "DEFAULT_ENUMERATION_CAP",
@@ -23,6 +24,10 @@ __all__ = [
 ]
 
 DEFAULT_ENUMERATION_CAP = 20_000_000
+
+# Exhaustive search scores candidates in chunks sized so that one temporary
+# array holds about this many float64 values (0.5 MB).
+CHUNK_ELEMENTS = 1 << 16
 
 HEURISTICS = ("uniform", "peak", "graveyard", "smart")
 
@@ -50,13 +55,19 @@ class OptimizationReport:
 
 
 def marginal_allocation(
-    instance: ProblemInstance, initial: Schedule | None = None
+    instance: ProblemInstance,
+    initial: Schedule | None = None,
+    *,
+    layout: TimelineLayout | None = None,
 ) -> OptimizationReport:
     """Greedy hill climb: repeatedly add one post to the slot with the largest
     objective gain, stopping when no slot improves or the budget is spent.
 
     Ties in the argmax break toward the lowest slot index. Only strictly
-    positive gains are accepted.
+    positive gains are accepted. Each scan takes all slot gains at once from
+    `TimelineLayout.slot_gains` and counts as one evaluation per slot, after
+    one for the starting point; the reported total is a full evaluation of
+    the final schedule. Pass `layout` to reuse one built for `instance`.
     """
     slots, budget = instance.slots, instance.budget
     current = initial if initial is not None else Schedule.zeros(slots)
@@ -68,55 +79,70 @@ def marginal_allocation(
         raise ValueError(
             f"initial schedule spends {current.spend}, exceeding the budget {budget}"
         )
+    if layout is None:
+        layout = TimelineLayout(instance)
+    posts = np.array(current.posts, dtype=np.int64)
     evaluations = 1
-    current_total = attention_total(current, instance)
     trajectory: list[tuple[int, float]] = []
-    terminated_by = "budget"
     while True:
-        if current.spend >= budget:
+        if posts.sum() >= budget:
             terminated_by = "budget"
             break
-        best_slot = -1
-        best_total = current_total
-        best_gain = 0.0
-        for k in range(slots):
-            candidate_total = attention_total(current.with_added(k), instance)
-            evaluations += 1
-            gain = candidate_total - current_total
-            if gain > best_gain:
-                best_slot, best_total, best_gain = k, candidate_total, gain
-        if best_slot < 0:
+        gains = layout.slot_gains(posts)
+        evaluations += slots
+        best = int(np.argmax(gains))
+        if not gains[best] > 0.0:
             terminated_by = "no-gain"
             break
-        current = current.with_added(best_slot)
-        current_total = best_total
-        trajectory.append((best_slot, best_gain))
+        posts[best] += 1
+        trajectory.append((best, float(gains[best])))
+    current = Schedule(tuple(posts.tolist()))
     return OptimizationReport(
-        current, current_total, tuple(trajectory), evaluations, terminated_by
+        current,
+        attention_total(current, instance),
+        tuple(trajectory),
+        evaluations,
+        terminated_by,
     )
 
 
-def _feasible_schedules(slots: int, budget: int):
-    """All schedules with spend <= budget, in lexicographic order."""
-    posts = [0] * slots
-
-    def rec(idx: int, remaining: int):
-        if idx == slots:
-            yield Schedule(tuple(posts))
+def _lex_schedules(slots: int, budget: int):
+    """All post vectors with spend <= budget, as tuples in lexicographic order."""
+    posts, spend = [0] * slots, 0
+    while True:
+        yield tuple(posts)
+        if spend < budget:
+            posts[-1] += 1
+            spend += 1
+            continue
+        # Budget spent: empty the last non-empty slot and carry into the one before.
+        j = slots - 1
+        while j >= 0 and posts[j] == 0:
+            j -= 1
+        if j <= 0:
             return
-        for v in range(remaining + 1):
-            posts[idx] = v
-            yield from rec(idx + 1, remaining - v)
-        posts[idx] = 0
+        spend -= posts[j] - 1
+        posts[j] = 0
+        posts[j - 1] += 1
 
-    yield from rec(0, budget)
+
+def _lex_chunks(slots: int, budget: int, rows: int):
+    """`_lex_schedules` as (k x slots) arrays of at most `rows` schedules."""
+    schedules = _lex_schedules(slots, budget)
+    while chunk := list(itertools.islice(schedules, rows)):
+        yield np.array(chunk, dtype=np.int64).reshape(len(chunk), slots)
 
 
 def brute_force(
     instance: ProblemInstance, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> OptimizationReport:
     """Exact optimum by full enumeration; ties keep the lexicographically
-    smallest schedule. Refuses instances whose candidate count exceeds `cap`."""
+    smallest schedule. Refuses instances whose candidate count exceeds `cap`.
+
+    Candidates stream in lexicographic chunks, each ranked as one (K x slots)
+    matrix on the layout; the whole candidate set is never held in memory.
+    The reported total is a full evaluation of the best schedule.
+    """
     slots, budget = instance.slots, instance.budget
     n_candidates = math.comb(budget + slots, slots)
     if n_candidates > cap:
@@ -124,16 +150,24 @@ def brute_force(
             f"enumeration would visit {n_candidates} schedules, "
             f"exceeding the cap of {cap}"
         )
-    best_schedule: Schedule | None = None
+    layout = TimelineLayout(instance)
+    # Non-geometric follower families sum over up to `budget` posts per cluster.
+    depth = 1 if instance.follower_survival_family == "geometric" else max(budget, 1)
+    rows = max(1, CHUNK_ELEMENTS // max(1, len(instance.followers) * slots * depth))
+    best_posts: np.ndarray | None = None
     best_total = -math.inf
     evaluations = 0
-    for candidate in _feasible_schedules(slots, budget):
-        total = attention_total(candidate, instance)
-        evaluations += 1
-        if total > best_total:
-            best_schedule, best_total = candidate, total
-    assert best_schedule is not None
-    return OptimizationReport(best_schedule, best_total, (), evaluations, "exhausted")
+    for chunk in _lex_chunks(slots, budget, rows):
+        totals = layout.totals(chunk)
+        i = int(np.argmax(totals))  # the first maximum is the smallest schedule
+        if totals[i] > best_total:
+            best_posts, best_total = chunk[i], totals[i]
+        evaluations += len(chunk)
+    assert best_posts is not None
+    best = Schedule(tuple(best_posts.tolist()))
+    return OptimizationReport(
+        best, attention_total(best, instance), (), evaluations, "exhausted"
+    )
 
 
 def window_slots(first_hour: int, last_hour: int, slots: int) -> list[int]:
@@ -225,6 +259,7 @@ def multistart(instance: ProblemInstance, restarts: int, seed: int) -> Optimizat
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     rng = np.random.default_rng(seed)
     slots, budget = instance.slots, instance.budget
+    layout = TimelineLayout(instance)
     best: OptimizationReport | None = None
     evaluations = 0
     for r in range(restarts):
@@ -234,7 +269,7 @@ def multistart(instance: ProblemInstance, restarts: int, seed: int) -> Optimizat
             spend = int(rng.integers(0, budget + 1))
             counts = rng.multinomial(spend, [1.0 / slots] * slots)
             initial = Schedule(tuple(int(c) for c in counts))
-        report = marginal_allocation(instance, initial)
+        report = marginal_allocation(instance, initial, layout=layout)
         evaluations += report.evaluations
         if best is None or report.total > best.total:
             best = report

@@ -112,6 +112,43 @@ def random_instance(
     return ProblemInstance(slots=slots, budget=budget, followers=tuple(followers))
 
 
+def family_instance(rng, follower_family, cluster_family, shifted):
+    """Random instance under the given families, with the edge values
+    rho, delta in {0, 1} mixed in wherever the family allows them.
+
+    Non-geometric families read rho/delta as a lambda, which must be > 0.
+    """
+
+    def draw(family):
+        edges = [0.0, 1.0] if family == "geometric" else [1.0]
+        if rng.uniform() < 0.3:
+            return float(rng.choice(edges))
+        return float(rng.uniform(0.0, 1.0))
+
+    base = random_instance(rng)
+    followers = tuple(
+        FollowerProfile(
+            id=f.id,
+            sigma=f.sigma,
+            rho=draw(follower_family),
+            delta=draw(cluster_family),
+            gamma=f.gamma,
+            competitor_load=tuple(c + float(rng.uniform(0.0, 0.5)) for c in f.competitor_load),
+        )
+        for f in base.followers
+    )
+    return ProblemInstance(
+        slots=base.slots,
+        budget=base.budget,
+        followers=followers,
+        follower_survival_family=follower_family,
+        cluster_survival_family=cluster_family,
+        follower_survival_p=float(rng.uniform(0.5, 2.5)),
+        cluster_survival_p=float(rng.uniform(0.5, 2.5)),
+        cluster_survival_shifted=shifted,
+    )
+
+
 def random_feasible_schedule(rng: np.random.Generator, instance: ProblemInstance) -> Schedule:
     spend = int(rng.integers(0, instance.budget + 1))
     counts = rng.multinomial(spend, [1.0 / instance.slots] * instance.slots)

@@ -154,6 +154,24 @@ class TestEvaluateCommand:
         dump_json({"posts": [1, 0]}, bad)
         assert main(["evaluate", str(instance_path), str(bad)]) == 2
 
+    def test_nan_load_in_instance_file_exits_2(self, tmp_path, hand_files, capsys):
+        instance_path, schedule_path = hand_files
+        obj = load_json(instance_path)
+        obj["followers"][0]["competitor_load"][0] = float("nan")
+        bad = tmp_path / "nan.instance.json"
+        bad.write_text(json.dumps(obj))
+        assert "NaN" in bad.read_text()
+        assert main(["evaluate", str(bad), str(schedule_path)]) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "NaN" in err
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_load_json_rejects_non_finite_constants(self, tmp_path, constant):
+        path = tmp_path / "x.json"
+        path.write_text('{"budget": %s}' % constant)
+        with pytest.raises(ValueError, match=f"{path}: non-finite number {constant}"):
+            load_json(path)
+
     def test_heatmap_and_breakdown_emission(self, tmp_path, hand_files):
         instance_path, schedule_path = hand_files
         heat = tmp_path / "heat.csv"

@@ -194,6 +194,64 @@ class TestDomainTypes:
         with pytest.raises(ValueError, match="competitor_load"):
             FollowerProfile(id="u", sigma=0, rho=0.5, delta=0.5, competitor_load=(-1.0,))
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("rho", math.nan),
+            ("delta", math.nan),
+            ("gamma", math.nan),
+            ("gamma", math.inf),
+            ("competitor_load", (math.nan,)),
+            ("competitor_load", (math.inf,)),
+            ("competitor_load", (-math.inf,)),
+        ],
+    )
+    def test_follower_non_finite_rejected(self, field, value):
+        kwargs = dict(id="u", sigma=0, rho=0.5, delta=0.5, competitor_load=(0.0,))
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=field):
+            FollowerProfile(**kwargs)
+
+    def test_nan_load_fails_at_construction_not_in_the_optimizer(self):
+        # Before the check, this instance made greedy stop quietly with
+        # terminated_by="no-gain" and a total of 0.
+        with pytest.raises(ValueError, match="finite"):
+            ProblemInstance(
+                slots=3,
+                budget=3,
+                followers=(make_follower(load=(math.nan, 1.0, 0.0)),),
+            )
+
+    @pytest.mark.parametrize("which", ["follower", "cluster"])
+    @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
+    def test_instance_rejects_non_finite_shape(self, which, p):
+        with pytest.raises(ValueError, match="finite"):
+            ProblemInstance(
+                slots=1, budget=1, followers=(make_follower(),), **{f"{which}_survival_p": p}
+            )
+
+    @pytest.mark.parametrize("family", ["weibull", "loglogistic"])
+    @pytest.mark.parametrize("which", ["follower", "cluster"])
+    @pytest.mark.parametrize("p", [0.0, -1.0])
+    def test_instance_rejects_non_positive_shape(self, family, which, p):
+        with pytest.raises(ValueError, match="p > 0"):
+            ProblemInstance(
+                slots=1,
+                budget=1,
+                followers=(make_follower(),),
+                **{f"{which}_survival_family": family, f"{which}_survival_p": p},
+            )
+
+    def test_shape_ignored_by_families_without_one(self):
+        instance = ProblemInstance(
+            slots=1,
+            budget=1,
+            followers=(make_follower(),),
+            follower_survival_family="exponential",
+            follower_survival_p=0.0,
+        )
+        assert instance.follower_survival_p == 0.0
+
     def test_instance_rejects_sigma_out_of_range(self):
         follower = make_follower(sigma=3, load=(0.0,) * 3)
         with pytest.raises(ValueError, match="sigma"):

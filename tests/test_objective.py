@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from feedsched import (
+    FAMILIES,
     ClusterView,
     FollowerProfile,
     ProblemInstance,
@@ -14,8 +15,9 @@ from feedsched import (
     heatmap,
     timeline_view,
 )
+from feedsched.objective import TimelineLayout
 
-from conftest import random_instance, rotate_instance, rotate_schedule
+from conftest import family_instance, random_instance, rotate_instance, rotate_schedule
 
 
 def one_follower_instance(slots, budget, sigma, rho, delta, load, gamma=1.0):
@@ -248,3 +250,101 @@ class TestHeatmap:
     def test_mean_centered_rows_sum_to_zero(self, hand_instance, hand_schedule):
         grid = heatmap(hand_schedule, hand_instance, mean_center=True)
         assert np.abs(grid.sum(axis=1)).max() < 1e-9
+
+
+def oracle_cells(schedule, instance):
+    """(follower, view, raw attention) from the per-cluster reference."""
+    kwargs = dict(
+        follower_family=instance.follower_survival_family,
+        follower_p=instance.follower_survival_p,
+        cluster_family=instance.cluster_survival_family,
+        cluster_p=instance.cluster_survival_p,
+        cluster_shifted=instance.cluster_survival_shifted,
+    )
+    for f in instance.followers:
+        for view in timeline_view(schedule, f):
+            yield f, view, cluster_attention(view, f, **kwargs)
+
+
+def oracle_total(schedule, instance):
+    return sum(f.gamma * a for f, _, a in oracle_cells(schedule, instance))
+
+
+FAMILY_GRID = [
+    (ff, cf, shifted) for ff in FAMILIES for cf in FAMILIES for shifted in (True, False)
+]
+
+
+@pytest.mark.parametrize("follower_family,cluster_family,shifted", FAMILY_GRID)
+class TestAgreementWithReference:
+    """Every population evaluator against the sum of `cluster_attention` over
+    `timeline_view`, to 1e-9 relative."""
+
+    def cases(self, follower_family, cluster_family, shifted):
+        seed = FAMILY_GRID.index((follower_family, cluster_family, shifted))
+        rng = np.random.default_rng(7000 + seed)
+        for _ in range(6):
+            instance = family_instance(rng, follower_family, cluster_family, shifted)
+            for _ in range(3):
+                posts = tuple(int(v) for v in rng.integers(0, 4, size=instance.slots))
+                yield instance, Schedule(posts)
+
+    def test_totals(self, follower_family, cluster_family, shifted):
+        for instance, schedule in self.cases(follower_family, cluster_family, shifted):
+            expected = oracle_total(schedule, instance)
+            assert attention_total(schedule, instance) == pytest.approx(expected, rel=1e-9)
+            assert attention_potential(schedule, instance).total == pytest.approx(
+                expected, rel=1e-9
+            )
+            layout = TimelineLayout(instance)
+            assert float(layout.totals(schedule.posts)) == pytest.approx(expected, rel=1e-9)
+
+    def test_layout_terms_per_cluster(self, follower_family, cluster_family, shifted):
+        for instance, schedule in self.cases(follower_family, cluster_family, shifted):
+            terms = TimelineLayout(instance).terms(schedule.posts)
+            expected = np.zeros_like(terms)
+            row = {f.id: j for j, f in enumerate(instance.followers)}
+            for f, view, a in oracle_cells(schedule, instance):
+                expected[row[f.id], view.position] = a
+            np.testing.assert_allclose(terms, expected, rtol=1e-9, atol=1e-300)
+
+    def test_schedule_matrix_scores_row_by_row(self, follower_family, cluster_family, shifted):
+        rng = np.random.default_rng(11)
+        for instance, _ in self.cases(follower_family, cluster_family, shifted):
+            matrix = rng.integers(0, 4, size=(5, instance.slots))
+            totals = TimelineLayout(instance).totals(matrix)
+            expected = [oracle_total(Schedule(tuple(map(int, row))), instance) for row in matrix]
+            np.testing.assert_allclose(totals, expected, rtol=1e-9, atol=1e-300)
+
+    def test_heatmap_cells(self, follower_family, cluster_family, shifted):
+        for instance, schedule in self.cases(follower_family, cluster_family, shifted):
+            expected = np.zeros((instance.slots, instance.slots))
+            for f, view, a in oracle_cells(schedule, instance):
+                expected[view.source_slot, f.sigma] += f.gamma * a
+            grid = heatmap(schedule, instance)
+            np.testing.assert_allclose(grid, expected, rtol=1e-9, atol=1e-300)
+
+
+class TestLayoutValidation:
+    @pytest.mark.parametrize("which", ["follower", "cluster"])
+    def test_zero_lambda_fails_before_any_scoring(self, which):
+        follower = FollowerProfile(
+            id="u", sigma=0, rho=0.0, delta=0.0, competitor_load=(0.0, 0.0)
+        )
+        instance = ProblemInstance(
+            slots=2, budget=1, followers=(follower,), **{f"{which}_survival_family": "exponential"}
+        )
+        with pytest.raises(ValueError, match="exponential survival requires lambda > 0"):
+            TimelineLayout(instance)
+        # Even the empty schedule, which scores no cluster, is refused.
+        with pytest.raises(ValueError, match="lambda > 0"):
+            attention_total(Schedule.zeros(2), instance)
+
+    def test_length_mismatch_rejected(self, hand_instance):
+        with pytest.raises(ValueError, match="slots"):
+            TimelineLayout(hand_instance).totals((1, 0))
+
+    def test_no_followers_scores_zero(self):
+        instance = ProblemInstance(slots=3, budget=2, followers=())
+        assert attention_total(Schedule((1, 0, 1)), instance) == 0.0
+        assert TimelineLayout(instance).slot_gains((0, 0, 0)).tolist() == [0.0] * 3

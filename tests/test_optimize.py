@@ -1,9 +1,13 @@
 """Greedy allocation, exhaustive search, heuristics and multistart."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 from feedsched import (
+    FAMILIES,
     EnumerationCapError,
     FollowerProfile,
     ProblemInstance,
@@ -14,9 +18,11 @@ from feedsched import (
     marginal_allocation,
     multistart,
 )
+from feedsched import optimize
+from feedsched.objective import TimelineLayout
 from feedsched.optimize import window_slots
 
-from conftest import random_instance, random_feasible_schedule
+from conftest import family_instance, random_feasible_schedule, random_instance
 
 
 def one_follower(slots, budget, sigma, rho, delta, load):
@@ -244,3 +250,119 @@ class TestGammaScalingArgmax:
             scaled_report = marginal_allocation(scaled)
             assert [s for s, _ in base.trajectory] == [s for s, _ in scaled_report.trajectory]
             assert base.schedule == scaled_report.schedule
+
+
+class TestIncrementalGains:
+    @pytest.mark.parametrize("follower_family", FAMILIES)
+    @pytest.mark.parametrize("cluster_family", FAMILIES)
+    def test_slot_gains_match_full_re_evaluation(self, follower_family, cluster_family):
+        rng = np.random.default_rng(
+            10 * FAMILIES.index(follower_family) + FAMILIES.index(cluster_family)
+        )
+        for trial in range(8):
+            instance = family_instance(rng, follower_family, cluster_family, bool(trial % 2))
+            layout = TimelineLayout(instance)
+            starts = [Schedule.zeros(instance.slots)]
+            starts += [random_feasible_schedule(rng, instance) for _ in range(2)]
+            for current in starts:
+                base = attention_total(current, instance)
+                gains = layout.slot_gains(current.posts)
+                for k in range(instance.slots):
+                    added = attention_total(current.with_added(k), instance)
+                    tol = 1e-9 * max(abs(base), abs(added)) + 1e-300
+                    assert abs(gains[k] - (added - base)) <= tol, (k, gains[k], added - base)
+
+    def test_greedy_report_counts_and_total(self):
+        rng = np.random.default_rng(47)
+        for _ in range(20):
+            instance = random_instance(rng)
+            initial = random_feasible_schedule(rng, instance)
+            report = marginal_allocation(instance, initial)
+            scans = len(report.trajectory) + (report.terminated_by == "no-gain")
+            assert report.evaluations == 1 + instance.slots * scans
+            assert report.total == attention_total(report.schedule, instance)
+            for slot, _ in report.trajectory:
+                initial = initial.with_added(slot)
+            assert initial == report.schedule
+
+
+def lexicographic_schedules(slots, budget):
+    return [
+        posts
+        for posts in itertools.product(range(budget + 1), repeat=slots)
+        if sum(posts) <= budget
+    ]
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    """Make brute_force score a few schedules per chunk; record the chunks."""
+    chunks = []
+    enumerate_chunks = optimize._lex_chunks
+
+    def recording(slots, budget, rows):
+        for chunk in enumerate_chunks(slots, budget, rows):
+            assert 1 <= len(chunk) <= rows
+            chunks.append(chunk.copy())
+            yield chunk
+
+    monkeypatch.setattr(optimize, "CHUNK_ELEMENTS", 8)
+    monkeypatch.setattr(optimize, "_lex_chunks", recording)
+    return chunks
+
+
+class TestChunkedBruteForce:
+    def test_all_tie_keeps_lexicographically_smallest_across_chunks(self, small_chunks):
+        # rho=0 reads everything and delta=1 never skips: every schedule that
+        # spends the whole budget ties.
+        instance = one_follower(3, 4, 1, 0.0, 1.0, (0.0, 2.0, 1.0))
+        report = brute_force(instance)
+        assert report.schedule.posts == (0, 0, 4)
+        assert report.total == 4.0
+        assert report.evaluations == 35
+        enumerated = [tuple(row) for chunk in small_chunks for row in chunk.tolist()]
+        assert enumerated == lexicographic_schedules(3, 4)
+        winner = enumerated.index((0, 0, 4))
+        assert len(small_chunks[0]) <= winner < len(enumerated) - 1
+        assert len(small_chunks) > 2
+
+    @pytest.mark.parametrize("rows", [1, 2, 5, 7, 64, 10_000])
+    @pytest.mark.parametrize("slots,budget", [(1, 0), (1, 6), (3, 0), (4, 3), (5, 4)])
+    def test_chunks_enumerate_in_lexicographic_order(self, slots, budget, rows):
+        chunks = list(optimize._lex_chunks(slots, budget, rows))
+        assert all(1 <= len(c) <= rows for c in chunks)
+        enumerated = [tuple(row) for chunk in chunks for row in chunk.tolist()]
+        assert enumerated == lexicographic_schedules(slots, budget)
+
+    @pytest.mark.parametrize("follower_family", FAMILIES)
+    def test_matches_one_at_a_time_enumeration(self, small_chunks, follower_family):
+        rng = np.random.default_rng(FAMILIES.index(follower_family))
+        for trial in range(6):
+            cluster_family = FAMILIES[trial % len(FAMILIES)]
+            instance = family_instance(rng, follower_family, cluster_family, trial % 2 == 0)
+            report = brute_force(instance)
+            totals = [
+                attention_total(Schedule(posts), instance)
+                for posts in lexicographic_schedules(instance.slots, instance.budget)
+            ]
+            assert report.evaluations == len(totals)
+            assert report.total == attention_total(report.schedule, instance)
+            assert report.total == pytest.approx(max(totals), rel=1e-9)
+
+    def test_cap_checked_before_anything_is_built(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built before the cap check")
+
+        monkeypatch.setattr(optimize, "TimelineLayout", refuse)
+        monkeypatch.setattr(optimize, "_lex_chunks", refuse)
+        instance = one_follower(6, 10, 0, 0.5, 0.5, (0.0,) * 6)
+        with pytest.raises(EnumerationCapError, match="8008 schedules"):
+            brute_force(instance, cap=8007)
+
+    def test_enumeration_near_the_default_cap_is_streamed(self):
+        # 18M candidates pass the default cap; drawing the first chunk builds
+        # only that chunk, not the candidate set.
+        assert math.comb(26 + 8, 8) <= optimize.DEFAULT_ENUMERATION_CAP
+        first = next(optimize._lex_chunks(8, 26, 1000))
+        assert first.shape[1] == 8 and 1 <= len(first) <= 1000
+        assert first[0].tolist() == [0] * 8
