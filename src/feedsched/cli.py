@@ -18,6 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+
+# perfbench/tracing.py rebinds names imported below by getattr; keep them even if unused.
 from .analyze import (
     OVERFLOW_BUCKET,
     bucket_name,

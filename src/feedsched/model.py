@@ -55,10 +55,13 @@ class SurvivalModel:
             raise ValueError(
                 f"{self.family} survival requires lambda > 0, got lambda={self.lam}"
             )
-        if self.family in ("weibull", "loglogistic") and not self.p > 0.0:
-            raise ValueError(
-                f"{self.family} survival requires p > 0, got p={self.p}"
-            )
+        elif self.lam == math.inf:
+            raise ValueError(f"{self.family} survival requires a finite lambda, got lambda=inf")
+        if self.family in ("weibull", "loglogistic"):
+            if not self.p > 0.0:
+                raise ValueError(f"{self.family} survival requires p > 0, got p={self.p}")
+            if self.p == math.inf:
+                raise ValueError(f"{self.family} survival requires a finite p, got p=inf")
 
 
 def survival_eval(model: SurvivalModel, x: float) -> float:

@@ -10,9 +10,10 @@ their weights.
 
 `timeline_view` and `cluster_attention` spell this out one follower and one
 cluster at a time and serve as the reference. `TimelineLayout` holds the same
-layout as (followers x slots) arrays and scores many schedules at once for the
-optimizers; `attention_total` and `attention_potential` compute the reported
-totals in Python floats.
+layout as (followers x slots) arrays: the optimizers score many schedules at
+once on it and the simulator reads its cluster tables from it.
+`attention_total` and `attention_potential` compute the reported totals in
+Python floats.
 """
 
 from __future__ import annotations
@@ -209,12 +210,17 @@ class TimelineLayout:
                 self.follower_family, self.rho[..., None], self.follower_p, z[..., None] + k
             )
             inner = np.where(k <= x[..., None], seen, 0.0).sum(axis=-1)
+        inner *= self.keep(x, self.delta)
+        return inner
+
+    def keep(self, x, delta) -> np.ndarray:
+        """Probability that a cluster of x producer posts is not skipped by a
+        follower with monotony tolerance `delta` (the cluster family's lambda
+        when it is not geometric)."""
         eff = np.maximum(x - self.shifted, 0)
         if self.cluster_family == "geometric":
-            inner *= self.delta**eff
-        else:
-            inner *= survival_array(self.cluster_family, self.delta, self.cluster_p, eff)
-        return inner
+            return delta**eff
+        return survival_array(self.cluster_family, delta, self.cluster_p, eff)
 
     def terms(self, posts) -> np.ndarray:
         """Raw per-cluster attention in timeline order, shaped like

@@ -10,8 +10,10 @@ Scroll depth is drawn by inverse transform from the follower survival curve,
 which is exactly equivalent to an independent quit draw after every post
 position - including positions inside skipped clusters - so visibility at
 depth d matches the analytic model. Competitor loads are rounded half-up to
-integers for discrete replay; compare against the analytic value recomputed
-on the rounded instance (see `rounded_instance`).
+integers for discrete replay (`rounded_instance`), and every follower's
+cluster table - posts and integer depth offsets in timeline order - is read
+from the `TimelineLayout` of the rounded instance. Compare against the
+analytic value recomputed on the rounded instance.
 """
 
 from __future__ import annotations
@@ -21,12 +23,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import (
+# follower_survival and cluster_survival are not called here, but
+# perfbench/tracing.py counts calls under these names in this module.
+from .model import (  # noqa: F401
     ProblemInstance,
     Schedule,
     cluster_survival,
     follower_survival,
+    survival_array,
 )
+from .objective import TimelineLayout
 
 __all__ = [
     "SimulationResult",
@@ -48,47 +54,13 @@ class SimulationResult:
     mode: str
 
 
-def _round_half_up(value: float) -> int:
-    return int(math.floor(value + 0.5))
-
-
 def rounded_instance(instance: ProblemInstance) -> ProblemInstance:
     """Copy of the instance with competitor loads rounded half-up to integers."""
     followers = tuple(
-        replace(f, competitor_load=tuple(float(_round_half_up(c)) for c in f.competitor_load))
+        replace(f, competitor_load=tuple(float(math.floor(c + 0.5)) for c in f.competitor_load))
         for f in instance.followers
     )
     return replace(instance, followers=followers)
-
-
-def _clusters(schedule: Schedule, follower, slots: int):
-    """(position, depth_offset, producer_count) in timeline order, integer loads."""
-    out = []
-    consumed = 0
-    for i in range(slots):
-        s = (follower.sigma - i) % slots
-        v = _round_half_up(follower.competitor_load[s])
-        x = schedule.posts[s]
-        z = consumed + v
-        out.append((i, z, x))
-        consumed = z + x
-    return out, consumed
-
-
-def _groups(clusters, merged: bool):
-    """Skip-draw units: one per non-empty cluster, or with adjacent producer
-    clusters separated by zero competitor posts merged into one."""
-    groups = []  # each: [z_start, size, members=[(position, offset, count)]]
-    for i, z, x in clusters:
-        if x == 0:
-            continue
-        if merged and groups and z == groups[-1][0] + groups[-1][1]:
-            group = groups[-1]
-            group[2].append((i, group[1], x))
-            group[1] += x
-        else:
-            groups.append([z, x, [(i, 0, x)]])
-    return groups
 
 
 def simulate(
@@ -114,63 +86,40 @@ def simulate(
     if not instance.followers:
         raise ValueError("the instance has no followers to simulate")
 
+    layout = TimelineLayout(rounded_instance(instance))
+    posts = layout.timeline_posts(schedule.posts)
+    offsets = layout.depths(posts).astype(np.int64)
     n = len(instance.followers)
     per_cluster = np.zeros((slots, n))
     day_totals = np.zeros(days)
-    for j, follower in enumerate(instance.followers):
-        clusters, length = _clusters(schedule, follower, slots)
+    for j in range(n):
+        x, z = posts[j], offsets[j]
+        length = int(z[-1] + x[-1])
         quit_rng = np.random.default_rng([seed, j, 0])
         skip_rng = np.random.default_rng([seed, j, 1])
 
         # Scroll depth per day: count of depths d with u < F(d).
-        curve = np.array(
-            [
-                follower_survival(
-                    follower,
-                    d,
-                    instance.follower_survival_family,
-                    instance.follower_survival_p,
-                )
-                for d in range(1, length + 1)
-            ]
+        curve = survival_array(
+            layout.follower_family, layout.rho[j], layout.follower_p, np.arange(1, length + 1)
         )
         u = quit_rng.random(days)
         depth = length - np.searchsorted(curve[::-1], u, side="right")
 
-        groups = _groups(clusters, merged)
-        if groups:
-            survive_p = np.array(
-                [
-                    cluster_survival(
-                        follower,
-                        size,
-                        instance.cluster_survival_family,
-                        instance.cluster_survival_p,
-                        instance.cluster_survival_shifted,
-                    )
-                    for _, size, _ in groups
-                ]
-            )
-            kept = skip_rng.random((days, len(groups))) < survive_p
+        # Skip-draw groups: one per non-empty cluster or, merged, one per run of
+        # non-empty clusters with no competitor posts between them.
+        positions = np.flatnonzero(x)
+        starts, counts = z[positions], x[positions]
+        joins = np.zeros(len(positions), dtype=bool)
+        if merged:
+            joins[1:] = starts[1:] == starts[:-1] + counts[:-1]
+        group = np.cumsum(~joins) - 1
+        sizes = np.bincount(group, weights=counts)
+        kept = skip_rng.random((days, len(sizes))) < layout.keep(sizes, layout.delta[j])
 
-            starts, counts, positions, group_idx = [], [], [], []
-            for g, (z_start, _, members) in enumerate(groups):
-                for position, offset, count in members:
-                    starts.append(z_start + offset)
-                    counts.append(count)
-                    positions.append(position)
-                    group_idx.append(g)
-            starts_a = np.array(starts)
-            counts_a = np.array(counts)
-            seen = np.clip(depth[:, None] - starts_a[None, :], 0, counts_a[None, :])
-            seen = seen * kept[:, group_idx]
-            follower_daily = seen.sum(axis=1).astype(float)
-            member_means = seen.mean(axis=0)
-            for m, position in enumerate(positions):
-                per_cluster[position, j] += member_means[m]
-        else:
-            follower_daily = np.zeros(days)
-        day_totals += follower.gamma * follower_daily
+        seen = np.clip(depth[:, None] - starts, 0, counts)
+        seen *= kept[:, group]
+        per_cluster[positions, j] = seen.mean(axis=0)
+        day_totals += layout.gamma[j] * seen.sum(axis=1)
 
     empirical_total = float(day_totals.mean())
     if days > 1:

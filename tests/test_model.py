@@ -71,6 +71,15 @@ class TestSurvivalEval:
             ("weibull", 1.0, 0.0, "p > 0"),
             ("loglogistic", 1.0, -2.0, "p > 0"),
             ("rayleigh", 0.0, 1.0, "lambda > 0"),
+            ("exponential", math.inf, 1.0, "finite lambda"),
+            ("weibull", math.inf, 1.0, "finite lambda"),
+            ("loglogistic", math.inf, 1.0, "finite lambda"),
+            ("rayleigh", math.inf, 1.0, "finite lambda"),
+            ("geometric", math.inf, 1.0, "0 < lambda <= 1"),
+            ("exponential", math.nan, 1.0, "lambda > 0"),
+            ("weibull", 1.0, math.inf, "finite p"),
+            ("loglogistic", 1.0, math.inf, "finite p"),
+            ("weibull", 1.0, math.nan, "p > 0"),
         ],
     )
     def test_parameter_ranges_enforced(self, family, lam, p, message):

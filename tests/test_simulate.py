@@ -81,6 +81,19 @@ class TestSimulate:
         with pytest.raises(ValueError, match="slots"):
             simulate(Schedule((1,)), hand_instance, days=10, seed=0)
 
+    @pytest.mark.parametrize("which,field", [("follower", "rho"), ("cluster", "delta")])
+    def test_zero_lambda_of_non_geometric_family_rejected_at_entry(self, which, field):
+        # The zero schedule on zero loads evaluates no curve, and still fails.
+        params = {"rho": 0.5, "delta": 0.5, field: 0.0}
+        follower = FollowerProfile(id="u0", sigma=0, competitor_load=(0.0, 0.0), **params)
+        instance = ProblemInstance(
+            slots=2, budget=1, followers=(follower,), **{f"{which}_survival_family": "exponential"}
+        )
+        with pytest.raises(ValueError, match="lambda > 0"):
+            simulate(Schedule((0, 0)), instance, days=10, seed=0)
+        with pytest.raises(ValueError, match="days"):
+            simulate(Schedule((0, 0)), instance, days=0, seed=0)
+
 
 class TestMergedMode:
     def test_zero_schedule_scores_zero_in_both_modes(self, hand_instance):
@@ -106,6 +119,20 @@ class TestMergedMode:
         assert per_slot.empirical_total == pytest.approx(2.0)
         assert merged.empirical_total == pytest.approx(1.0, abs=0.05)
         assert merged.empirical_total < per_slot.empirical_total
+
+    @pytest.mark.parametrize("load,merges", [(0.49, True), (0.5, False)])
+    def test_merging_follows_rounded_loads(self, load, merges):
+        # Two singletons with `load` competitor posts between them: 0.49 rounds
+        # to 0 and the pair merges into one cluster kept with probability delta.
+        instance = one_follower(2, 2, 1, 0.0, 0.5, (load, 0.0))
+        schedule = Schedule((1, 1))
+        per_slot = simulate(schedule, instance, days=20000, seed=9)
+        merged = simulate_merged(schedule, instance, days=20000, seed=9)
+        assert per_slot.empirical_total == 2.0
+        if merges:
+            assert merged.empirical_total == pytest.approx(1.0, abs=0.05)
+        else:
+            assert merged.empirical_total == 2.0
 
     def test_mode_labels(self, hand_instance, hand_schedule):
         assert simulate(hand_schedule, hand_instance, days=10, seed=0).mode == "per-slot-clusters"
@@ -134,3 +161,125 @@ class TestOracleAgreement:
                 )
         assert checked == 10
         assert failures <= 1
+
+
+def _follower(i, sigma, rho, delta, gamma, load):
+    return FollowerProfile(
+        id=f"u{i}", sigma=sigma, rho=rho, delta=delta, gamma=gamma, competitor_load=load
+    )
+
+
+PINNED_CASES = {
+    "geometric": (
+        ProblemInstance(
+            slots=4,
+            budget=6,
+            followers=(
+                _follower(0, 1, 0.3, 0.6, 1.0, (1.0, 0.0, 2.0, 0.0)),
+                _follower(1, 3, 0.1, 0.4, 2.5, (0.0, 0.0, 1.0, 3.0)),
+                _follower(2, 0, 0.5, 0.9, 0.5, (0.0, 0.0, 0.0, 0.0)),
+            ),
+        ),
+        Schedule((2, 1, 0, 3)),
+        7,
+    ),
+    "weibull-loglogistic": (
+        ProblemInstance(
+            slots=4,
+            budget=5,
+            followers=(
+                _follower(0, 2, 0.2, 0.7, 1.0, (0.0, 1.0, 0.0, 2.0)),
+                _follower(1, 0, 0.05, 0.3, 1.5, (3.0, 0.0, 0.0, 1.0)),
+            ),
+            follower_survival_family="weibull",
+            follower_survival_p=1.5,
+            cluster_survival_family="loglogistic",
+            cluster_survival_p=0.8,
+            cluster_survival_shifted=False,
+        ),
+        Schedule((1, 2, 0, 2)),
+        8,
+    ),
+    "fractional-loads": (
+        ProblemInstance(
+            slots=4,
+            budget=6,
+            followers=(
+                _follower(0, 3, 0.2, 0.5, 1.0, (0.49, 1.5, 0.2, 2.7)),
+                _follower(1, 1, 0.15, 0.8, 2.0, (0.5, 0.0, 0.51, 1.49)),
+            ),
+        ),
+        Schedule((1, 2, 1, 2)),
+        9,
+    ),
+}
+
+# (empirical_total, standard_error, per_cluster) over 300 days. A seed must
+# replay the same days, so these are compared bit for bit.
+PINNED_OUTPUTS = {
+    ("geometric", False): (
+        4.291666666666667,
+        0.2301840949698933,
+        [
+            [0.6966666666666667, 0.34, 0.78],
+            [0.38, 0.0, 0.22333333333333333],
+            [0.14, 0.42333333333333334, 0.0],
+            [0.0, 0.2633333333333333, 0.013333333333333334],
+        ],
+    ),
+    ("geometric", True): (
+        2.265,
+        0.1588062525972799,
+        [
+            [0.6966666666666667, 0.30666666666666664, 0.48333333333333334],
+            [0.04, 0.0, 0.12333333333333334],
+            [0.023333333333333334, 0.06333333333333334, 0.0],
+            [0.0, 0.11, 0.0033333333333333335],
+        ],
+    ),
+    ("weibull-loglogistic", False): (
+        2.841666666666667,
+        0.15541970962198387,
+        [
+            [0.0, 0.5066666666666667],
+            [0.43666666666666665, 0.5566666666666666],
+            [0.12, 0.0],
+            [0.0, 0.46],
+        ],
+    ),
+    ("weibull-loglogistic", True): (
+        2.1533333333333333,
+        0.14817532576182452,
+        [[0.0, 0.5], [0.4, 0.37], [0.08333333333333333, 0.0], [0.0, 0.24333333333333335]],
+    ),
+    ("fractional-loads", False): (
+        5.93,
+        0.25409752426866516,
+        [
+            [0.32666666666666666, 1.25],
+            [0.22333333333333333, 0.5466666666666666],
+            [0.10666666666666667, 0.57],
+            [0.07333333333333333, 0.23333333333333334],
+        ],
+    ),
+    ("fractional-loads", True): (
+        5.59,
+        0.24509843766771988,
+        [
+            [0.21, 1.25],
+            [0.07666666666666666, 0.5466666666666666],
+            [0.08, 0.57],
+            [0.023333333333333334, 0.23333333333333334],
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("case,merged", sorted(PINNED_OUTPUTS))
+def test_seeded_outputs_are_pinned(case, merged):
+    instance, schedule, seed = PINNED_CASES[case]
+    result = simulate(schedule, instance, days=300, seed=seed, merged=merged)
+    total, standard_error, per_cluster = PINNED_OUTPUTS[case, merged]
+    assert result.empirical_total == total
+    assert result.standard_error == standard_error
+    assert result.per_cluster.tolist() == per_cluster
