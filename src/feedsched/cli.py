@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import sys
+import typing
 from dataclasses import dataclass
 from pathlib import Path
+from time import perf_counter
 
 import numpy as np
 
@@ -66,7 +67,9 @@ SECONDS_PER_DAY = 86400
 @dataclass
 class RunConfig:
     """Run-wide defaults; a JSON config file may override any field and
-    command-line flags override the file. Unknown file keys are rejected."""
+    command-line flags override the file (`from_sources` takes every given flag
+    whose argparse dest is a field name). Unknown file keys and file values of
+    the wrong type are rejected."""
 
     slots: int = 24
     budget: int | None = None
@@ -89,27 +92,73 @@ class RunConfig:
     tau_min_hours: float = 1.0
 
     @classmethod
-    def from_sources(cls, config_path=None, **overrides) -> "RunConfig":
+    def from_sources(cls, args) -> "RunConfig":
+        hints = typing.get_type_hints(cls)
         values = {}
-        if config_path is not None:
-            raw = load_json(config_path)
-            known = {f.name for f in dataclasses.fields(cls)}
-            unknown = sorted(set(raw) - known)
+        if args.config is not None:
+            raw = load_json(args.config)
+            unknown = sorted(set(raw) - set(hints))
             if unknown:
-                raise ValueError(f"{config_path}: unknown config keys {unknown}")
-            values.update(raw)
-        for key, val in overrides.items():
-            if val is not None:
-                values[key] = val
+                raise ValueError(f"{args.config}: unknown config keys {unknown}")
+            for key, value in raw.items():
+                if not _has_type(value, hints[key]):
+                    raise ValueError(
+                        f"{args.config}: config key {key!r} must be "
+                        f"{cls.__annotations__[key]}, got {value!r}"
+                    )
+                values[key] = tuple(value) if isinstance(value, list) else value
+        values.update(
+            (key, val) for key, val in vars(args).items() if key in hints and val is not None
+        )
         cfg = cls(**values)
-        for pair_field in ("night_hours", "lunch_hours"):
-            pair = getattr(cfg, pair_field)
-            if len(pair) != 2:
-                raise ValueError(f"{pair_field} must hold exactly two hours")
-            setattr(cfg, pair_field, (int(pair[0]), int(pair[1])))
-        if SECONDS_PER_DAY % cfg.slots != 0:
+        if cfg.slots < 1 or SECONDS_PER_DAY % cfg.slots != 0:
             raise ValueError(f"slots must divide 86400 seconds, got {cfg.slots}")
         return cfg
+
+
+def _has_type(value, hint) -> bool:
+    """Whether a decoded JSON value fits a `RunConfig` field's type hint; a
+    float field also takes an integer, and a tuple field a list."""
+    kinds = typing.get_args(hint) or (hint,)
+    if typing.get_origin(hint) is tuple:
+        fits = isinstance(value, list) and len(value) == len(kinds)
+        return fits and all(map(_has_type, value, kinds))
+    return type(value) in kinds or (hint is float and type(value) is int)
+
+
+class Report:
+    """One command's results, each value given once with its JSON key and the
+    template of its text line. `lap` charges the wall time since the previous lap
+    to a stage, shown as `timings_s` in the JSON object only, so the text stays
+    deterministic. `emit` prints the text or the JSON and returns exit code 0."""
+
+    def __init__(self) -> None:
+        self.timings_s: dict[str, float] = {}
+        self.fields: dict = {"timings_s": self.timings_s}
+        self.lines: list[str] = []
+        self._mark = perf_counter()
+
+    def add(self, key: str, value, template: str | None = None) -> None:
+        """Record `value` under `key`; a template adds the line `template.format(value)`."""
+        self.fields[key] = value
+        if template is not None:
+            self.lines.append(template.format(value))
+
+    def text(self, line: str) -> None:
+        self.lines.append(line)
+
+    def lap(self, stage: str) -> None:
+        now = perf_counter()
+        self.timings_s[stage] = self.timings_s.get(stage, 0.0) + now - self._mark
+        self._mark = now
+
+    def emit(self, as_json: bool) -> int:
+        if as_json:
+            print(json.dumps(self.fields, indent=2, sort_keys=True))
+        else:
+            for line in self.lines:
+                print(line)
+        return 0
 
 
 def _write_csv(path, header, rows) -> None:
@@ -125,30 +174,17 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _emit(args, report: dict, lines: list[str]) -> None:
-    if getattr(args, "json", False):
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
-
-
 # ---------------------------------------------------------------- estimate
 
 
 def cmd_estimate(args) -> int:
-    cfg = RunConfig.from_sources(
-        args.config,
-        slots=args.slots,
-        budget=args.budget,
-        tz_offset_minutes=args.tz_offset_minutes,
-        gap_hours=args.gap_hours,
-        gamma_mode=args.gamma_mode,
-    )
+    report = Report()
+    cfg = RunConfig.from_sources(args)
     if cfg.budget is None:
         raise ValueError("a post budget is required (--budget or the config file)")
     trace = load_trace(args.trace, tz_offset_minutes=cfg.tz_offset_minutes)
     graph = load_graph(args.graph)
+    report.lap("load")
     instance = build_instance(
         args.producer,
         graph,
@@ -165,56 +201,46 @@ def cmd_estimate(args) -> int:
         cluster_survival_p=cfg.cluster_survival_p,
         cluster_survival_shifted=cfg.cluster_survival_shifted,
     )
+    report.lap("estimate")
     dump_json(instance_to_dict(instance), args.out)
+    report.lap("write")
     n = len(instance.followers)
     mean_rho = sum(f.rho for f in instance.followers) / n
     mean_delta = sum(f.delta for f in instance.followers) / n
     total_load = sum(sum(f.competitor_load) for f in instance.followers)
-    report = {
-        "followers": n,
-        "mean_rho": mean_rho,
-        "mean_delta": mean_delta,
-        "total_competitor_load": total_load,
-        "instance_path": str(args.out),
-    }
-    _emit(
-        args,
-        report,
-        [
-            f"followers: {n}",
-            f"mean rho: {mean_rho:.6f}",
-            f"mean delta: {mean_delta:.6f}",
-            f"total competitor load per day: {total_load:.6f}",
-            f"wrote {args.out}",
-        ],
-    )
-    return 0
+    report.add("followers", n, "followers: {}")
+    report.add("mean_rho", mean_rho, "mean rho: {:.6f}")
+    report.add("mean_delta", mean_delta, "mean delta: {:.6f}")
+    report.add("total_competitor_load", total_load, "total competitor load per day: {:.6f}")
+    report.add("instance_path", str(args.out), "wrote {}")
+    return report.emit(args.json)
 
 
 # ---------------------------------------------------------------- evaluate
 
 
 def cmd_evaluate(args) -> int:
+    report = Report()
     instance = instance_from_dict(load_json(args.instance))
     schedule = schedule_from_dict(load_json(args.schedule))
+    report.lap("load")
     breakdown = attention_potential(schedule, instance)
-    lines = [f"attention total: {breakdown.total:.6f}"]
-    report = {"total": breakdown.total}
+    report.add("total", breakdown.total, "attention total: {:.6f}")
+    report.lap("evaluate")
     if args.breakdown:
-        rows = []
-        for j, follower in enumerate(instance.followers):
-            for view in timeline_view(schedule, follower):
-                rows.append(
-                    (
-                        follower.id,
-                        view.position,
-                        view.source_slot,
-                        view.producer_count,
-                        _cell(view.competitor_above),
-                        _cell(view.depth_offset),
-                        _cell(float(breakdown.per_cluster[view.position, j])),
-                    )
-                )
+        rows = [
+            (
+                follower.id,
+                view.position,
+                view.source_slot,
+                view.producer_count,
+                _cell(view.competitor_above),
+                _cell(view.depth_offset),
+                _cell(float(breakdown.per_cluster[view.position, j])),
+            )
+            for j, follower in enumerate(instance.followers)
+            for view in timeline_view(schedule, follower)
+        ]
         _write_csv(
             args.breakdown,
             [
@@ -228,8 +254,8 @@ def cmd_evaluate(args) -> int:
             ],
             rows,
         )
-        lines.append(f"wrote breakdown {args.breakdown}")
-        report["breakdown_path"] = str(args.breakdown)
+        report.add("breakdown_path", str(args.breakdown), "wrote breakdown {}")
+        report.lap("breakdown")
     if args.heatmap:
         grid = heatmap(schedule, instance, mean_center=args.mean_center)
         slots = instance.slots
@@ -238,23 +264,21 @@ def cmd_evaluate(args) -> int:
             ["broadcast_slot"] + [f"login_{h}" for h in range(slots)],
             [[s] + [_cell(float(v)) for v in grid[s]] for s in range(slots)],
         )
-        lines.append(f"wrote heatmap {args.heatmap}")
-        report["heatmap_path"] = str(args.heatmap)
-    _emit(args, report, lines)
-    return 0
+        report.add("heatmap_path", str(args.heatmap), "wrote heatmap {}")
+        report.lap("heatmap")
+    return report.emit(args.json)
 
 
 # ---------------------------------------------------------------- optimize
 
 
 def cmd_optimize(args) -> int:
-    cfg = RunConfig.from_sources(args.config, seed=args.seed)
+    report = Report()
+    cfg = RunConfig.from_sources(args)
     instance = instance_from_dict(load_json(args.instance))
-    if (args.method is None) == (args.heuristic is None):
-        raise ValueError("exactly one of --method or --heuristic is required")
+    report.lap("load")
 
-    lines: list[str] = []
-    report: dict = {}
+    result = None
     if args.heuristic:
         spend = args.spend if args.spend is not None else instance.budget
         activity = _load_activity(args.activity, instance.slots) if args.activity else None
@@ -267,8 +291,7 @@ def cmd_optimize(args) -> int:
             lunch_hours=cfg.lunch_hours,
         )
         total = attention_potential(schedule, instance).total
-        lines.append(f"heuristic: {args.heuristic}")
-        report["heuristic"] = args.heuristic
+        report.add("heuristic", args.heuristic, "heuristic: {}")
     else:
         if args.method == "marginal":
             initial = (
@@ -276,18 +299,19 @@ def cmd_optimize(args) -> int:
             )
             result = marginal_allocation(instance, initial)
         elif args.method == "brute":
-            result = brute_force(instance, cap=args.cap or cfg.enumeration_cap)
+            result = brute_force(instance, cap=cfg.enumeration_cap)
         else:
             result = multistart(instance, args.restarts, cfg.seed)
         schedule, total = result.schedule, result.total
-        lines.append(f"method: {args.method}")
-        report.update(
-            {
-                "method": args.method,
-                "evaluations": result.evaluations,
-                "terminated_by": result.terminated_by,
-            }
-        )
+        report.add("method", args.method, "method: {}")
+    report.lap("optimize")
+
+    report.add("posts", list(schedule.posts), "posts: " + ",".join(map(str, schedule.posts)))
+    report.add("spend", schedule.spend, f"spend: {{}} of budget {instance.budget}")
+    report.add("total", total, "attention total: {:.6f}")
+    if result is not None:
+        report.add("evaluations", result.evaluations, "evaluations: {}")
+        report.add("terminated_by", result.terminated_by, "terminated by: {}")
         if args.trace:
             _write_csv(
                 args.trace,
@@ -297,30 +321,11 @@ def cmd_optimize(args) -> int:
                     for it, (slot, gain) in enumerate(result.trajectory, start=1)
                 ],
             )
-            lines.append(f"wrote trajectory {args.trace}")
-            report["trajectory_path"] = str(args.trace)
-
+            report.add("trajectory_path", str(args.trace), "wrote trajectory {}")
     dump_json(schedule_to_dict(schedule), args.out)
-    posts_text = ",".join(str(v) for v in schedule.posts)
-    lines[1:1] = [
-        f"posts: {posts_text}",
-        f"spend: {schedule.spend} of budget {instance.budget}",
-        f"attention total: {total:.6f}",
-    ]
-    if "evaluations" in report:
-        lines.append(f"evaluations: {report['evaluations']}")
-        lines.append(f"terminated by: {report['terminated_by']}")
-    lines.append(f"wrote {args.out}")
-    report.update(
-        {
-            "posts": list(schedule.posts),
-            "spend": schedule.spend,
-            "total": total,
-            "schedule_path": str(args.out),
-        }
-    )
-    _emit(args, report, lines)
-    return 0
+    report.add("schedule_path", str(args.out), "wrote {}")
+    report.lap("write")
+    return report.emit(args.json)
 
 
 def _load_activity(path, slots: int) -> list[float]:
@@ -342,40 +347,27 @@ def _load_activity(path, slots: int) -> list[float]:
 
 
 def cmd_simulate(args) -> int:
+    report = Report()
     instance = instance_from_dict(load_json(args.instance))
     schedule = schedule_from_dict(load_json(args.schedule))
-    if args.days < 1:
-        raise ValueError(f"--days must be >= 1, got {args.days}")
+    report.lap("load")
     result = simulate(schedule, instance, args.days, args.seed, merged=args.merged)
+    report.lap("simulate")
     analytic = attention_potential(schedule, rounded_instance(instance)).total
+    report.lap("analytic")
     diff = result.empirical_total - analytic
     if result.standard_error > 0:
         z = diff / result.standard_error
     else:
         z = 0.0 if diff == 0 else float("inf") if diff > 0 else float("-inf")
-    report = {
-        "mode": result.mode,
-        "days": result.replications,
-        "seed": result.seed,
-        "empirical_total": result.empirical_total,
-        "standard_error": result.standard_error,
-        "analytic_total_rounded": analytic,
-        "z_score": z,
-    }
-    _emit(
-        args,
-        report,
-        [
-            f"mode: {result.mode}",
-            f"days: {result.replications}",
-            f"seed: {result.seed}",
-            f"empirical total: {result.empirical_total:.6f}",
-            f"standard error: {result.standard_error:.6f}",
-            f"analytic total (rounded loads): {analytic:.6f}",
-            f"z-score: {z:.4f}",
-        ],
-    )
-    return 0
+    report.add("mode", result.mode, "mode: {}")
+    report.add("days", result.replications, "days: {}")
+    report.add("seed", result.seed, "seed: {}")
+    report.add("empirical_total", result.empirical_total, "empirical total: {:.6f}")
+    report.add("standard_error", result.standard_error, "standard error: {:.6f}")
+    report.add("analytic_total_rounded", analytic, "analytic total (rounded loads): {:.6f}")
+    report.add("z_score", z, "z-score: {:.4f}")
+    return report.emit(args.json)
 
 
 # ---------------------------------------------------------------- analyze
@@ -416,22 +408,19 @@ def _matrix_rows(values: dict[tuple[int, int], float], max_size: int):
 
 
 def cmd_analyze(args) -> int:
-    cfg = RunConfig.from_sources(
-        args.config,
-        permutations=args.permutations,
-        seed=args.seed,
-        matrix_max_size=args.max_size,
-        tau_min_hours=args.tau_min,
-        tz_offset_minutes=args.tz_offset_minutes,
-    )
+    report = Report()
+    cfg = RunConfig.from_sources(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    report: dict = {}
-    lines: list[str] = []
+
+    def write(name, header, rows):
+        _write_csv(out_dir / name, header, rows)
+        report.text(f"wrote {out_dir / name}")
 
     if args.counts:
         counts = _load_counts(args.counts)
         records = None
+        report.lap("load")
     else:
         if not args.trace or not args.graph:
             raise ValueError("either --counts or both a trace and a graph are required")
@@ -439,53 +428,45 @@ def cmd_analyze(args) -> int:
             raise ValueError("exactly one of --user or --all is required")
         trace = load_trace(args.trace, tz_offset_minutes=cfg.tz_offset_minutes)
         graph = load_graph(args.graph)
+        report.lap("load")
         users = [args.user] if args.user else list(graph.users())
         records = []
         for user in users:
             records.extend(extract_clusters(reconstruct_timeline(user, graph, trace)))
         counts = reaction_counts(records)
+        report.lap("clusters")
 
     probs = reaction_prob_by_size(counts)
     stats_rows = [
         (bucket_name(b), counts[b][0], counts[b][1], _cell(probs[b]))
         for b in sorted(counts)
     ]
-    _write_csv(
-        out_dir / "cluster_stats.csv", ["size", "reactions", "total", "probability"], stats_rows
-    )
-    lines.append(f"wrote {out_dir / 'cluster_stats.csv'}")
-    report["cluster_stats"] = {bucket_name(b): probs[b] for b in sorted(probs)}
+    write("cluster_stats.csv", ["size", "reactions", "total", "probability"], stats_rows)
+    report.add("cluster_stats", {bucket_name(b): probs[b] for b in sorted(probs)})
 
     max_size = cfg.matrix_max_size
-    t_obs: dict[tuple[int, int], float] = {}
-    p_values: dict[tuple[int, int], float] = {}
-    for i in range(1, max_size):
-        for j in range(i + 1, max_size + 1):
-            if i in counts and j in counts:
-                t_obs[(i, j)] = difference_statistic(counts, i, j)
-                p_values[(i, j)] = permutation_test(
-                    counts, i, j, cfg.permutations, cfg.seed
-                ).p_value
-    header, rows = _matrix_rows(t_obs, max_size)
-    _write_csv(out_dir / "t_obs.csv", header, rows)
-    header, rows = _matrix_rows(p_values, max_size)
-    _write_csv(out_dir / "p_values.csv", header, rows)
-    lines.append(f"wrote {out_dir / 't_obs.csv'}")
-    lines.append(f"wrote {out_dir / 'p_values.csv'}")
-    report["t_obs"] = {f"{i},{j}": v for (i, j), v in sorted(t_obs.items())}
-    report["p_values"] = {f"{i},{j}": v for (i, j), v in sorted(p_values.items())}
+    sizes = [k for k in range(1, max_size + 1) if k in counts]
+    pairs = [(i, j) for i in sizes for j in sizes if i < j]
+    t_obs = {(i, j): difference_statistic(counts, i, j) for i, j in pairs}
+    p_values = {
+        (i, j): permutation_test(counts, i, j, cfg.permutations, cfg.seed).p_value
+        for i, j in pairs
+    }
+    report.lap("tests")
+    for name, values in (("t_obs", t_obs), ("p_values", p_values)):
+        write(f"{name}.csv", *_matrix_rows(values, max_size))
+        report.add(name, {f"{i},{j}": v for (i, j), v in sorted(values.items())})
 
     if records is not None:
         by_pos = reaction_prob_by_size_position(records)
-        _write_csv(
-            out_dir / "reaction_by_size_position.csv",
+        write(
+            "reaction_by_size_position.csv",
             ["size", "position", "probability"],
             [
                 (bucket_name(b), k, _cell(p))
                 for (b, k), p in sorted(by_pos.items())
             ],
         )
-        lines.append(f"wrote {out_dir / 'reaction_by_size_position.csv'}")
 
         taus: list[float] = []
         for user in trace.users():
@@ -495,24 +476,22 @@ def cmd_analyze(args) -> int:
         if taus:
             edges = np.geomspace(min(taus), max(taus) * (1 + 1e-12), 31)
             hist, _ = np.histogram(taus, bins=edges)
-            _write_csv(
-                out_dir / "interevent_histogram.csv",
+            write(
+                "interevent_histogram.csv",
                 ["bin_left_hours", "bin_right_hours", "count"],
                 [
                     (_cell(float(edges[k])), _cell(float(edges[k + 1])), int(hist[k]))
                     for k in range(len(hist))
                 ],
             )
-            lines.append(f"wrote {out_dir / 'interevent_histogram.csv'}")
         try:
             alpha = powerlaw_alpha(taus, cfg.tau_min_hours)
-            report["powerlaw_alpha"] = alpha
-            lines.append(f"power-law exponent (tau >= {cfg.tau_min_hours}h): {alpha:.4f}")
+            template = f"power-law exponent (tau >= {cfg.tau_min_hours}h): {{:.4f}}"
+            report.add("powerlaw_alpha", alpha, template)
         except ValueError:
-            lines.append("power-law exponent: n/a (too few inter-event samples)")
-
-    _emit(args, report, lines)
-    return 0
+            report.text("power-law exponent: n/a (too few inter-event samples)")
+    report.lap("write")
+    return report.emit(args.json)
 
 
 # ---------------------------------------------------------------- wiring
@@ -556,14 +535,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="produce a schedule")
     p.add_argument("instance", help="instance JSON")
     p.add_argument("-o", "--out", required=True, help="output schedule JSON path")
-    p.add_argument("--method", choices=("marginal", "brute", "multistart"), default=None)
-    p.add_argument("--heuristic", choices=HEURISTICS, default=None)
+    choice = p.add_mutually_exclusive_group(required=True)
+    choice.add_argument("--method", choices=("marginal", "brute", "multistart"), default=None)
+    choice.add_argument("--heuristic", choices=HEURISTICS, default=None)
     p.add_argument("--spend", type=int, default=None, help="posts for --heuristic")
     p.add_argument("--activity", default=None, help="per-slot weights CSV for peak")
     p.add_argument("--initial", default=None, help="initial schedule JSON for marginal")
     p.add_argument("--restarts", type=int, default=4)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--cap", type=int, default=None, help="enumeration cap for brute")
+    p.add_argument("--cap", dest="enumeration_cap", type=int, help="enumeration cap for brute")
     p.add_argument("--trace", default=None, help="write the greedy trajectory CSV here")
     p.add_argument("--config", default=None)
     p.add_argument("--json", action="store_true")
@@ -587,8 +567,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--out", default=".", help="output directory")
     p.add_argument("--permutations", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--max-size", type=int, default=None, help="largest size in the matrices")
-    p.add_argument("--tau-min", type=float, default=None, help="power-law tail cutoff, hours")
+    p.add_argument(
+        "--max-size", dest="matrix_max_size", type=int, help="largest size in the matrices"
+    )
+    p.add_argument(
+        "--tau-min", dest="tau_min_hours", type=float, help="power-law tail cutoff, hours"
+    )
     p.add_argument("--tz-offset-minutes", type=int, default=None)
     p.add_argument("--config", default=None)
     p.add_argument("--json", action="store_true")
@@ -605,15 +589,11 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except EnumerationCapError as exc:
+    except (EnumerationCapError, EstimationError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except EstimationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (TraceFormatError, ValueError, OSError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        if isinstance(exc, EnumerationCapError):
+            return 4
+        return 3 if isinstance(exc, EstimationError) else 2
 
 
 def entrypoint() -> None:

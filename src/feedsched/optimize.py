@@ -228,6 +228,8 @@ def heuristic(
             raise ValueError(
                 f"activity weights have length {len(weights)}, expected {slots}"
             )
+        if not all(math.isfinite(w) for w in weights):
+            raise ValueError("activity weights must be finite")
         if any(w < 0 for w in weights):
             raise ValueError("activity weights must be >= 0")
         total_w = sum(weights)

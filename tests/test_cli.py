@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -309,6 +310,24 @@ class TestOptimizeCommand:
         assert rc == 4
         assert "cap of 2" in capsys.readouterr().err
 
+    def test_brute_with_zero_cap_exits_4(self, tmp_path, small_files, capsys):
+        out = tmp_path / "s.json"
+        argv = ["optimize", str(small_files), "-o", str(out), "--method", "brute", "--cap", "0"]
+        assert main(argv) == 4
+        assert "cap of 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_activity_weight_exits_2(self, tmp_path, data_dir, bad, capsys):
+        activity = tmp_path / "activity.csv"
+        activity.write_text(",".join(["1"] * 23 + [bad]) + "\n")
+        argv = [
+            "optimize", str(data_dir / "pop_small.instance.json"), "-o", str(tmp_path / "s.json"),
+            "--heuristic", "peak", "--activity", str(activity),
+        ]
+        assert main(argv) == 2
+        assert "activity weights must be finite" in capsys.readouterr().err
+
     def test_trajectory_emission(self, tmp_path, small_files):
         out = tmp_path / "sched.json"
         trace = tmp_path / "trajectory.csv"
@@ -527,3 +546,123 @@ class TestRoundTripAndMisc:
         posts = load_json(sched)["posts"]
         assert len(posts) == 24
         assert sum(posts) <= 6
+
+
+# Every command's text output and its --json object (without `timings_s`, whose
+# values are wall times), pinned byte for byte in tests/data/cli_golden.json.
+# `{data}` is the fixture directory and `{tmp}` the test's scratch directory;
+# output paths are compared with the scratch directory written as `<tmp>`.
+GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
+GOLDEN_POSTS = [0] * 8 + [1, 1, 0, 0, 2] + [0] * 7 + [1, 1, 0, 0]
+POP = "{data}/pop_small.instance.json"
+GOLDEN_RUNS = {
+    "estimate": [
+        "estimate", "{data}/pop_small.trace.jsonl", "{data}/pop_small.graph.csv", "prod",
+        "-o", "{tmp}/instance.json", "--budget", "6",
+    ],
+    "evaluate": [
+        "evaluate", POP, "{tmp}/schedule.json",
+        "--heatmap", "{tmp}/heat.csv", "--breakdown", "{tmp}/breakdown.csv",
+    ],
+    "optimize-marginal": [
+        "optimize", POP, "-o", "{tmp}/out.json",
+        "--method", "marginal", "--trace", "{tmp}/trajectory.csv",
+    ],
+    "optimize-brute": ["optimize", "{tmp}/hand.json", "-o", "{tmp}/out.json", "--method", "brute"],
+    "optimize-multistart": [
+        "optimize", POP, "-o", "{tmp}/out.json",
+        "--method", "multistart", "--restarts", "3", "--seed", "11",
+    ],
+    "optimize-smart": ["optimize", POP, "-o", "{tmp}/out.json", "--heuristic", "smart"],
+    "simulate": ["simulate", POP, "{tmp}/schedule.json", "--days", "500", "--seed", "3"],
+    "simulate-merged": [
+        "simulate", POP, "{tmp}/schedule.json", "--days", "500", "--seed", "3", "--merged",
+    ],
+    "analyze-counts": [
+        "analyze", "--counts", "{data}/cluster_reaction_counts.csv",
+        "-o", "{tmp}/out", "--permutations", "200",
+    ],
+    "analyze-trace": [
+        "analyze", "{data}/pop_small.trace.jsonl", "{data}/pop_small.graph.csv", "--all",
+        "-o", "{tmp}/out", "--permutations", "200",
+    ],
+}
+
+
+def _trajectory_line_last(lines):
+    """Earlier versions printed `wrote trajectory …` between `attention total:`
+    and `evaluations:`; it now follows `terminated by:`. That move is the one
+    allowed difference from the output those versions gave."""
+    moved = [line for line in lines if line.startswith("wrote trajectory ")]
+    rest = [line for line in lines if not line.startswith("wrote trajectory ")]
+    at = next((k + 1 for k, line in enumerate(rest) if line.startswith("terminated by:")), 0)
+    return rest[:at] + moved + rest[at:]
+
+
+def _untemp(value, tmp):
+    if isinstance(value, str):
+        return value.replace(str(tmp), "<tmp>")
+    if isinstance(value, dict):
+        return {k: _untemp(v, tmp) for k, v in value.items()}
+    return value
+
+
+class TestGoldenOutput:
+    @pytest.fixture
+    def golden_argv(self, tmp_path, data_dir, hand_instance):
+        dump_json(instance_to_dict(hand_instance), tmp_path / "hand.json")
+        dump_json({"posts": GOLDEN_POSTS}, tmp_path / "schedule.json")
+        return lambda name: [arg.format(data=data_dir, tmp=tmp_path) for arg in GOLDEN_RUNS[name]]
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+    def test_text_and_json_match_golden(self, name, golden_argv, tmp_path, capsys):
+        argv = golden_argv(name)
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.replace(str(tmp_path), "<tmp>").splitlines()
+        assert _trajectory_line_last(lines) == GOLDEN[name]["text"]
+        assert main(argv + ["--json"]) == 0
+        report = _untemp(json.loads(capsys.readouterr().out), tmp_path)
+        report.pop("timings_s", None)
+        assert report == GOLDEN[name]["json"]
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+    def test_json_reports_stage_timings(self, name, golden_argv, capsys):
+        assert main(golden_argv(name) + ["--json"]) == 0
+        timings = json.loads(capsys.readouterr().out)["timings_s"]
+        assert timings and all(math.isfinite(t) and t >= 0 for t in timings.values())
+
+
+class TestConfigFile:
+    """A config-file value must have its field's type; a float field takes an
+    integer and a pair of hours a two-element list."""
+
+    @pytest.mark.parametrize(
+        "config, command, key",
+        [
+            ({"slots": "24"}, "estimate", "slots"),
+            ({"seed": 1.5}, "multistart", "seed"),
+            ({"night_hours": 5}, "smart", "night_hours"),
+            ({"cluster_survival_shifted": "no"}, "estimate", "cluster_survival_shifted"),
+            ({"slots": 0}, "estimate", "slots"),
+            ({"gap_hours": 8, "cluster_survival_shifted": False}, "estimate", None),
+            ({"night_hours": [22, 5], "seed": 3, "enumeration_cap": 10}, "smart", None),
+        ],
+    )
+    def test_value_types(self, tmp_path, data_dir, config, command, key, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out.json"
+        if command == "estimate":
+            argv = [
+                "estimate", str(data_dir / "pop_small.trace.jsonl"),
+                str(data_dir / "pop_small.graph.csv"), "prod", "--budget", "6",
+            ]
+        else:
+            argv = ["optimize", str(data_dir / "pop_small.instance.json")]
+            argv += ["--heuristic", "smart"] if command == "smart" else ["--method", command]
+        rc = main(argv + ["-o", str(out), "--config", str(path)])
+        if key is None:
+            assert rc == 0 and out.exists()
+        else:
+            assert rc == 2 and not out.exists()
+            assert key in capsys.readouterr().err

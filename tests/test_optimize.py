@@ -183,6 +183,12 @@ class TestHeuristics:
         schedule = heuristic("peak", instance, 0, activity=[1.0, 1.0, 1.0, 1.0])
         assert schedule.posts == (0, 0, 0, 0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_peak_rejects_non_finite_weights(self, bad):
+        instance = self.make_instance(slots=4, budget=10)
+        with pytest.raises(ValueError, match="activity weights must be finite"):
+            heuristic("peak", instance, 4, activity=[1.0, bad, 1.0, 1.0])
+
     def test_peak_requires_activity(self):
         with pytest.raises(ValueError, match="activity"):
             heuristic("peak", self.make_instance(), 5)
