@@ -18,7 +18,6 @@ millions of labels; the p-value uses the add-one estimator.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,22 +107,12 @@ def reconstruct_timeline(
     if user not in graph:
         raise ValueError(f"unknown user {user!r}")
     followees = graph.followees_of(user)
-    entries = []  # (ts, author, ingestion index, kind)
-    author_ts: dict[str, list[int]] = {}
-    for a in followees:
-        evs = trace.events_by_user(a)
-        author_ts[a] = [ev.ts for ev in evs]
-        for idx, ev in enumerate(evs):
-            entries.append((ev.ts, a, idx, ev.kind))
-
-    reacted: set[tuple[str, int]] = set()
-    for ev in trace.events_by_user(user):
-        if not ev.is_reaction or ev.target_author not in author_ts:
-            continue
-        idx = bisect_right(author_ts[ev.target_author], ev.ts) - 1
-        if idx >= 0:
-            reacted.add((ev.target_author, idx))
-
+    reacted = {(a, idx) for _, a, idx in trace.attached_reactions(user, followees)}
+    entries = [  # (ts, author, ingestion index, kind)
+        (ev.ts, a, idx, ev.kind)
+        for a in followees
+        for idx, ev in enumerate(trace.events_by_user(a))
+    ]
     entries.sort(key=lambda e: (-e[0], e[1], e[2]))
     return tuple(
         TimelinePost(ts, author, kind, (author, idx) in reacted)
@@ -152,16 +141,25 @@ def _record(run: list[TimelinePost]) -> ClusterRecord:
     return ClusterRecord(author=run[0].author, size=len(run), members=members)
 
 
-def reaction_counts(records) -> dict[int, tuple[int, int]]:
-    """Per size bucket: (reacted tweets, total tweets)."""
-    counts: dict[int, list[int]] = {}
+def _tally(records) -> dict[tuple[int, int], list[int]]:
+    """Per (size bucket, cluster position): [reacted tweets, total tweets]."""
+    counts: dict[tuple[int, int], list[int]] = {}
     for record in records:
         bucket = size_bucket(record.size)
-        acc = counts.setdefault(bucket, [0, 0])
         for member in record.members:
-            acc[0] += int(member.reacted)
+            acc = counts.setdefault((bucket, member.position), [0, 0])
+            acc[0] += member.reacted
             acc[1] += 1
-    return {b: (r, t) for b, (r, t) in counts.items()}
+    return counts
+
+
+def reaction_counts(records) -> dict[int, tuple[int, int]]:
+    """Per size bucket: (reacted tweets, total tweets)."""
+    counts: dict[int, tuple[int, int]] = {}
+    for (bucket, _), (r, t) in _tally(records).items():
+        r0, t0 = counts.get(bucket, (0, 0))
+        counts[bucket] = (r0 + r, t0 + t)
+    return counts
 
 
 def _as_counts(data) -> dict[int, tuple[int, int]]:
@@ -178,14 +176,7 @@ def reaction_prob_by_size(data) -> dict[int, float]:
 
 def reaction_prob_by_size_position(records) -> dict[tuple[int, int], float]:
     """Empirical reaction probability per (size bucket, cluster position)."""
-    counts: dict[tuple[int, int], list[int]] = {}
-    for record in records:
-        bucket = size_bucket(record.size)
-        for member in record.members:
-            acc = counts.setdefault((bucket, member.position), [0, 0])
-            acc[0] += int(member.reacted)
-            acc[1] += 1
-    return {key: r / t for key, (r, t) in sorted(counts.items())}
+    return {key: r / t for key, (r, t) in sorted(_tally(records).items())}
 
 
 def _bucket_pair(counts, i: int, j: int):
@@ -239,7 +230,9 @@ def interevent_times(events) -> list[float]:
 
 def powerlaw_alpha(taus, tau_min: float, min_samples: int = 10) -> float:
     """Continuous maximum-likelihood power-law exponent over samples >= tau_min:
-    alpha = 1 + n / sum(ln(tau / tau_min))."""
+    alpha = 1 + n / sum(ln(tau / tau_min)); tau_min must be finite and positive."""
+    if not (math.isfinite(tau_min) and tau_min > 0):
+        raise ValueError(f"tau_min must be finite and > 0, got {tau_min}")
     tail = [t for t in taus if t >= tau_min]
     n = len(tail)
     if n < min_samples:

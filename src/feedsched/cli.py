@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import typing
 from dataclasses import dataclass
@@ -113,6 +114,10 @@ class RunConfig:
         cfg = cls(**values)
         if cfg.slots < 1 or SECONDS_PER_DAY % cfg.slots != 0:
             raise ValueError(f"slots must divide 86400 seconds, got {cfg.slots}")
+        for key, flag in (("gap_hours", "--gap-hours"), ("tau_min_hours", "--tau-min")):
+            value = getattr(cfg, key)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{key} ({flag}) must be finite and > 0, got {value}")
         return cfg
 
 
@@ -374,6 +379,10 @@ def cmd_simulate(args) -> int:
 
 
 def _load_counts(path) -> dict[int, tuple[int, int]]:
+    """Read a `size,reactions,total` table: three columns, one row per size
+    bucket, labelled `1`..`10` or `>10`, with 0 <= reactions <= total and
+    total >= 1."""
+    buckets = {bucket_name(b): b for b in range(1, OVERFLOW_BUCKET + 1)}
     counts: dict[int, tuple[int, int]] = {}
     with Path(path).open(newline="") as fh:
         reader = csv.reader(fh)
@@ -386,10 +395,21 @@ def _load_counts(path) -> dict[int, tuple[int, int]]:
             if not row:
                 continue
             try:
+                if len(row) != 3:
+                    raise ValueError(f"expected three columns, got {row!r}")
                 label = row[0].strip()
-                bucket = OVERFLOW_BUCKET if label.startswith(">") else int(label)
-                counts[bucket] = (int(row[1]), int(row[2]))
-            except (IndexError, ValueError) as exc:
+                if label not in buckets:
+                    raise ValueError(f"size must be one of {list(buckets)}, got {label!r}")
+                bucket = buckets[label]
+                if bucket in counts:
+                    raise ValueError(f"a second row for size {label}")
+                reactions, total = int(row[1]), int(row[2])
+                if not 0 <= reactions <= total or total < 1:
+                    raise ValueError(
+                        f"need 0 <= reactions <= total and total >= 1, got {reactions}, {total}"
+                    )
+                counts[bucket] = (reactions, total)
+            except ValueError as exc:
                 raise TraceFormatError(f"{path}:{lineno}: {exc}") from exc
     if not counts:
         raise TraceFormatError(f"{path}:1: the counts table is empty")

@@ -17,8 +17,8 @@ estimators below are documented surrogates:
 
 from __future__ import annotations
 
+import math
 import statistics
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +47,7 @@ __all__ = [
 EVENT_KINDS = ("post", "retweet", "reply")
 
 SECONDS_PER_DAY = 86400
+_NO_TIMESTAMPS = np.empty(0, np.int64)
 
 
 class EstimationError(RuntimeError):
@@ -63,6 +64,8 @@ class Event:
     target_author: str | None = None
 
     def __post_init__(self) -> None:
+        if type(self.ts) is not int or not -(2**63) <= self.ts < 2**63:
+            raise ValueError(f"ts must be an integer in the int64 range, got {self.ts!r}")
         if self.kind not in EVENT_KINDS:
             raise ValueError(f"unknown event kind {self.kind!r}; expected one of {EVENT_KINDS}")
         if self.kind == "post" and self.target_author is not None:
@@ -85,6 +88,9 @@ class ActivityTrace:
         for ev in self.events:
             by_user.setdefault(ev.user, []).append(ev)
         self._by_user = {u: tuple(evs) for u, evs in by_user.items()}
+        self._ts = {u: np.array([ev.ts for ev in evs], np.int64) for u, evs in by_user.items()}
+        for ts in self._ts.values():
+            ts.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.events)
@@ -94,6 +100,26 @@ class ActivityTrace:
 
     def events_by_user(self, user: str) -> tuple[Event, ...]:
         return self._by_user.get(user, ())
+
+    def timestamps(self, *users: str) -> np.ndarray:
+        """The given users' timestamps as one int64 array, user after user, each
+        in `events_by_user` order (equal timestamps in ingestion order). Callers
+        must not write to it."""
+        parts = [self._ts.get(u, _NO_TIMESTAMPS) for u in users]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts + [_NO_TIMESTAMPS])
+
+    def attached_reactions(self, user: str, authors) -> list[tuple[int, str, int]]:
+        """`(position in the user's events, target author, index in the target's
+        events)` of each reaction by `user` to one of `authors`, attached to the
+        target's latest event at or before it; reactions before any are left out."""
+        authors = set(authors)
+        attached = []
+        for k, ev in enumerate(self.events_by_user(user)):
+            if ev.is_reaction and ev.target_author in authors:
+                idx = int(np.searchsorted(self.timestamps(ev.target_author), ev.ts, "right")) - 1
+                if idx >= 0:
+                    attached.append((k, ev.target_author, idx))
+        return attached
 
     def window_days(self) -> int:
         """Number of distinct local calendar days spanned by the trace."""
@@ -137,18 +163,30 @@ class FollowGraph:
         return self._followers.get(user, ())
 
 
-def slot_of(ts: int, slots: int, tz_offset_minutes: int = 0) -> int:
-    """Slot index of a unix timestamp under an even division of the local day."""
+def slot_of(ts, slots: int, tz_offset_minutes: int = 0):
+    """Slot index of a unix timestamp under an even division of the local day;
+    an int64 array of timestamps gives an array of slots."""
     if slots < 1:
         raise ValueError(f"slots must be >= 1, got {slots}")
     if SECONDS_PER_DAY % slots != 0:
         raise ValueError(f"slots must divide 86400 seconds, got {slots}")
-    local = (ts + 60 * tz_offset_minutes) % SECONDS_PER_DAY
-    return int(local // (SECONDS_PER_DAY // slots))
+    # Both terms are reduced first, so an int64 timestamp near the range end cannot wrap.
+    local = (ts % SECONDS_PER_DAY + 60 * tz_offset_minutes % SECONDS_PER_DAY) % SECONDS_PER_DAY
+    slot = local // (SECONDS_PER_DAY // slots)
+    return slot if isinstance(slot, np.ndarray) else int(slot)
+
+
+def _slot_counts(trace: ActivityTrace, users, slots: int) -> np.ndarray:
+    """Events per local slot of the given users together."""
+    ts = trace.timestamps(*users)
+    return np.bincount(slot_of(ts, slots, trace.tz_offset_minutes), minlength=slots)
 
 
 def split_sessions(events, gap_hours: float = 8.0) -> list[list[Event]]:
-    """Split a user's events into sessions separated by gaps over `gap_hours`."""
+    """Split a user's events into sessions separated by gaps over `gap_hours`,
+    which must be finite and positive."""
+    if not (math.isfinite(gap_hours) and gap_hours > 0):
+        raise ValueError(f"gap_hours must be finite and > 0, got {gap_hours}")
     gap = gap_hours * 3600.0
     sessions: list[list[Event]] = []
     for ev in events:
@@ -165,15 +203,10 @@ def estimate_login_slot(
     """Median start slot: a start event follows an inactive period over
     `gap_hours` (the user's first event always counts). Even counts take the
     lower median."""
-    events = list(events)
-    if not events:
+    sessions = split_sessions(events, gap_hours)
+    if not sessions:
         raise ValueError("at least one event is required to estimate a login slot")
-    gap = gap_hours * 3600.0
-    starts = [events[0]]
-    for prev, cur in zip(events, events[1:]):
-        if cur.ts - prev.ts > gap:
-            starts.append(cur)
-    start_slots = sorted(slot_of(ev.ts, slots, tz_offset_minutes) for ev in starts)
+    start_slots = sorted(slot_of(s[0].ts, slots, tz_offset_minutes) for s in sessions)
     return start_slots[(len(start_slots) - 1) // 2]
 
 
@@ -193,45 +226,33 @@ def consumption_depth_mu(
 ) -> float:
     """Mean consumption depth per login session.
 
-    Each session's sample is the depth, on the follower's reconstructed
-    timeline at reaction time, of the deepest followee post the follower
-    reacted to during that session; a reaction to author `a` is attributed to
-    a's most recent post at or before the reaction. Sessions without
-    resolvable reactions contribute nothing; a follower with no samples gets
-    `fallback`, or an EstimationError when none is configured.
+    Each session's sample is the depth of the deepest followee event the
+    follower reacted to in it; a reaction attaches to its target's latest event
+    at or before it. The depth is 1 plus the followee events newer than the
+    reacted one and not newer than the reaction: events sharing the reacted
+    event's timestamp never count, wherever the timeline lists them. Sessions
+    without resolvable reactions contribute nothing; a follower with no
+    samples gets `fallback`, or an EstimationError when none is configured.
     """
-    followees = set(graph.followees_of(follower))
-    feed_ts: list[int] = []
-    by_author: dict[str, list[int]] = {}
-    for a in followees:
-        ts_list = [ev.ts for ev in trace.events_by_user(a)]
-        by_author[a] = ts_list
-        feed_ts.extend(ts_list)
-    feed_ts.sort()
-
-    samples: list[float] = []
-    for session in split_sessions(trace.events_by_user(follower), gap_hours):
-        deepest = 0
-        for ev in session:
-            if not ev.is_reaction or ev.target_author not in followees:
-                continue
-            author_ts = by_author[ev.target_author]
-            idx = bisect_right(author_ts, ev.ts) - 1
-            if idx < 0:
-                continue
-            reacted_ts = author_ts[idx]
-            above = bisect_right(feed_ts, ev.ts) - bisect_right(feed_ts, reacted_ts)
-            deepest = max(deepest, above + 1)
-        if deepest:
-            samples.append(float(deepest))
-    if not samples:
+    followees = graph.followees_of(follower)
+    sessions = split_sessions(trace.events_by_user(follower), gap_hours)
+    attached = trace.attached_reactions(follower, followees)
+    position = [k for k, _, _ in attached]
+    feed_ts = np.sort(trace.timestamps(*followees))
+    above = np.searchsorted(feed_ts, trace.timestamps(follower)[position], "right")
+    above -= np.searchsorted(feed_ts, [trace.timestamps(a)[i] for _, a, i in attached], "right")
+    session_of = np.searchsorted(np.cumsum([len(s) for s in sessions]), position, "right")
+    deepest = np.zeros(len(sessions), dtype=np.int64)
+    np.maximum.at(deepest, session_of, above + 1)
+    samples = deepest[deepest > 0]
+    if not len(samples):
         if fallback is not None:
             return float(fallback)
         raise EstimationError(
             f"follower {follower!r} has no reaction-based consumption samples "
             "and no fallback was configured"
         )
-    return sum(samples) / len(samples)
+    return float(samples.sum()) / len(samples)
 
 
 def tie_strength(follower: str, producer: str, trace: ActivityTrace) -> float:
@@ -283,24 +304,16 @@ def aggregate_competitors(
     """Mean daily posts per slot by the follower's followees other than the
     producer, averaged over the days spanned by the trace window."""
     days = trace.window_days()
-    load = [0.0] * slots
-    for followee in graph.followees_of(follower):
-        if followee == producer:
-            continue
-        for ev in trace.events_by_user(followee):
-            load[slot_of(ev.ts, slots, trace.tz_offset_minutes)] += 1.0
-    return tuple(c / days for c in load)
+    others = [a for a in graph.followees_of(follower) if a != producer]
+    return tuple((_slot_counts(trace, others, slots) / days).tolist())
 
 
 def activity_histogram(
     users, trace: ActivityTrace, slots: int, mean_center: bool = False
 ) -> np.ndarray:
     """(user x slot) event counts, optionally mean-centered along each row."""
-    users = list(users)
-    grid = np.zeros((len(users), slots))
-    for r, user in enumerate(users):
-        for ev in trace.events_by_user(user):
-            grid[r, slot_of(ev.ts, slots, trace.tz_offset_minutes)] += 1.0
+    rows = [_slot_counts(trace, [u], slots) for u in users]
+    grid = np.array(rows, dtype=float).reshape(len(rows), slots)
     if mean_center:
         grid = grid - grid.mean(axis=1, keepdims=True)
     return grid

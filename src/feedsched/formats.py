@@ -2,7 +2,8 @@
 encodings of problem instances and schedules.
 
 Trace files carry one event object per line with fields ``user``, ``ts``,
-``kind`` and (for reactions) ``target_author``. Graph files are CSV with the
+``kind`` and (for reactions) ``target_author``: the names are strings and
+``ts`` is a JSON integer in the int64 range. Graph files are CSV with the
 header ``follower,followee``. Instance and schedule JSON mirror the domain
 types field for field; emission is deterministic (sorted keys, two-space
 indent, trailing newline).
@@ -49,14 +50,14 @@ def load_trace(path, tz_offset_minutes: int = 0) -> ActivityTrace:
             if not isinstance(obj, dict):
                 raise TraceFormatError(f"{path}:{lineno}: expected a JSON object")
             try:
-                events.append(
-                    Event(
-                        user=str(obj["user"]),
-                        ts=int(obj["ts"]),
-                        kind=str(obj["kind"]),
-                        target_author=obj.get("target_author"),
-                    )
-                )
+                user, kind, target = obj["user"], obj["kind"], obj.get("target_author")
+                names = {"user": user, "kind": kind}
+                if target is not None:
+                    names["target_author"] = target
+                for key, value in names.items():
+                    if not isinstance(value, str):
+                        raise ValueError(f"{key} must be a string, got {value!r}")
+                events.append(Event(user, obj["ts"], kind, target))
             except (KeyError, TypeError, ValueError) as exc:
                 raise TraceFormatError(f"{path}:{lineno}: {exc}") from exc
     if not events:

@@ -257,6 +257,11 @@ class TestPowerlawAlpha:
         taus = [math.e] * 50
         assert powerlaw_alpha(taus, tau_min=1.0) == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("tau_min", [0.0, -1.0, float("nan"), float("inf")])
+    def test_cutoff_must_be_finite_and_positive(self, tau_min):
+        with pytest.raises(ValueError, match="tau_min"):
+            powerlaw_alpha([math.e] * 50, tau_min=tau_min)
+
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError, match="at least 10"):
             powerlaw_alpha([2.0] * 5, tau_min=1.0)

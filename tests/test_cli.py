@@ -120,6 +120,33 @@ class TestEstimateCommand:
         assert rc == 2
         assert ":2:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line, field",
+        [
+            ('"ts": 1.9, "kind": "post"', "ts"),
+            ('"ts": true, "kind": "post"', "ts"),
+            ('"ts": 1e30, "kind": "post"', "ts"),
+            ('"ts": 1234567890123456789012345, "kind": "post"', "ts"),
+            ('"ts": Infinity, "kind": "post"', "ts"),
+            ('"ts": NaN, "kind": "post"', "ts"),
+            ('"ts": 1, "kind": "post", "user": null', "user"),
+            ('"ts": 1, "kind": 3', "kind"),
+            ('"ts": 1, "kind": "retweet", "target_author": 5', "target_author"),
+        ],
+    )
+    def test_malformed_trace_field_names_line(self, tmp_path, data_dir, line, field, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"user": "a", "ts": 1, "kind": "post"}\n{"user": "a", ' + line + "}\n")
+        rc = main(
+            [
+                "estimate", str(bad), str(data_dir / "pop_small.graph.csv"), "prod",
+                "-o", str(tmp_path / "x.json"), "--budget", "6",
+            ]
+        )
+        err = capsys.readouterr().err
+        assert rc == 2 and f"{bad}:2: {field} must be" in err
+        assert not (tmp_path / "x.json").exists()
+
     def test_missing_budget_exits_2(self, tmp_path, data_dir):
         rc = main(
             [
@@ -503,6 +530,27 @@ class TestAnalyzeCommand:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "rows, line, message",
+        [
+            ("1,5,3", 2, "reactions <= total"),
+            ("1,-1,3", 2, "0 <= reactions"),
+            ("1,0,0", 2, "total >= 1"),
+            ("1,1,3\n1,1,4", 3, "a second row for size 1"),
+            (">5,0,3", 2, "size must be one of"),
+            ("0,0,3", 2, "size must be one of"),
+            ("11,0,3", 2, "size must be one of"),
+            ("1,2,7,9", 2, "expected three columns"),
+            ("1,2", 2, "expected three columns"),
+        ],
+    )
+    def test_impossible_counts_rows_exit_2(self, tmp_path, rows, line, message, capsys):
+        path = tmp_path / "counts.csv"
+        path.write_text("size,reactions,total\n" + rows + "\n")
+        rc = main(["analyze", "--counts", str(path), "-o", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2 and f"{path}:{line}:" in err and message in err
+
     def test_requires_counts_or_trace(self, tmp_path):
         assert main(["analyze", "-o", str(tmp_path)]) == 2
 
@@ -630,6 +678,36 @@ class TestGoldenOutput:
         assert main(golden_argv(name) + ["--json"]) == 0
         timings = json.loads(capsys.readouterr().out)["timings_s"]
         assert timings and all(math.isfinite(t) and t >= 0 for t in timings.values())
+
+
+class TestSessionGapAndTailCutoff:
+    """`gap_hours` and `tau_min_hours` must be finite and positive, whether
+    they come from a flag or from the config file."""
+
+    def argv(self, data_dir, tmp_path, key):
+        inputs = [str(data_dir / "pop_small.trace.jsonl"), str(data_dir / "pop_small.graph.csv")]
+        out = ["-o", str(tmp_path / "x.json")]
+        if key == "gap_hours":
+            return ["estimate", *inputs, "prod", "--budget", "6", *out]
+        return ["analyze", *inputs, "--all", *out]
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize(
+        "key, flag", [("gap_hours", "--gap-hours"), ("tau_min_hours", "--tau-min")]
+    )
+    def test_flag(self, tmp_path, data_dir, key, flag, value, capsys):
+        rc = main(self.argv(data_dir, tmp_path, key) + [flag, value])
+        assert rc == 2 and key in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("value", ["0", "-1", "1e400"])
+    @pytest.mark.parametrize("key", ["gap_hours", "tau_min_hours"])
+    def test_config_file(self, tmp_path, data_dir, key, value, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(f'{{"{key}": {value}}}')
+        rc = main(self.argv(data_dir, tmp_path, key) + ["--config", str(config)])
+        assert rc == 2 and key in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
 
 
 class TestConfigFile:

@@ -16,8 +16,10 @@ from feedsched import (
     estimate_deltas,
     estimate_login_slot,
     estimate_rho,
+    reconstruct_timeline,
     slot_of,
 )
+from feedsched.estimate import split_sessions
 
 DAY = 86400
 
@@ -43,6 +45,12 @@ class TestSlotOf:
     def test_non_divisor_rejected(self):
         with pytest.raises(ValueError, match="divide"):
             slot_of(0, 7)
+
+    @pytest.mark.parametrize("tz", [0, 60, -300, 10**9])
+    def test_array_matches_scalar(self, tz):
+        ts = np.array([0, at(0, 23, 59, 59), at(3, 7), -1, 2**63 - 1, -(2**63)], dtype=np.int64)
+        slots = slot_of(ts, 24, tz)
+        assert slots.tolist() == [slot_of(int(t), 24, tz) for t in ts]
 
     def test_negative_offset(self):
         assert slot_of(at(0, 0, 30), 24, tz_offset_minutes=-60) == 23
@@ -76,6 +84,19 @@ class TestEstimateLoginSlot:
         for d in range(5):
             padded += posts("u", [at(d, 9), at(d, 9, 10), at(d, 11)])
         assert estimate_login_slot(base, 24) == estimate_login_slot(padded, 24) == 9
+
+
+class TestSplitSessions:
+    def test_only_a_gap_over_the_threshold_starts_a_session(self):
+        events = posts("u", [at(0, 9), at(0, 10), at(0, 18), at(1, 9)])
+        assert [len(s) for s in split_sessions(events, gap_hours=8)] == [3, 1]
+
+    @pytest.mark.parametrize("gap", [0.0, -1.0, float("nan"), float("inf")])
+    def test_gap_must_be_finite_and_positive(self, gap):
+        with pytest.raises(ValueError, match="gap_hours"):
+            split_sessions(posts("u", [at(0, 9)]), gap)
+        with pytest.raises(ValueError, match="gap_hours"):
+            estimate_login_slot(posts("u", [at(0, 9)]), 24, gap)
 
 
 class TestEstimateRho:
@@ -121,6 +142,21 @@ class TestConsumptionDepth:
         events.append(Event("f", at(0, 10), "retweet", "a"))  # depth 8
         mu = consumption_depth_mu("f", self.make_graph(), ActivityTrace(events))
         assert mu == pytest.approx(8.0)
+
+    def test_equal_timestamps_count_only_newer_posts(self):
+        """Depth counts the followee posts newer than the reacted one, not its
+        timeline position: c@150 and a@100 sit above the reacted b@100 on the
+        timeline, but a@100 is not newer, so the depth is 2."""
+        graph = FollowGraph([("f", "a"), ("f", "b"), ("f", "c")])
+        trace = ActivityTrace(
+            posts("a", [100]) + posts("b", [100]) + posts("c", [100, 150])
+            + [Event("f", 200, "retweet", "b")]
+        )
+        timeline = reconstruct_timeline("f", graph, trace)
+        assert [(p.author, p.ts, p.reacted) for p in timeline] == [
+            ("c", 150, False), ("a", 100, False), ("b", 100, True), ("c", 100, False)
+        ]
+        assert consumption_depth_mu("f", graph, trace) == 2.0
 
     def test_fallback_used_when_no_reactions(self):
         events = posts("a", [at(0, 10)]) + posts("f", [at(0, 11)])
@@ -231,6 +267,25 @@ class TestGraphAndTrace:
             Event("u", 0, "post", "x")
         with pytest.raises(ValueError, match="kind"):
             Event("u", 0, "like", "x")
+
+    @pytest.mark.parametrize("ts", [1.9, True, 1e30, 2**63, -(2**63) - 1, float("nan"), "5"])
+    def test_event_ts_must_be_an_int64_integer(self, ts):
+        with pytest.raises(ValueError, match="int64"):
+            Event("u", ts, "post")
+
+    def test_reactions_attach_to_latest_event_at_or_before(self):
+        trace = ActivityTrace(
+            posts("a", [10, 30, 30]) + posts("b", [40])
+            + [
+                Event("u", 5, "reply", "a"),  # precedes every a event: left out
+                Event("u", 30, "retweet", "a"),  # the later of the two a@30
+                Event("u", 50, "retweet", "b"),
+                Event("u", 60, "retweet", "z"),  # not among the authors
+            ]
+        )
+        assert trace.attached_reactions("u", ["a", "b"]) == [(1, "a", 2), (2, "b", 0)]
+        assert trace.timestamps("a").tolist() == [10, 30, 30]
+        assert trace.timestamps("ghost").tolist() == []
 
 
 class TestBuildInstance:
