@@ -1,12 +1,17 @@
 """Empirical timeline analysis: cluster statistics, reaction probabilities,
 randomization tests, inter-event times and power-law exponent estimation.
 
-A timeline is reconstructed for a user by sorting all her followees' events
-newest first. Maximal same-author runs form clusters; a tweet is flagged as
-reacted when one of the timeline owner's retweets or replies is attributed to
-it (a reaction targeting author `a` attaches to a's most recent tweet at or
-before the reaction time). Reaction-probability tables bucket cluster sizes
-into 1..10 and ">10".
+A timeline is reconstructed for a user by sorting the events of every
+followee newest first. Maximal same-author runs form clusters; a tweet is
+flagged as reacted when one of the timeline owner's retweets or replies is
+attributed to it (a reaction targeting author `a` attaches to a's most recent
+tweet at or before the reaction time). Reaction-probability tables bucket
+cluster sizes into 1..10 and ">10".
+
+Timelines and clusters are kept as columns: one `lexsort` orders a timeline,
+clusters start where the author code changes, and every (size bucket,
+position) count comes from one `bincount`. `TimelinePost` and `ClusterRecord`
+objects are only built when a caller reads an item.
 
 The randomization test shuffles reaction labels across the tweets of two size
 buckets. The permuted count of reactions landing in the first bucket under a
@@ -18,6 +23,8 @@ millions of labels; the p-value uses the add-one estimator.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +37,9 @@ __all__ = [
     "TimelinePost",
     "ClusterMember",
     "ClusterRecord",
+    "Timeline",
+    "Clusters",
     "TestResult",
-    "size_bucket",
     "bucket_name",
     "reconstruct_timeline",
     "extract_clusters",
@@ -87,70 +95,154 @@ class TestResult:
     seed: int
 
 
-def size_bucket(size: int) -> int:
-    if size < 1:
-        raise ValueError(f"cluster sizes start at 1, got {size}")
-    return min(size, OVERFLOW_BUCKET)
-
-
 def bucket_name(bucket: int) -> str:
     return f">{MAX_SIZE_BUCKET}" if bucket == OVERFLOW_BUCKET else str(bucket)
 
 
-def reconstruct_timeline(
-    user: str, graph: FollowGraph, trace: ActivityTrace
-) -> tuple[TimelinePost, ...]:
+class _Columns(Sequence):
+    """A read-only sequence over column arrays whose items are built on access.
+    It compares equal to the tuple of its items."""
+
+    def __getitem__(self, i):
+        k = operator.index(i)
+        if not -len(self) <= k < len(self):
+            raise IndexError(f"{type(self).__name__} index {i} out of range")
+        return self._item(k % len(self))
+
+    def __eq__(self, other):
+        if isinstance(other, (tuple, _Columns)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({list(self)!r})"
+
+
+def _frozen(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+
+
+class Timeline(_Columns):
+    """One user's timeline, newest first, as columns: each post's timestamp,
+    author code (an index into `authors`, which is sorted, so code order is
+    name order), index in its author's events, and reacted flag. Items are
+    `TimelinePost` views."""
+
+    def __init__(self, authors, events, ts, code, index, reacted):
+        self.authors = authors
+        self._events = events  # per author code, that author's events
+        self.ts, self.code, self.index, self.reacted = ts, code, index, reacted
+        _frozen(ts, code, index, reacted)
+
+    def __len__(self) -> int:
+        return len(self.ts)
+
+    def _item(self, k: int) -> TimelinePost:
+        code = self.code[k]
+        kind = self._events[code][self.index[k]].kind
+        return TimelinePost(int(self.ts[k]), self.authors[code], kind, bool(self.reacted[k]))
+
+
+class Clusters(_Columns):
+    """The maximal same-author runs of one timeline as columns: per cluster its
+    author code (an index into `authors`) and size, per post its reacted flag
+    in timeline order. Items are `ClusterRecord` views."""
+
+    def __init__(self, authors, code, sizes, reacted):
+        self.authors = authors
+        self.code, self.sizes, self.reacted = code, sizes, reacted
+        self.starts = np.cumsum(sizes) - sizes
+        _frozen(code, sizes, reacted, self.starts)
+
+    def __len__(self) -> int:
+        return len(self.sizes)
+
+    def _item(self, k: int) -> ClusterRecord:
+        start, size = self.starts[k], int(self.sizes[k])
+        flags = self.reacted[start : start + size].tolist()
+        members = tuple(ClusterMember(p + 1, f) for p, f in enumerate(flags))
+        return ClusterRecord(self.authors[self.code[k]], size, members)
+
+
+def reconstruct_timeline(user: str, graph: FollowGraph, trace: ActivityTrace) -> Timeline:
     """All followee events newest first, with the owner's reactions attached.
 
     Equal timestamps order by author ascending, then ingestion order.
     """
     if user not in graph:
         raise ValueError(f"unknown user {user!r}")
-    followees = graph.followees_of(user)
-    reacted = {(a, idx) for _, a, idx in trace.attached_reactions(user, followees)}
-    entries = [  # (ts, author, ingestion index, kind)
-        (ev.ts, a, idx, ev.kind)
-        for a in followees
-        for idx, ev in enumerate(trace.events_by_user(a))
-    ]
-    entries.sort(key=lambda e: (-e[0], e[1], e[2]))
-    return tuple(
-        TimelinePost(ts, author, kind, (author, idx) in reacted)
-        for ts, author, idx, kind in entries
-    )
+    authors = graph.followees_of(user)  # sorted by name
+    events = tuple(trace.events_by_user(a) for a in authors)
+    lengths = np.array([len(evs) for evs in events], np.int64)
+    first = np.cumsum(lengths) - lengths
+    ts = trace.timestamps(*authors)
+    code = np.repeat(np.arange(len(authors)), lengths)
+    index = np.arange(len(ts)) - np.repeat(first, lengths)
+    reacted = np.zeros(len(ts), bool)
+    offset = dict(zip(authors, first.tolist()))
+    reacted[[offset[a] + i for _, a, i in trace.attached_reactions(user, authors)]] = True
+    # ~ts, not -ts: it reverses the order without overflow at ts = -2**63.
+    order = np.lexsort((index, code, ~ts))
+    return Timeline(authors, events, ts[order], code[order], index[order], reacted[order])
 
 
-def extract_clusters(timeline) -> tuple[ClusterRecord, ...]:
-    """Group the newest-first timeline into maximal same-author runs."""
-    records = []
-    run: list[TimelinePost] = []
-    for post in timeline:
-        if run and post.author != run[-1].author:
-            records.append(_record(run))
-            run = []
-        run.append(post)
-    if run:
-        records.append(_record(run))
-    return tuple(records)
+def extract_clusters(timeline) -> Clusters:
+    """Group a newest-first timeline into maximal same-author runs. A plain
+    iterable of `TimelinePost` is read into timeline columns first."""
+    if isinstance(timeline, Timeline):
+        authors, code, reacted = timeline.authors, timeline.code, timeline.reacted
+    else:
+        posts = list(timeline)
+        codes: dict[str, int] = {}
+        code = np.array([codes.setdefault(p.author, len(codes)) for p in posts], np.int64)
+        reacted = np.array([p.reacted for p in posts], bool)
+        authors = tuple(codes)
+    starts = np.flatnonzero(np.diff(code, prepend=-1))
+    sizes = np.diff(starts, append=len(code))
+    return Clusters(authors, code[starts], sizes, reacted)
 
 
-def _record(run: list[TimelinePost]) -> ClusterRecord:
-    members = tuple(
-        ClusterMember(position=k + 1, reacted=post.reacted) for k, post in enumerate(run)
-    )
-    return ClusterRecord(author=run[0].author, size=len(run), members=members)
+def _columns(records):
+    """Cluster sizes and per-post reacted flags, cluster after cluster, of one
+    `Clusters`, a list of them, or a list of `ClusterRecord`s."""
+    items = [records] if isinstance(records, Clusters) else list(records)
+    columnar = [c for c in items if isinstance(c, Clusters)]
+    plain = [r for r in items if not isinstance(r, Clusters)]
+    sizes = [c.sizes for c in columnar] + [np.array([r.size for r in plain], np.int64)]
+    flags = [m.reacted for r in plain for m in r.members]
+    reacted = [c.reacted for c in columnar] + [np.array(flags, bool)]
+    return np.concatenate(sizes), np.concatenate(reacted)
 
 
-def _tally(records) -> dict[tuple[int, int], list[int]]:
-    """Per (size bucket, cluster position): [reacted tweets, total tweets]."""
-    counts: dict[tuple[int, int], list[int]] = {}
-    for record in records:
-        bucket = size_bucket(record.size)
-        for member in record.members:
-            acc = counts.setdefault((bucket, member.position), [0, 0])
-            acc[0] += member.reacted
-            acc[1] += 1
-    return counts
+# First tally key of each size bucket. Bucket b holds positions 1..b, so the
+# buckets pack without gaps, and the overflow bucket, whose positions have no
+# bound, comes last.
+_BUCKET_KEYS = np.array([b * (b - 1) // 2 for b in range(1, OVERFLOW_BUCKET + 1)])
+
+
+def _tally(records) -> dict[tuple[int, int], tuple[int, int]]:
+    """Per (size bucket, cluster position): (reacted tweets, total tweets)."""
+    sizes, reacted = _columns(records)
+    if len(sizes) and sizes.min() < 1:
+        raise ValueError(f"cluster sizes start at 1, got {sizes.min()}")
+    rank = np.arange(len(reacted)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    key = np.repeat(_BUCKET_KEYS[np.minimum(sizes, OVERFLOW_BUCKET) - 1], sizes) + rank
+    # Bin 2·key counts unreacted posts and bin 2·key + 1 reacted ones.
+    bins = np.bincount(2 * key + reacted, minlength=2 * (key.max(initial=-1) + 1))
+    table = bins.reshape(-1, 2)
+    totals = table.sum(axis=1)
+    keys = np.flatnonzero(totals)
+    bucket = np.searchsorted(_BUCKET_KEYS, keys, "right")
+    position = keys - _BUCKET_KEYS[bucket - 1] + 1
+    return {
+        (b, k): (r, t)
+        for b, k, r, t in zip(
+            bucket.tolist(), position.tolist(), table[keys, 1].tolist(), totals[keys].tolist()
+        )
+    }
 
 
 def reaction_counts(records) -> dict[int, tuple[int, int]]:

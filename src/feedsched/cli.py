@@ -118,6 +118,13 @@ class RunConfig:
             value = getattr(cfg, key)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{key} ({flag}) must be finite and > 0, got {value}")
+        for key, flag, low, high in (
+            ("matrix_max_size", "--max-size", 2, OVERFLOW_BUCKET),
+            ("tz_offset_minutes", "--tz-offset-minutes", -720, 840),  # UTC-12 to UTC+14
+        ):
+            value = getattr(cfg, key)
+            if not low <= value <= high:
+                raise ValueError(f"{key} ({flag}) must be in {low}..{high}, got {value}")
         return cfg
 
 
@@ -417,10 +424,10 @@ def _load_counts(path) -> dict[int, tuple[int, int]]:
 
 
 def _matrix_rows(values: dict[tuple[int, int], float], max_size: int):
-    header = ["i\\j"] + [str(j) for j in range(2, max_size + 1)]
+    header = ["i\\j"] + [bucket_name(j) for j in range(2, max_size + 1)]
     rows = []
     for i in range(1, max_size):
-        row = [str(i)]
+        row = [bucket_name(i)]
         for j in range(2, max_size + 1):
             row.append(_cell(values[(i, j)]) if (i, j) in values else "")
         rows.append(row)
@@ -439,7 +446,7 @@ def cmd_analyze(args) -> int:
 
     if args.counts:
         counts = _load_counts(args.counts)
-        records = None
+        clusters = None
         report.lap("load")
     else:
         if not args.trace or not args.graph:
@@ -450,10 +457,8 @@ def cmd_analyze(args) -> int:
         graph = load_graph(args.graph)
         report.lap("load")
         users = [args.user] if args.user else list(graph.users())
-        records = []
-        for user in users:
-            records.extend(extract_clusters(reconstruct_timeline(user, graph, trace)))
-        counts = reaction_counts(records)
+        clusters = [extract_clusters(reconstruct_timeline(u, graph, trace)) for u in users]
+        counts = reaction_counts(clusters)
         report.lap("clusters")
 
     probs = reaction_prob_by_size(counts)
@@ -475,10 +480,12 @@ def cmd_analyze(args) -> int:
     report.lap("tests")
     for name, values in (("t_obs", t_obs), ("p_values", p_values)):
         write(f"{name}.csv", *_matrix_rows(values, max_size))
-        report.add(name, {f"{i},{j}": v for (i, j), v in sorted(values.items())})
+        report.add(
+            name, {f"{bucket_name(i)},{bucket_name(j)}": v for (i, j), v in sorted(values.items())}
+        )
 
-    if records is not None:
-        by_pos = reaction_prob_by_size_position(records)
+    if clusters is not None:
+        by_pos = reaction_prob_by_size_position(clusters)
         write(
             "reaction_by_size_position.csv",
             ["size", "position", "probability"],

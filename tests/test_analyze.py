@@ -13,6 +13,7 @@ from feedsched import (
     ClusterRecord,
     Event,
     FollowGraph,
+    TimelinePost,
     difference_statistic,
     extract_clusters,
     interevent_times,
@@ -123,6 +124,174 @@ class TestExtractClusters:
                 (c.author, m.position) for c in clusters for m in c.members
             ]
             assert [a for a, _ in flattened] == [p.author for p in timeline]
+
+
+def reference_timeline(user, graph, trace):
+    """Timelines as a tuple sort over one object per post: newest first, equal
+    timestamps by author, then ingestion order. A reaction attaches to its
+    target's latest event at or before it, found by a plain scan."""
+    followees = graph.followees_of(user)
+    reacted = set()
+    for ev in trace.events_by_user(user):
+        if ev.is_reaction and ev.target_author in followees:
+            prior = [
+                k for k, t in enumerate(trace.events_by_user(ev.target_author)) if t.ts <= ev.ts
+            ]
+            if prior:
+                reacted.add((ev.target_author, prior[-1]))
+    entries = [
+        (ev.ts, a, idx, ev.kind)
+        for a in followees
+        for idx, ev in enumerate(trace.events_by_user(a))
+    ]
+    entries.sort(key=lambda e: (-e[0], e[1], e[2]))
+    return tuple(
+        TimelinePost(ts, author, kind, (author, idx) in reacted)
+        for ts, author, idx, kind in entries
+    )
+
+
+def reference_clusters(timeline):
+    """Maximal same-author runs, one `ClusterRecord` object per run."""
+    runs = []
+    for post in timeline:
+        if runs and post.author == runs[-1][-1].author:
+            runs[-1].append(post)
+        else:
+            runs.append([post])
+    return tuple(
+        ClusterRecord(
+            run[0].author,
+            len(run),
+            tuple(ClusterMember(k + 1, post.reacted) for k, post in enumerate(run)),
+        )
+        for run in runs
+    )
+
+
+def reference_tally(records):
+    """Per (size bucket, position): (reacted, total), one member at a time."""
+    tally = {}
+    for record in records:
+        bucket = min(record.size, 11)
+        for member in record.members:
+            r, t = tally.get((bucket, member.position), (0, 0))
+            tally[(bucket, member.position)] = (r + member.reacted, t + 1)
+    return tally
+
+
+def random_trace(rng):
+    """A small random trace and follow graph. Timestamps collide across
+    authors, some sit at the ends of the int64 range, reactions may come
+    before any target event or target a user their author does not follow,
+    and some users follow nobody."""
+    users = list("abcdefu")
+    ends = [-(2**63), 2**63 - 1]
+    events = []
+    for user in users:
+        heavy = user == "a"  # one prolific author makes runs above ten posts
+        for _ in range(int(rng.integers(0, 60 if heavy else 12))):
+            ts = int(rng.choice(ends)) if rng.random() < 0.05 else int(rng.integers(0, 40))
+            if heavy or rng.random() < 0.6:
+                events.append(Event(user, ts, "post"))
+            else:
+                kind = "retweet" if rng.random() < 0.5 else "reply"
+                events.append(Event(user, ts, kind, str(rng.choice(users))))
+    edges = [
+        (f, g) for f in users[2:] for g in users if f != g and rng.random() < 0.5
+    ]
+    edges.append(("u", "a"))
+    edges.append(("f", "b"))
+    return ActivityTrace(events), FollowGraph(edges)
+
+
+class TestColumnarAgainstObjectReference:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_timelines_clusters_and_tallies_agree(self, seed):
+        trace, graph = random_trace(np.random.default_rng(seed))
+        clusters, records = [], []
+        for user in graph.users():
+            timeline = reconstruct_timeline(user, graph, trace)
+            expected = reference_timeline(user, graph, trace)
+            assert timeline == expected
+            assert len(timeline) == len(expected)
+            assert extract_clusters(timeline) == reference_clusters(expected)
+            assert extract_clusters(expected) == reference_clusters(expected)
+            clusters.append(extract_clusters(timeline))
+            records.extend(reference_clusters(expected))
+        tally = reference_tally(records)
+        by_bucket = {}
+        for (bucket, _), (r, t) in tally.items():
+            r0, t0 = by_bucket.get(bucket, (0, 0))
+            by_bucket[bucket] = (r0 + r, t0 + t)
+        by_position = {key: r / t for key, (r, t) in tally.items()}
+        for data in (clusters, records):
+            counts = reaction_counts(data)
+            assert counts == by_bucket
+            assert all(type(v) is int for rt in counts.values() for v in rt)
+            assert reaction_prob_by_size_position(data) == by_position
+
+    def test_cases_are_covered(self):
+        """The random traces reach what the agreement test is meant to cover."""
+        seen = set()
+        for seed in range(40):
+            trace, graph = random_trace(np.random.default_rng(seed))
+            for user in graph.users():
+                timeline = reconstruct_timeline(user, graph, trace)
+                seen.add("empty" if not len(timeline) else "posts")
+                seen.update("reacted" for p in timeline if p.reacted)
+                seen.update("min ts" for p in timeline if p.ts == -(2**63))
+                seen.update("max ts" for p in timeline if p.ts == 2**63 - 1)
+                seen.update("overflow" for c in extract_clusters(timeline) if c.size > 10)
+                stamps = [(p.ts, p.author) for p in timeline]
+                if len({ts for ts, _ in stamps}) < len(set(stamps)):
+                    seen.add("tie across authors")
+                for ev in trace.events_by_user(user):
+                    if ev.is_reaction and ev.target_author not in graph.followees_of(user):
+                        seen.add("non-followee reaction")
+                    elif ev.is_reaction and ev.ts < min(
+                        (t.ts for t in trace.events_by_user(ev.target_author)), default=ev.ts + 1
+                    ):
+                        seen.add("reaction before any target event")
+        assert seen == {
+            "empty", "posts", "reacted", "min ts", "max ts", "overflow",
+            "tie across authors", "non-followee reaction", "reaction before any target event",
+        }
+
+
+class TestColumnarSequences:
+    def test_views_index_and_compare(self):
+        graph = FollowGraph([("u", "p"), ("u", "q")])
+        trace = ActivityTrace(
+            [Event("p", 40, "post"), Event("q", 30, "reply", "p"), Event("p", 10, "post"),
+             Event("u", 45, "retweet", "p")]
+        )
+        timeline = reconstruct_timeline("u", graph, trace)
+        posts = (
+            TimelinePost(40, "p", "post", True),
+            TimelinePost(30, "q", "reply", False),
+            TimelinePost(10, "p", "post", False),
+        )
+        assert timeline == posts and timeline[-1] == posts[-1]
+        assert list(timeline) == list(posts)
+        with pytest.raises(IndexError):
+            timeline[3]
+        clusters = extract_clusters(timeline)
+        assert len(clusters) == 3 and clusters[0] == record("p", [True])
+        assert clusters != posts and timeline != list(posts)
+
+    def test_columns_are_read_only(self):
+        graph = FollowGraph([("u", "p")])
+        trace = ActivityTrace([Event("p", 1, "post"), Event("p", 2, "post")])
+        timeline = reconstruct_timeline("u", graph, trace)
+        clusters = extract_clusters(timeline)
+        for column in (timeline.ts, timeline.code, timeline.reacted, clusters.sizes):
+            with pytest.raises(ValueError):
+                column[0] = column[0]
+
+    def test_zero_size_record_rejected(self):
+        with pytest.raises(ValueError, match="sizes start at 1"):
+            reaction_counts([ClusterRecord("a", 0, ())])
 
 
 class TestReactionProbabilities:

@@ -744,3 +744,64 @@ class TestConfigFile:
         else:
             assert rc == 2 and not out.exists()
             assert key in capsys.readouterr().err
+
+
+class TestMatrixSizeAndTimezone:
+    """`matrix_max_size` spans the size buckets 2..11, where 11 is `>10`, and
+    `tz_offset_minutes` the offsets UTC-12 to UTC+14, whether they come from a
+    flag or from the config file."""
+
+    def analyze(self, data_dir, out, *extra):
+        counts = str(data_dir / "cluster_reaction_counts.csv")
+        return main(["analyze", "--counts", counts, "-o", str(out), "--permutations", "50", *extra])
+
+    @pytest.mark.parametrize("value", [0, 1, 12, -3])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_max_size_out_of_range_exits_2(self, tmp_path, data_dir, source, value, capsys):
+        out = tmp_path / "out"
+        if source == "flag":
+            rc = self.analyze(data_dir, out, "--max-size", str(value))
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"matrix_max_size": value}))
+            rc = self.analyze(data_dir, out, "--config", str(config))
+        assert rc == 2 and "matrix_max_size" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_max_size_11_labels_the_overflow_bucket(self, tmp_path, data_dir, capsys):
+        out = tmp_path / "out"
+        assert self.analyze(data_dir, out, "--max-size", "11", "--json") == 0
+        report = json.loads(capsys.readouterr().out)
+        for name in ("t_obs", "p_values"):
+            header, *rows = read_csv(out / f"{name}.csv")
+            assert header == ["i\\j", *map(str, range(2, 11)), ">10"]
+            assert [row[0] for row in rows] == [str(i) for i in range(1, 11)]
+            assert all(len(row) == 11 and row[-1] for row in rows)
+            assert "1,>10" in report[name] and "1,11" not in report[name]
+            assert len(report[name]) == 55
+
+    def estimate(self, data_dir, out, *extra):
+        inputs = [str(data_dir / "pop_small.trace.jsonl"), str(data_dir / "pop_small.graph.csv")]
+        return main(["estimate", *inputs, "prod", "--budget", "6", "-o", str(out), *extra])
+
+    @pytest.mark.parametrize("value", [-721, 841, 10**23])
+    def test_tz_offset_flag_out_of_range_exits_2(self, tmp_path, data_dir, value, capsys):
+        out = tmp_path / "x.json"
+        rc = self.estimate(data_dir, out, "--tz-offset-minutes", str(value))
+        assert rc == 2 and "tz_offset_minutes" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [-721, 841, 10**23])
+    def test_tz_offset_config_out_of_range_exits_2(self, tmp_path, data_dir, value, capsys):
+        out = tmp_path / "x.json"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"tz_offset_minutes": value}))
+        rc = self.estimate(data_dir, out, "--config", str(config))
+        assert rc == 2 and "tz_offset_minutes" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [-720, 840])
+    def test_tz_offset_bounds_are_accepted(self, tmp_path, data_dir, value):
+        out = tmp_path / "x.json"
+        assert self.estimate(data_dir, out, "--tz-offset-minutes", str(value)) == 0
+        assert out.exists()

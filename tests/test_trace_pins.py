@@ -22,14 +22,18 @@ import pytest
 
 from feedsched import (
     ActivityTrace,
+    ClusterMember,
+    ClusterRecord,
     Event,
     FollowGraph,
+    TimelinePost,
     build_instance,
     extract_clusters,
     reaction_counts,
     reaction_prob_by_size_position,
     reconstruct_timeline,
 )
+from feedsched.cli import main
 from feedsched.formats import instance_to_dict
 from perfbench import generators
 
@@ -61,11 +65,13 @@ def _instance(seed: str, gap_hours: float, tz_offset_minutes: int) -> dict:
     return instance_to_dict(instance)
 
 
-def _count_tables(seed: str) -> dict:
+def _count_tables(seed: str, path: str = "columnar") -> dict:
+    """The count tables of every user's timeline, tallied from the per-user
+    columnar cluster results (as `cli analyze` passes them) or from one flat
+    list of `ClusterRecord`s."""
     trace, graph = _trace_and_graph(seed)
-    records = []
-    for user in graph.users():
-        records.extend(extract_clusters(reconstruct_timeline(user, graph, trace)))
+    clusters = [extract_clusters(reconstruct_timeline(u, graph, trace)) for u in graph.users()]
+    records = clusters if path == "columnar" else [r for c in clusters for r in c]
     return {
         "reaction_counts": {str(b): list(rt) for b, rt in reaction_counts(records).items()},
         "by_size_position": {
@@ -104,6 +110,32 @@ def test_instance_is_pinned(seed, gap_hours, tz_offset_minutes):
 @pytest.mark.parametrize("seed", sorted(TRACES))
 def test_count_tables_are_pinned(seed):
     assert _count_tables(seed) == PINS["count_tables"][seed]
+
+
+@pytest.mark.parametrize("seed", sorted(TRACES))
+def test_count_tables_from_cluster_records_are_pinned(seed):
+    assert _count_tables(seed, "records") == PINS["count_tables"][seed]
+
+
+class _Constructed(Exception):
+    pass
+
+
+def test_analyze_all_builds_no_post_or_cluster_objects(monkeypatch, tmp_path, data_dir):
+    """`analyze --all` reads timelines and clusters as columns only."""
+    def refuse(self, *args, **kwargs):
+        raise _Constructed(type(self).__name__)
+
+    for cls in (TimelinePost, ClusterMember, ClusterRecord):
+        monkeypatch.setattr(cls, "__init__", refuse)
+        with pytest.raises(_Constructed):
+            cls()
+    argv = [
+        "analyze", str(data_dir / "pop_small.trace.jsonl"), str(data_dir / "pop_small.graph.csv"),
+        "--all", "-o", str(tmp_path), "--permutations", "20",
+    ]
+    assert main(argv) == 0
+    assert (tmp_path / "reaction_by_size_position.csv").exists()
 
 
 def test_pins_tell_the_settings_apart():
