@@ -12,8 +12,7 @@ import csv
 import json
 import math
 import sys
-import typing
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from time import perf_counter
 
@@ -37,17 +36,18 @@ from .analyze import (
 )
 from .estimate import EstimationError, build_instance
 from .formats import (
-    TraceFormatError,
     dump_json,
+    from_json,
     instance_from_dict,
     instance_to_dict,
+    load_activity,
+    load_counts,
     load_graph,
     load_json,
     load_trace,
     schedule_from_dict,
     schedule_to_dict,
 )
-from .model import Schedule
 from .objective import attention_potential, heatmap, timeline_view
 from .optimize import (
     DEFAULT_ENUMERATION_CAP,
@@ -69,8 +69,9 @@ SECONDS_PER_DAY = 86400
 class RunConfig:
     """Run-wide defaults; a JSON config file may override any field and
     command-line flags override the file (`from_sources` takes every given flag
-    whose argparse dest is a field name). Unknown file keys and file values of
-    the wrong type are rejected."""
+    whose argparse dest is a field name). The file is decoded by
+    `formats.from_json`, so unknown keys and values of the wrong type are
+    rejected."""
 
     slots: int = 24
     budget: int | None = None
@@ -94,24 +95,10 @@ class RunConfig:
 
     @classmethod
     def from_sources(cls, args) -> "RunConfig":
-        hints = typing.get_type_hints(cls)
-        values = {}
-        if args.config is not None:
-            raw = load_json(args.config)
-            unknown = sorted(set(raw) - set(hints))
-            if unknown:
-                raise ValueError(f"{args.config}: unknown config keys {unknown}")
-            for key, value in raw.items():
-                if not _has_type(value, hints[key]):
-                    raise ValueError(
-                        f"{args.config}: config key {key!r} must be "
-                        f"{cls.__annotations__[key]}, got {value!r}"
-                    )
-                values[key] = tuple(value) if isinstance(value, list) else value
-        values.update(
-            (key, val) for key, val in vars(args).items() if key in hints and val is not None
-        )
-        cfg = cls(**values)
+        raw = load_json(args.config) if args.config is not None else {}
+        flags = {f.name: getattr(args, f.name, None) for f in fields(cls)}
+        flags = {key: value for key, value in flags.items() if value is not None}
+        cfg = replace(from_json(cls, raw, args.config), **flags)
         if cfg.slots < 1 or SECONDS_PER_DAY % cfg.slots != 0:
             raise ValueError(f"slots must divide 86400 seconds, got {cfg.slots}")
         for key, flag in (("gap_hours", "--gap-hours"), ("tau_min_hours", "--tau-min")):
@@ -126,16 +113,6 @@ class RunConfig:
             if not low <= value <= high:
                 raise ValueError(f"{key} ({flag}) must be in {low}..{high}, got {value}")
         return cfg
-
-
-def _has_type(value, hint) -> bool:
-    """Whether a decoded JSON value fits a `RunConfig` field's type hint; a
-    float field also takes an integer, and a tuple field a list."""
-    kinds = typing.get_args(hint) or (hint,)
-    if typing.get_origin(hint) is tuple:
-        fits = isinstance(value, list) and len(value) == len(kinds)
-        return fits and all(map(_has_type, value, kinds))
-    return type(value) in kinds or (hint is float and type(value) is int)
 
 
 class Report:
@@ -207,11 +184,7 @@ def cmd_estimate(args) -> int:
         rho_default=cfg.rho_default,
         delta_default=cfg.delta_default,
         gamma_mode=cfg.gamma_mode,
-        follower_survival_family=cfg.follower_survival_family,
-        cluster_survival_family=cfg.cluster_survival_family,
-        follower_survival_p=cfg.follower_survival_p,
-        cluster_survival_p=cfg.cluster_survival_p,
-        cluster_survival_shifted=cfg.cluster_survival_shifted,
+        **{key: value for key, value in vars(cfg).items() if "_survival_" in key},
     )
     report.lap("estimate")
     dump_json(instance_to_dict(instance), args.out)
@@ -233,8 +206,8 @@ def cmd_estimate(args) -> int:
 
 def cmd_evaluate(args) -> int:
     report = Report()
-    instance = instance_from_dict(load_json(args.instance))
-    schedule = schedule_from_dict(load_json(args.schedule))
+    instance = instance_from_dict(load_json(args.instance), args.instance)
+    schedule = schedule_from_dict(load_json(args.schedule), args.schedule)
     report.lap("load")
     breakdown = attention_potential(schedule, instance)
     report.add("total", breakdown.total, "attention total: {:.6f}")
@@ -287,13 +260,13 @@ def cmd_evaluate(args) -> int:
 def cmd_optimize(args) -> int:
     report = Report()
     cfg = RunConfig.from_sources(args)
-    instance = instance_from_dict(load_json(args.instance))
+    instance = instance_from_dict(load_json(args.instance), args.instance)
     report.lap("load")
 
     result = None
     if args.heuristic:
         spend = args.spend if args.spend is not None else instance.budget
-        activity = _load_activity(args.activity, instance.slots) if args.activity else None
+        activity = load_activity(args.activity, instance.slots) if args.activity else None
         schedule = heuristic(
             args.heuristic,
             instance,
@@ -307,7 +280,7 @@ def cmd_optimize(args) -> int:
     else:
         if args.method == "marginal":
             initial = (
-                schedule_from_dict(load_json(args.initial)) if args.initial else None
+                schedule_from_dict(load_json(args.initial), args.initial) if args.initial else None
             )
             result = marginal_allocation(instance, initial)
         elif args.method == "brute":
@@ -340,28 +313,13 @@ def cmd_optimize(args) -> int:
     return report.emit(args.json)
 
 
-def _load_activity(path, slots: int) -> list[float]:
-    values: list[float] = []
-    with Path(path).open(newline="") as fh:
-        for row in csv.reader(fh):
-            for cell in row:
-                cell = cell.strip()
-                if cell:
-                    values.append(float(cell))
-    if len(values) != slots:
-        raise ValueError(
-            f"{path}: expected {slots} activity weights, found {len(values)}"
-        )
-    return values
-
-
 # ---------------------------------------------------------------- simulate
 
 
 def cmd_simulate(args) -> int:
     report = Report()
-    instance = instance_from_dict(load_json(args.instance))
-    schedule = schedule_from_dict(load_json(args.schedule))
+    instance = instance_from_dict(load_json(args.instance), args.instance)
+    schedule = schedule_from_dict(load_json(args.schedule), args.schedule)
     report.lap("load")
     result = simulate(schedule, instance, args.days, args.seed, merged=args.merged)
     report.lap("simulate")
@@ -383,44 +341,6 @@ def cmd_simulate(args) -> int:
 
 
 # ---------------------------------------------------------------- analyze
-
-
-def _load_counts(path) -> dict[int, tuple[int, int]]:
-    """Read a `size,reactions,total` table: three columns, one row per size
-    bucket, labelled `1`..`10` or `>10`, with 0 <= reactions <= total and
-    total >= 1."""
-    buckets = {bucket_name(b): b for b in range(1, OVERFLOW_BUCKET + 1)}
-    counts: dict[int, tuple[int, int]] = {}
-    with Path(path).open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["size", "reactions", "total"]:
-            raise TraceFormatError(
-                f"{path}:1: expected the header 'size,reactions,total', got {header!r}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                if len(row) != 3:
-                    raise ValueError(f"expected three columns, got {row!r}")
-                label = row[0].strip()
-                if label not in buckets:
-                    raise ValueError(f"size must be one of {list(buckets)}, got {label!r}")
-                bucket = buckets[label]
-                if bucket in counts:
-                    raise ValueError(f"a second row for size {label}")
-                reactions, total = int(row[1]), int(row[2])
-                if not 0 <= reactions <= total or total < 1:
-                    raise ValueError(
-                        f"need 0 <= reactions <= total and total >= 1, got {reactions}, {total}"
-                    )
-                counts[bucket] = (reactions, total)
-            except ValueError as exc:
-                raise TraceFormatError(f"{path}:{lineno}: {exc}") from exc
-    if not counts:
-        raise TraceFormatError(f"{path}:1: the counts table is empty")
-    return counts
 
 
 def _matrix_rows(values: dict[tuple[int, int], float], max_size: int):
@@ -445,7 +365,7 @@ def cmd_analyze(args) -> int:
         report.text(f"wrote {out_dir / name}")
 
     if args.counts:
-        counts = _load_counts(args.counts)
+        counts = load_counts(args.counts)
         clusters = None
         report.lap("load")
     else:
@@ -625,3 +545,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

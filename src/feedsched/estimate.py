@@ -64,6 +64,10 @@ class Event:
     target_author: str | None = None
 
     def __post_init__(self) -> None:
+        for key in ("user", "kind", "target_author"):
+            value = getattr(self, key)
+            if not isinstance(value, str) and (value is not None or key != "target_author"):
+                raise ValueError(f"{key} must be a string, got {value!r}")
         if type(self.ts) is not int or not -(2**63) <= self.ts < 2**63:
             raise ValueError(f"ts must be an integer in the int64 range, got {self.ts!r}")
         if self.kind not in EVENT_KINDS:
@@ -336,13 +340,10 @@ def build_instance(
     rho_default: float = 0.5,
     delta_default: float = 0.5,
     gamma_mode: str = "one",
-    follower_survival_family: str = "geometric",
-    cluster_survival_family: str = "geometric",
-    follower_survival_p: float = 1.0,
-    cluster_survival_p: float = 1.0,
-    cluster_survival_shifted: bool = True,
+    **survival,
 ) -> ProblemInstance:
-    """Assemble a problem instance for the producer's followers.
+    """Assemble a problem instance for the producer's followers; `survival`
+    passes the survival families and their settings to `ProblemInstance`.
 
     Fallbacks: followers without events get sigma = 0; followers without
     reaction samples get the population-median consumption depth; when no
@@ -389,13 +390,4 @@ def build_instance(
                 competitor_load=aggregate_competitors(f, producer, graph, trace, slots),
             )
         )
-    return ProblemInstance(
-        slots=slots,
-        budget=budget,
-        followers=tuple(profiles),
-        follower_survival_family=follower_survival_family,
-        cluster_survival_family=cluster_survival_family,
-        follower_survival_p=follower_survival_p,
-        cluster_survival_p=cluster_survival_p,
-        cluster_survival_shifted=cluster_survival_shifted,
-    )
+    return ProblemInstance(slots=slots, budget=budget, followers=tuple(profiles), **survival)

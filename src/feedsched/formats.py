@@ -1,27 +1,41 @@
-"""On-disk formats: activity-trace JSONL, follow-graph CSV, and the JSON
-encodings of problem instances and schedules.
+"""On-disk formats: activity-trace JSONL, follow-graph CSV, counts and
+activity CSV, and JSON instances, schedules and run configs.
 
 Trace files carry one event object per line with fields ``user``, ``ts``,
-``kind`` and (for reactions) ``target_author``: the names are strings and
-``ts`` is a JSON integer in the int64 range. Graph files are CSV with the
-header ``follower,followee``. Instance and schedule JSON mirror the domain
-types field for field; emission is deterministic (sorted keys, two-space
-indent, trailing newline).
+``kind`` and (for reactions) ``target_author``. Graph files are CSV with the
+header ``follower,followee``. Instance, schedule and config JSON mirror a
+dataclass field for field (`ProblemInstance`, `Schedule`, `cli.RunConfig`).
+`from_json` reads them by one strict rule: unknown keys and values of the
+wrong JSON type are rejected, naming the file and key; an ``int`` field takes
+only a JSON integer and a ``float`` field an integer or a float; nothing is
+converted from a string or a bool; missing keys take the dataclass defaults.
+Emission is deterministic (sorted keys, two-space indent, trailing newline).
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
+import functools
+import itertools
 import json
+import reprlib
+import types
+import typing
 from pathlib import Path
 
+from .analyze import OVERFLOW_BUCKET, bucket_name
 from .estimate import ActivityTrace, Event, FollowGraph
-from .model import FollowerProfile, ProblemInstance, Schedule
+from .model import ProblemInstance, Schedule
 
 __all__ = [
     "TraceFormatError",
     "load_trace",
     "load_graph",
+    "load_counts",
+    "load_activity",
+    "from_json",
+    "to_json",
     "instance_to_dict",
     "instance_from_dict",
     "schedule_to_dict",
@@ -50,14 +64,7 @@ def load_trace(path, tz_offset_minutes: int = 0) -> ActivityTrace:
             if not isinstance(obj, dict):
                 raise TraceFormatError(f"{path}:{lineno}: expected a JSON object")
             try:
-                user, kind, target = obj["user"], obj["kind"], obj.get("target_author")
-                names = {"user": user, "kind": kind}
-                if target is not None:
-                    names["target_author"] = target
-                for key, value in names.items():
-                    if not isinstance(value, str):
-                        raise ValueError(f"{key} must be a string, got {value!r}")
-                events.append(Event(user, obj["ts"], kind, target))
+                events.append(Event(obj["user"], obj["ts"], obj["kind"], obj.get("target_author")))
             except (KeyError, TypeError, ValueError) as exc:
                 raise TraceFormatError(f"{path}:{lineno}: {exc}") from exc
     if not events:
@@ -86,65 +93,210 @@ def load_graph(path) -> FollowGraph:
     return FollowGraph(edges)
 
 
-def instance_to_dict(instance: ProblemInstance) -> dict:
-    return {
-        "slots": instance.slots,
-        "budget": instance.budget,
-        "follower_survival_family": instance.follower_survival_family,
-        "cluster_survival_family": instance.cluster_survival_family,
-        "follower_survival_p": instance.follower_survival_p,
-        "cluster_survival_p": instance.cluster_survival_p,
-        "cluster_survival_shifted": instance.cluster_survival_shifted,
-        "followers": [
-            {
-                "id": f.id,
-                "sigma": f.sigma,
-                "rho": f.rho,
-                "delta": f.delta,
-                "gamma": f.gamma,
-                "competitor_load": list(f.competitor_load),
-            }
-            for f in instance.followers
-        ],
-    }
-
-
-def instance_from_dict(obj: dict) -> ProblemInstance:
-    try:
-        followers = tuple(
-            FollowerProfile(
-                id=str(f["id"]),
-                sigma=int(f["sigma"]),
-                rho=float(f["rho"]),
-                delta=float(f["delta"]),
-                gamma=float(f.get("gamma", 1.0)),
-                competitor_load=tuple(float(c) for c in f["competitor_load"]),
+def load_counts(path) -> dict[int, tuple[int, int]]:
+    """Read a `size,reactions,total` table: three columns, one row per size
+    bucket, labelled `1`..`10` or `>10`, with 0 <= reactions <= total and
+    total >= 1."""
+    buckets = {bucket_name(b): b for b in range(1, OVERFLOW_BUCKET + 1)}
+    counts: dict[int, tuple[int, int]] = {}
+    with Path(path).open(newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header] != ["size", "reactions", "total"]:
+            raise TraceFormatError(
+                f"{path}:1: expected the header 'size,reactions,total', got {header!r}"
             )
-            for f in obj["followers"]
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            try:
+                if len(row) != 3:
+                    raise ValueError(f"expected three columns, got {row!r}")
+                label = row[0].strip()
+                if label not in buckets:
+                    raise ValueError(f"size must be one of {list(buckets)}, got {label!r}")
+                bucket = buckets[label]
+                if bucket in counts:
+                    raise ValueError(f"a second row for size {label}")
+                reactions, total = int(row[1]), int(row[2])
+                if not 0 <= reactions <= total or total < 1:
+                    raise ValueError(
+                        f"need 0 <= reactions <= total and total >= 1, got {reactions}, {total}"
+                    )
+                counts[bucket] = (reactions, total)
+            except ValueError as exc:
+                raise TraceFormatError(f"{path}:{lineno}: {exc}") from exc
+    if not counts:
+        raise TraceFormatError(f"{path}:1: the counts table is empty")
+    return counts
+
+
+def load_activity(path, slots: int) -> list[float]:
+    values: list[float] = []
+    with Path(path).open(newline="") as fh:
+        for row in csv.reader(fh):
+            for cell in row:
+                cell = cell.strip()
+                if cell:
+                    values.append(float(cell))
+    if len(values) != slots:
+        raise ValueError(
+            f"{path}: expected {slots} activity weights, found {len(values)}"
         )
-        return ProblemInstance(
-            slots=int(obj["slots"]),
-            budget=int(obj["budget"]),
-            followers=followers,
-            follower_survival_family=obj.get("follower_survival_family", "geometric"),
-            cluster_survival_family=obj.get("cluster_survival_family", "geometric"),
-            follower_survival_p=float(obj.get("follower_survival_p", 1.0)),
-            cluster_survival_p=float(obj.get("cluster_survival_p", 1.0)),
-            cluster_survival_shifted=bool(obj.get("cluster_survival_shifted", True)),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed instance JSON: {exc}") from exc
+    return values
 
 
-def schedule_to_dict(schedule: Schedule) -> dict:
-    return {"posts": list(schedule.posts)}
+# ------------------------------------------------------------ dataclass JSON
+
+# Types a JSON value must have exactly, as messages name them.
+_EXACT = {int: "an integer", str: "a string", bool: "true or false", type(None): "null"}
 
 
-def schedule_from_dict(obj: dict) -> Schedule:
+class _Mismatch(ValueError):
+    """A JSON value that does not fit its field. Enclosing lists and objects
+    add their index or key to `path` on the way out, so a location is only
+    built on failure."""
+
+    def __init__(self, message: str) -> None:
+        super().__init__(message)
+        self.path: list[int | str] = []
+
+
+def _expected(what: str, value) -> _Mismatch:
+    return _Mismatch(f"expected {what}, got {reprlib.repr(value)}")
+
+
+def _number(value) -> float:
+    if type(value) is float:
+        return value
+    if type(value) is not int:
+        raise _expected("a number", value)
     try:
-        return Schedule(tuple(int(v) for v in obj["posts"]))
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed schedule JSON: {exc}") from exc
+        return float(value)
+    except OverflowError:
+        raise _expected("a number in the float range", value) from None
+
+
+def _object(cls):
+    fields = dataclasses.fields(cls)
+    hints = typing.get_type_hints(cls)
+    decoders = {f.name: _decoder(hints[f.name]) for f in fields}
+    required = {f.name for f in fields if f.default is f.default_factory is dataclasses.MISSING}
+
+    def decode(obj):
+        if type(obj) is not dict:
+            raise _expected("an object", obj)
+        if not obj.keys() >= required:
+            raise _Mismatch(f"missing key {min(required - obj.keys())!r}")
+        kwargs = {}
+        for key, value in obj.items():
+            if key not in decoders:
+                raise _Mismatch(f"unknown key {key!r}; expected one of {sorted(decoders)}")
+            try:
+                kwargs[key] = decoders[key](value)
+            except _Mismatch as exc:
+                exc.path.append(key)
+                raise
+        try:
+            return cls(**kwargs)
+        except ValueError as exc:  # the dataclass's own checks
+            raise _Mismatch(str(exc)) from exc
+
+    return decode
+
+
+def _tuple(args: tuple):
+    """`tuple[X, ...]` from a list of any length, `tuple[X, Y]` from a list
+    of two; a list whose items all have type X is taken as it is."""
+    variadic = args[-1] is Ellipsis
+    decoders = tuple(map(_decoder, args[:1] if variadic else args))
+    plain, what = ({args[0]}, "a list") if variadic else (set(), f"a list of {len(args)}")
+
+    def decode(value):
+        if type(value) is not list or not (variadic or len(value) == len(args)):
+            raise _expected(what, value)
+        if set(map(type, value)) <= plain:
+            return tuple(value)
+        out = []
+        for i, (decode_item, item) in enumerate(
+            zip(itertools.repeat(decoders[0]) if variadic else decoders, value)
+        ):
+            try:
+                out.append(decode_item(item))
+            except _Mismatch as exc:
+                exc.path.append(i)
+                raise
+        return tuple(out)
+
+    return decode
+
+
+@functools.cache
+def _decoder(hint):
+    """The decoding function of one type hint, built once per hint."""
+    if dataclasses.is_dataclass(hint):
+        return _object(hint)
+    if hint is float:
+        return _number
+    if typing.get_origin(hint) is tuple:
+        return _tuple(typing.get_args(hint))
+    kinds = typing.get_args(hint) if typing.get_origin(hint) is types.UnionType else (hint,)
+    what = " or ".join(_EXACT[kind] for kind in kinds)
+
+    def decode(value):
+        if type(value) not in kinds:
+            raise _expected(what, value)
+        return value
+
+    return decode
+
+
+def from_json(cls, obj, where):
+    """Decode the dataclass `cls` from a parsed JSON value by the strict rule
+    above; `where`, usually the file path, starts every error message."""
+    try:
+        return _decoder(cls)(obj)
+    except _Mismatch as exc:
+        loc = "".join(f"[{p}]" if isinstance(p, int) else f": {p}" for p in reversed(exc.path))
+        raise ValueError(f"{where}{loc}: {exc}") from None
+
+
+@functools.cache
+def _encoder(cls):
+    """The encoding function of one dataclass: a copy of its fields with each
+    tuple as a list, and dataclass items of a tuple encoded in turn."""
+    convert = []
+    for name, hint in typing.get_type_hints(cls).items():
+        if typing.get_origin(hint) is tuple:
+            item = typing.get_args(hint)[0]
+            if dataclasses.is_dataclass(item):
+                convert.append((name, lambda values, enc=_encoder(item): [enc(v) for v in values]))
+            else:
+                convert.append((name, list))
+
+    def encode(obj) -> dict:
+        out = dict(vars(obj))  # a model dataclass keeps exactly its fields there
+        for name, conv in convert:
+            out[name] = conv(out[name])
+        return out
+
+    return encode
+
+
+def to_json(obj) -> dict:
+    """The JSON object of a dataclass instance, field for field."""
+    return _encoder(type(obj))(obj)
+
+
+instance_to_dict = schedule_to_dict = to_json
+
+
+def instance_from_dict(obj: dict, where="instance JSON") -> ProblemInstance:
+    return from_json(ProblemInstance, obj, where)
+
+
+def schedule_from_dict(obj: dict, where="schedule JSON") -> Schedule:
+    return from_json(Schedule, obj, where)
 
 
 def dump_json(obj: dict, path) -> None:

@@ -68,21 +68,13 @@ def survival_eval(model: SurvivalModel, x: float) -> float:
     """Survival probability at x; equals 1 at x=0 and is non-increasing in x."""
     if x < 0:
         raise ValueError(f"survival functions are defined for x >= 0, got x={x}")
-    fam = model.family
-    if fam == "exponential":
-        return math.exp(-model.lam * x)
-    if fam == "geometric":
-        return (1.0 - model.lam) ** x
-    if fam == "weibull":
-        return math.exp(-model.lam * x**model.p)
-    if fam == "loglogistic":
-        return 1.0 / (1.0 + model.lam * x**model.p)
-    return math.exp(-(x * x) / (2.0 * model.lam * model.lam))
+    return float(survival_array(model.family, model.lam, model.p, x))
 
 
 def survival_array(family: str, lam, p: float, x: np.ndarray) -> np.ndarray:
-    """`survival_eval` on arrays: `lam` broadcasts against `x >= 0`, and the
-    parameters are taken as already checked by `SurvivalModel`."""
+    """The five survival formulas, on arrays or scalars (`survival_eval` reads
+    them here): `lam` broadcasts against `x >= 0`, and the parameters are taken
+    as already checked by `SurvivalModel`."""
     if family == "exponential":
         return np.exp(-lam * x)
     if family == "geometric":

@@ -173,9 +173,11 @@ class TimelineLayout:
         ):
             if family != "geometric" and n:
                 SurvivalModel(family, float(lam.min()), p)
-        q = 1.0 - self.rho
-        self._q, self._q_one = q, q == 1.0
-        self._q_den = np.where(self._q_one, 1.0, 1.0 - q)
+        # log(1 - rho) for the geometric closed form; rho = 1 (reads nothing)
+        # takes 0 there, which makes its sum 0 as well
+        self._log_q = np.log1p(-np.where(self.rho < 1.0, self.rho, 0.0))
+        self._reads_all = self.rho == 0.0
+        self._rho_den = np.where(self._reads_all, 1.0, self.rho)
 
     def timeline_posts(self, posts) -> np.ndarray:
         """Posts in timeline order: (followers x slots) for one schedule,
@@ -196,14 +198,14 @@ class TimelineLayout:
         z, for every timeline position: keep(x) * inner(x, z). Both branches
         of inner are 0 where x = 0."""
         if self.follower_family == "geometric":
-            # sum of q^(z+k) for k = 1..x in closed form, computed in place;
-            # q = 1 reads everything
-            q = self._q
-            inner = q ** (x + 1)
-            np.subtract(q, inner, out=inner)
-            inner *= q**z
-            inner /= self._q_den
-            inner = np.where(self._q_one, x, inner)
+            # sum of q^(z+k) for k = 1..x with q = 1 - rho, as
+            # q^(z+1) * (1 - q^x) / rho through log1p/expm1, which keeps full
+            # precision for small rho; rho = 0 reads everything
+            log_q = self._log_q
+            inner = np.expm1(x * log_q)
+            inner *= np.exp((z + 1) * log_q)
+            inner /= -self._rho_den
+            inner = np.where(self._reads_all, x, inner)
         else:
             k = np.arange(1, int(x.max(initial=0)) + 1)
             seen = survival_array(
@@ -238,14 +240,15 @@ class TimelineLayout:
 
         A post added at timeline position p turns term p into T(x+1, z) and
         pushes every deeper cluster one post down, to T(x, z+1). Under a
-        geometric follower family that push multiplies a term by q.
+        geometric follower family that push multiplies a term by q = 1 - rho,
+        so it changes the term by -rho times itself.
         """
         x = self.timeline_posts(posts)
         z = self.depths(x)
         base = self.term(x, z)
         grow = self.term(x + 1, z) - base
         if self.follower_family == "geometric":
-            push = base * (self._q - 1.0)
+            push = base * -self.rho
         else:
             push = self.term(x, z + 1) - base
         deeper = np.zeros_like(push)
@@ -335,7 +338,7 @@ def heatmap(
     """
     slots = instance.slots
     layout = TimelineLayout(instance)
-    weighted = attention_potential(schedule, instance).per_cluster.T * layout.gamma[:, None]
+    weighted = layout.terms(schedule.posts) * layout.gamma[:, None]
     # order[:, 0] is each follower's login slot
     cells = layout.order * slots + layout.order[:, :1]
     grid = np.bincount(cells.ravel(), weights=weighted.ravel(), minlength=slots * slots)

@@ -3,6 +3,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,6 +19,7 @@ from feedsched.formats import (
     load_json,
     schedule_to_dict,
 )
+from perfbench import generators
 
 
 @pytest.fixture
@@ -248,6 +252,81 @@ class TestEvaluateCommand:
         assert rc == 0
         report = json.loads(capsys.readouterr().out)
         assert report["total"] == pytest.approx(0.4375)
+
+
+def _set_follower(**values):
+    return lambda obj: obj["followers"][0].update(values)
+
+
+class TestStrictInstanceAndScheduleFiles:
+    """Instance and schedule files are decoded strictly from the dataclass
+    fields: a value of the wrong JSON type, an unknown key or a missing
+    required key exits with 2, naming the file and the key. `1e400` is a JSON
+    number that reads as infinity."""
+
+    @pytest.mark.parametrize(
+        "which, edit, location",
+        [
+            pytest.param("instance", _set_follower(sigma=9.9), "followers[0]: sigma:", id="sigma"),
+            pytest.param("instance", lambda o: o.update(budget="6"), "budget:", id="budget"),
+            pytest.param(
+                "instance",
+                lambda o: o.update(cluster_survival_shifted="false"),
+                "cluster_survival_shifted:",
+                id="shifted",
+            ),
+            pytest.param(
+                "instance",
+                lambda o: o.update(follower_survival_famliy="weibull"),
+                "unknown key 'follower_survival_famliy'",
+                id="misspelled",
+            ),
+            pytest.param("instance", _set_follower(rho=True), "followers[0]: rho:", id="rho"),
+            pytest.param("instance", _set_follower(id=5), "followers[0]: id:", id="id"),
+            pytest.param(
+                "instance",
+                lambda o: o["followers"].__setitem__(0, 5),
+                "followers[0]: expected an object",
+                id="follower",
+            ),
+            pytest.param(
+                "instance",
+                lambda o: o["followers"][0].pop("sigma"),
+                "followers[0]: missing key 'sigma'",
+                id="missing",
+            ),
+            pytest.param(
+                "schedule", lambda o: o.update(posts=[0.5, 1.2, 1.9]), "posts[0]:", id="posts"
+            ),
+            pytest.param(
+                "schedule", lambda o: o.update(posts=[True, 0, 2]), "posts[0]:", id="bool-posts"
+            ),
+            pytest.param(
+                "schedule", lambda o: o.update(posts=["1e400", 0, 0]), "posts[0]:", id="1e400"
+            ),
+        ],
+    )
+    def test_rejected_with_file_and_key(self, tmp_path, hand_files, which, edit, location, capsys):
+        paths = dict(zip(("instance", "schedule"), hand_files))
+        obj = load_json(paths[which])
+        edit(obj)
+        bad = tmp_path / f"bad.{which}.json"
+        bad.write_text(json.dumps(obj).replace('"1e400"', "1e400"))
+        paths[which] = bad
+        assert main(["evaluate", str(paths["instance"]), str(paths["schedule"])]) == 2
+        assert f"{bad}: {location}" in capsys.readouterr().err
+
+    def test_defaults_fill_missing_optional_keys(self, tmp_path, hand_files, capsys):
+        instance_path, schedule_path = hand_files
+        obj = load_json(instance_path)
+        for key in ("follower_survival_family", "cluster_survival_shifted"):
+            del obj[key]
+        del obj["followers"][0]["gamma"]
+        obj["followers"][0]["competitor_load"] = [0, 1, 0]
+        trimmed = tmp_path / "trimmed.json"
+        trimmed.write_text(json.dumps(obj))
+        assert main(["evaluate", str(trimmed), str(schedule_path)]) == 0
+        assert "attention total: 0.437500" in capsys.readouterr().out
 
 
 class TestOptimizeCommand:
@@ -575,6 +654,21 @@ class TestRoundTripAndMisc:
         obj = load_json(data_dir / "pop_small.instance.json")
         assert instance_to_dict(instance_from_dict(obj)) == obj
 
+    def test_generated_instance_round_trip_is_identity(self):
+        obj = json.loads(json.dumps(generators.instance_dict(5, followers=20)))
+        assert instance_to_dict(instance_from_dict(obj)) == obj
+
+    def test_module_run_exits_2_on_a_missing_file(self, tmp_path):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+        missing = str(tmp_path / "nonexistent.json")
+        proc = subprocess.run(
+            [sys.executable, "-m", "feedsched.cli", "evaluate", missing, missing],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2 and "nonexistent.json" in proc.stderr
+
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
 
@@ -721,6 +815,9 @@ class TestConfigFile:
             ({"seed": 1.5}, "multistart", "seed"),
             ({"night_hours": 5}, "smart", "night_hours"),
             ({"cluster_survival_shifted": "no"}, "estimate", "cluster_survival_shifted"),
+            ({"slot": 24}, "estimate", "slot"),
+            ({"gap_hours": True}, "estimate", "gap_hours"),
+            ({"lunch_hours": [12, 13.5]}, "smart", "lunch_hours[1]"),
             ({"slots": 0}, "estimate", "slots"),
             ({"gap_hours": 8, "cluster_survival_shifted": False}, "estimate", None),
             ({"night_hours": [22, 5], "seed": 3, "enumeration_cap": 10}, "smart", None),

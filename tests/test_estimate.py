@@ -273,6 +273,14 @@ class TestGraphAndTrace:
         with pytest.raises(ValueError, match="int64"):
             Event("u", ts, "post")
 
+    @pytest.mark.parametrize(
+        "args, key",
+        [((5, 0, "post"), "user"), (("u", 0, 3), "kind"), (("u", 0, "reply", 7), "target_author")],
+    )
+    def test_event_names_must_be_strings(self, args, key):
+        with pytest.raises(ValueError, match=f"{key} must be a string"):
+            ActivityTrace([Event(*args), Event("a", 3, "post")])
+
     def test_reactions_attach_to_latest_event_at_or_before(self):
         trace = ActivityTrace(
             posts("a", [10, 30, 30]) + posts("b", [40])

@@ -1,5 +1,7 @@
 """Timeline layout, per-cluster attention, population totals and heatmaps."""
 
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
@@ -323,6 +325,44 @@ class TestAgreementWithReference:
                 expected[view.source_slot, f.sigma] += f.gamma * a
             grid = heatmap(schedule, instance)
             np.testing.assert_allclose(grid, expected, rtol=1e-9, atol=1e-300)
+
+
+class TestGeometricTermsAgainstDecimal:
+    """`TimelineLayout.terms` under geometric families against the same sum
+    taken with 50 significant digits: keep(x) * sum of (1 - rho)^(z + k) for
+    k = 1..x, at each cluster's float depth offset z. The closed form must keep
+    1e-12 relative accuracy down to rho = 1e-9, where 1 - q cancels, and the
+    edges rho = 0 (reads everything) and rho = 1 (reads nothing) hold. Deep
+    clusters under a large rho underflow in doubles, so cells below 1e-300 are
+    held to that absolute floor instead."""
+
+    @pytest.mark.parametrize("load_scale", [3.0, 40.0])
+    @pytest.mark.parametrize("rho", [0.0, 1e-9, 1e-6, 1e-3, 0.1, 0.5, 0.9, 1.0])
+    def test_terms(self, rho, load_scale):
+        rng = np.random.default_rng(int(load_scale))
+        followers = tuple(
+            FollowerProfile(
+                id=f"u{j}",
+                sigma=int(rng.integers(24)),
+                rho=rho,
+                delta=float(rng.uniform(0.2, 1.0)),
+                competitor_load=tuple(float(v) for v in rng.uniform(0, load_scale, 24)),
+            )
+            for j in range(4)
+        )
+        instance = ProblemInstance(slots=24, budget=24, followers=followers)
+        schedule = Schedule(tuple(int(v) for v in rng.integers(0, 4, size=24)))
+        terms = TimelineLayout(instance).terms(schedule.posts)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            q = 1 - Decimal(rho)
+            for j, follower in enumerate(followers):
+                for view in timeline_view(schedule, follower):
+                    x, z = view.producer_count, Decimal(view.depth_offset)
+                    keep = Decimal(follower.delta) ** max(x - 1, 0)
+                    exact = keep * sum(q ** (z + k) for k in range(1, x + 1))
+                    error = abs(Decimal(float(terms[j, view.position])) - exact)
+                    assert error <= Decimal("1e-12") * exact + Decimal("1e-300"), (j, view)
 
 
 class TestLayoutValidation:
