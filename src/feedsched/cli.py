@@ -105,6 +105,12 @@ class RunConfig:
             value = getattr(cfg, key)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{key} ({flag}) must be finite and > 0, got {value}")
+        for key in ("rho_default", "delta_default"):
+            value = getattr(cfg, key)
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{key} must be finite and in [0, 1], got {value}")
+        if cfg.seed < 0:
+            raise ValueError(f"seed (--seed) must be >= 0, got {cfg.seed}")
         for key, flag, low, high in (
             ("matrix_max_size", "--max-size", 2, OVERFLOW_BUCKET),
             ("tz_offset_minutes", "--tz-offset-minutes", -720, 840),  # UTC-12 to UTC+14

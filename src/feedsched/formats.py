@@ -19,6 +19,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import math
 import reprlib
 import types
 import typing
@@ -132,13 +133,23 @@ def load_counts(path) -> dict[int, tuple[int, int]]:
 
 
 def load_activity(path, slots: int) -> list[float]:
+    """Read `slots` per-slot activity weights, finite and >= 0, laid out over
+    any number of comma-separated rows."""
     values: list[float] = []
     with Path(path).open(newline="") as fh:
-        for row in csv.reader(fh):
-            for cell in row:
-                cell = cell.strip()
-                if cell:
-                    values.append(float(cell))
+        reader = csv.reader(fh)
+        for row in reader:
+            for cell in filter(None, map(str.strip, row)):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    value = math.nan
+                if not (math.isfinite(value) and value >= 0):
+                    raise TraceFormatError(
+                        f"{path}:{reader.line_num}: activity weights must be finite "
+                        f"numbers >= 0, got {cell!r}"
+                    )
+                values.append(value)
     if len(values) != slots:
         raise ValueError(
             f"{path}: expected {slots} activity weights, found {len(values)}"

@@ -73,25 +73,28 @@ def simulate(
     """Replay `days` independent days and report empirical attention.
 
     Randomness is drawn from substreams keyed by (seed, follower index), so
-    results do not depend on follower processing order. Deterministic for a
-    fixed seed.
+    results do not depend on follower processing order, and a seed replays
+    the same days bit for bit.
     """
     if days < 1:
         raise ValueError(f"days must be >= 1, got {days}")
-    slots = instance.slots
-    if len(schedule.posts) != slots:
-        raise ValueError(
-            f"schedule has {len(schedule.posts)} slots, instance expects {slots}"
-        )
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if not instance.followers:
         raise ValueError("the instance has no followers to simulate")
 
     layout = TimelineLayout(rounded_instance(instance))
-    posts = layout.timeline_posts(schedule.posts)
+    posts = layout.timeline_posts(schedule.posts)  # checks the schedule's length
     offsets = layout.depths(posts).astype(np.int64)
     n = len(instance.followers)
-    per_cluster = np.zeros((slots, n))
+    per_cluster = np.zeros((instance.slots, n))
     day_totals = np.zeros(days)
+    # Every timeline holds the schedule's k non-empty slots as k clusters, so
+    # these (days x k) scratch buffers serve every follower.
+    k = np.count_nonzero(schedule.posts)
+    draws, seen = np.empty(days * k), np.empty((days, k))
+    kept_buf = np.empty(days * k, dtype=bool)
+    ones = np.ones(max(days, k))
     for j in range(n):
         x, z = posts[j], offsets[j]
         length = int(z[-1] + x[-1])
@@ -114,12 +117,18 @@ def simulate(
             joins[1:] = starts[1:] == starts[:-1] + counts[:-1]
         group = np.cumsum(~joins) - 1
         sizes = np.bincount(group, weights=counts)
-        kept = skip_rng.random((days, len(sizes))) < layout.keep(sizes, layout.delta[j])
+        g = len(sizes)
+        u_skip = skip_rng.random(out=draws[: days * g].reshape(days, g))
+        keep = layout.keep(sizes, layout.delta[j])
+        kept = np.less(u_skip, keep, out=kept_buf[: days * g].reshape(days, g))
 
-        seen = np.clip(depth[:, None] - starts, 0, counts)
-        seen *= kept[:, group]
-        per_cluster[positions, j] = seen.mean(axis=0)
-        day_totals += layout.gamma[j] * seen.sum(axis=1)
+        # Posts seen of each cluster at every depth 0..length, read off per
+        # day. The sums add small integers, so they are exact in any order.
+        reach = np.minimum(np.maximum(np.arange(length + 1.0)[:, None] - starts, 0), counts)
+        np.take(reach, depth, axis=0, out=seen)
+        np.copyto(seen, 0.0, where=~(kept[:, group] if merged else kept))
+        per_cluster[positions, j] = ones[:days] @ seen / days
+        day_totals += layout.gamma[j] * (seen @ ones[:k])
 
     empirical_total = float(day_totals.mean())
     if days > 1:

@@ -434,6 +434,25 @@ class TestOptimizeCommand:
         assert main(argv) == 2
         assert "activity weights must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "rows, line, cell",
+        [("1,1,1,1,1,1,1,1\n1,2,abc\n", 2, "'abc'"), ("1\n\n2,-0.5\n", 3, "'-0.5'")],
+    )
+    def test_bad_activity_cell_names_file_and_line(
+        self, tmp_path, data_dir, rows, line, cell, capsys
+    ):
+        activity = tmp_path / "act.csv"
+        activity.write_text(rows)
+        out = tmp_path / "s.json"
+        argv = [
+            "optimize", str(data_dir / "pop_small.instance.json"), "-o", str(out),
+            "--heuristic", "peak", "--activity", str(activity),
+        ]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{activity}:{line}: activity weights must be finite numbers >= 0, got {cell}" in err
+        assert not out.exists()
+
     def test_trajectory_emission(self, tmp_path, small_files):
         out = tmp_path / "sched.json"
         trace = tmp_path / "trajectory.csv"
@@ -476,6 +495,12 @@ class TestSimulateCommand:
         instance_path, schedule_path = hand_files
         rc = main(["simulate", str(instance_path), str(schedule_path), "--days", "0"])
         assert rc == 2
+
+    def test_negative_seed_exits_2(self, hand_files, capsys):
+        instance_path, schedule_path = hand_files
+        rc = main(["simulate", str(instance_path), str(schedule_path), "--seed", "-1"])
+        assert rc == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
 
     def test_agreement_with_analytic_total(self, hand_files, capsys):
         instance_path, schedule_path = hand_files
@@ -802,6 +827,60 @@ class TestSessionGapAndTailCutoff:
         rc = main(self.argv(data_dir, tmp_path, key) + ["--config", str(config)])
         assert rc == 2 and key in capsys.readouterr().err
         assert not (tmp_path / "x.json").exists()
+
+
+class TestSeedAndDefaultChecks:
+    """A negative seed is rejected by name before any work, from a flag or the
+    config file, and so are `rho_default`/`delta_default` outside [0, 1]."""
+
+    def argv(self, data_dir, tmp_path, command):
+        out = tmp_path / "out"
+        if command == "multistart":
+            instance = str(data_dir / "pop_small.instance.json")
+            return ["optimize", instance, "-o", str(out), "--method", "multistart"]
+        if command == "analyze-counts":
+            counts = str(data_dir / "cluster_reaction_counts.csv")
+            return ["analyze", "--counts", counts, "-o", str(out)]
+        inputs = [str(data_dir / "pop_small.trace.jsonl"), str(data_dir / "pop_small.graph.csv")]
+        if command == "analyze-trace":
+            return ["analyze", *inputs, "--all", "-o", str(out)]
+        return ["estimate", *inputs, "prod", "--budget", "6", "-o", str(out)]
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command", ["multistart", "analyze-counts", "analyze-trace"])
+    def test_negative_seed_exits_2(self, tmp_path, data_dir, command, source, capsys):
+        argv = self.argv(data_dir, tmp_path, command)
+        if source == "flag":
+            argv += ["--seed", "-1"]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text('{"seed": -1}')
+            argv += ["--config", str(config)]
+        assert main(argv) == 2
+        assert "seed (--seed) must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["7.5", "-3", "1.0000001", "-0.0001", "1e400"])
+    @pytest.mark.parametrize("key", ["rho_default", "delta_default"])
+    def test_default_out_of_range_exits_2(self, tmp_path, data_dir, key, value, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(f'{{"{key}": {value}}}')
+        assert main(self.argv(data_dir, tmp_path, "estimate") + ["--config", str(config)]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_both_defaults_out_of_range_name_the_first(self, tmp_path, data_dir, capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"rho_default": 7.5, "delta_default": -3}')
+        assert main(self.argv(data_dir, tmp_path, "estimate") + ["--config", str(config)]) == 2
+        assert "rho_default must be finite and in [0, 1], got 7.5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [0, 1])
+    def test_default_bounds_are_accepted(self, tmp_path, data_dir, value):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"rho_default": value, "delta_default": value}))
+        assert main(self.argv(data_dir, tmp_path, "estimate") + ["--config", str(config)]) == 0
+        assert (tmp_path / "out").exists()
 
 
 class TestConfigFile:

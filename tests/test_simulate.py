@@ -1,12 +1,15 @@
 """Monte Carlo replay: agreement with the analytic objective, determinism,
-merged-cluster mode, and standard-error scaling."""
+merged-cluster mode, standard-error scaling, and bit-for-bit agreement with
+the per-follower reference loop."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from feedsched import (
+    FAMILIES,
     FollowerProfile,
     ProblemInstance,
     Schedule,
@@ -16,8 +19,10 @@ from feedsched import (
     simulate,
     simulate_merged,
 )
+from feedsched.model import survival_array
+from feedsched.objective import TimelineLayout
 
-from conftest import random_instance, random_feasible_schedule
+from conftest import family_instance, random_instance, random_feasible_schedule
 
 
 def one_follower(slots, budget, sigma, rho, delta, load):
@@ -76,6 +81,10 @@ class TestSimulate:
     def test_days_validated(self, hand_instance, hand_schedule):
         with pytest.raises(ValueError, match="days"):
             simulate(hand_schedule, hand_instance, days=0, seed=0)
+
+    def test_negative_seed_rejected(self, hand_instance, hand_schedule):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            simulate(hand_schedule, hand_instance, days=10, seed=-1)
 
     def test_schedule_length_validated(self, hand_instance):
         with pytest.raises(ValueError, match="slots"):
@@ -283,3 +292,96 @@ def test_seeded_outputs_are_pinned(case, merged):
     assert result.empirical_total == total
     assert result.standard_error == standard_error
     assert result.per_cluster.tolist() == per_cluster
+
+
+def _reference_simulate(schedule, instance, days, seed, merged):
+    """The replay as one clipped (days x clusters) int64 array per follower:
+    (empirical_total, standard_error, per_cluster) for `simulate` to match
+    bit for bit."""
+    slots = instance.slots
+    layout = TimelineLayout(rounded_instance(instance))
+    posts = layout.timeline_posts(schedule.posts)
+    offsets = layout.depths(posts).astype(np.int64)
+    n = len(instance.followers)
+    per_cluster = np.zeros((slots, n))
+    day_totals = np.zeros(days)
+    for j in range(n):
+        x, z = posts[j], offsets[j]
+        length = int(z[-1] + x[-1])
+        quit_rng = np.random.default_rng([seed, j, 0])
+        skip_rng = np.random.default_rng([seed, j, 1])
+
+        # Scroll depth per day: count of depths d with u < F(d).
+        curve = survival_array(
+            layout.follower_family, layout.rho[j], layout.follower_p, np.arange(1, length + 1)
+        )
+        u = quit_rng.random(days)
+        depth = length - np.searchsorted(curve[::-1], u, side="right")
+
+        # Skip-draw groups: one per non-empty cluster or, merged, one per run of
+        # non-empty clusters with no competitor posts between them.
+        positions = np.flatnonzero(x)
+        starts, counts = z[positions], x[positions]
+        joins = np.zeros(len(positions), dtype=bool)
+        if merged:
+            joins[1:] = starts[1:] == starts[:-1] + counts[:-1]
+        group = np.cumsum(~joins) - 1
+        sizes = np.bincount(group, weights=counts)
+        kept = skip_rng.random((days, len(sizes))) < layout.keep(sizes, layout.delta[j])
+
+        seen = np.clip(depth[:, None] - starts, 0, counts)
+        seen *= kept[:, group]
+        per_cluster[positions, j] = seen.mean(axis=0)
+        day_totals += layout.gamma[j] * seen.sum(axis=1)
+
+    empirical_total = float(day_totals.mean())
+    if days > 1:
+        standard_error = float(day_totals.std(ddof=1) / math.sqrt(days))
+    else:
+        standard_error = 0.0
+    return empirical_total, standard_error, per_cluster
+
+
+def _oracle_instance(rng, follower_family, cluster_family, shifted):
+    """A random instance with fractional loads: some round to 0 (so merged
+    runs form), some sit on a half (which rounds up) and some round to 1 or
+    more. A geometric follower family also gets followers with rho 0 and 1."""
+    base = family_instance(rng, follower_family, cluster_family, shifted)
+
+    def load():
+        return float(rng.choice([0.0, rng.uniform(0, 1), rng.integers(3) + 0.5, rng.uniform(0, 3)]))
+
+    followers = [
+        replace(f, competitor_load=tuple(load() for _ in f.competitor_load))
+        for f in base.followers
+    ]
+    if follower_family == "geometric":
+        followers += [replace(followers[0], id="rho0", rho=0.0),
+                      replace(followers[0], id="rho1", rho=1.0)]
+    return replace(base, followers=tuple(followers))
+
+
+ORACLE_CLUSTER_FAMILIES = ("geometric", "weibull", "loglogistic")
+
+
+@pytest.mark.parametrize("shifted", [True, False])
+@pytest.mark.parametrize("cluster_family", ORACLE_CLUSTER_FAMILIES)
+@pytest.mark.parametrize("follower_family", FAMILIES)
+def test_matches_the_reference_loop_bit_for_bit(follower_family, cluster_family, shifted):
+    rng = np.random.default_rng(
+        [FAMILIES.index(follower_family), ORACLE_CLUSTER_FAMILIES.index(cluster_family), shifted]
+    )
+    for _ in range(3):
+        instance = _oracle_instance(rng, follower_family, cluster_family, shifted)
+        seed = int(rng.integers(1 << 16))
+        # The zero schedule leaves every follower without a producer post.
+        for schedule in (random_feasible_schedule(rng, instance), Schedule.zeros(instance.slots)):
+            for days in (1, 2, 37):
+                for merged in (False, True):
+                    result = simulate(schedule, instance, days, seed, merged=merged)
+                    total, standard_error, per_cluster = _reference_simulate(
+                        schedule, instance, days, seed, merged
+                    )
+                    assert result.empirical_total == total
+                    assert result.standard_error == standard_error
+                    assert np.array_equal(result.per_cluster, per_cluster)
