@@ -118,6 +118,10 @@ class RunConfig:
             value = getattr(cfg, key)
             if not low <= value <= high:
                 raise ValueError(f"{key} ({flag}) must be in {low}..{high}, got {value}")
+        for key in ("night_hours", "lunch_hours"):
+            hours = getattr(cfg, key)
+            if not all(0 <= h <= 23 for h in hours):
+                raise ValueError(f"{key} must be hours in 0..23, got {list(hours)}")
         return cfg
 
 

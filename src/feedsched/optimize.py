@@ -106,31 +106,17 @@ def marginal_allocation(
     )
 
 
-def _lex_schedules(slots: int, budget: int):
-    """All post vectors with spend <= budget, as tuples in lexicographic order."""
-    posts, spend = [0] * slots, 0
-    while True:
-        yield tuple(posts)
-        if spend < budget:
-            posts[-1] += 1
-            spend += 1
-            continue
-        # Budget spent: empty the last non-empty slot and carry into the one before.
-        j = slots - 1
-        while j >= 0 and posts[j] == 0:
-            j -= 1
-        if j <= 0:
-            return
-        spend -= posts[j] - 1
-        posts[j] = 0
-        posts[j - 1] += 1
-
-
 def _lex_chunks(slots: int, budget: int, rows: int):
-    """`_lex_schedules` as (k x slots) arrays of at most `rows` schedules."""
-    schedules = _lex_schedules(slots, budget)
-    while chunk := list(itertools.islice(schedules, rows)):
-        yield np.array(chunk, dtype=np.int64).reshape(len(chunk), slots)
+    """Every post vector with spend <= budget, in lexicographic order, as
+    (k x slots) arrays of at most `rows` schedules.
+
+    Stars and bars: `slots` bars among `budget + slots` cells leave the posts
+    of each slot as the empty cells before its bar, and bar positions in
+    ascending lexicographic order give post vectors in the same order.
+    """
+    bars = itertools.combinations(range(budget + slots), slots)
+    while chunk := list(itertools.islice(bars, rows)):
+        yield np.diff(np.array(chunk, dtype=np.int64), axis=1, prepend=-1) - 1
 
 
 def brute_force(
@@ -171,27 +157,21 @@ def brute_force(
 
 
 def window_slots(first_hour: int, last_hour: int, slots: int) -> list[int]:
-    """Slot indices covered by an inclusive, wrapping hour window."""
-    hours = []
-    h = first_hour % 24
-    while True:
-        hours.append(h)
-        if h == last_hour % 24:
-            break
-        h = (h + 1) % 24
-    out: list[int] = []
-    for h in hours:
-        s = h * slots // 24
-        if s not in out:
-            out.append(s)
-    return out
+    """Slot indices that overlap an inclusive, wrapping hour window, in hour order."""
+    hours = ((first_hour + k) % 24 for k in range((last_hour - first_hour) % 24 + 1))
+    covered = (range(h * slots // 24, ((h + 1) * slots - 1) // 24 + 1) for h in hours)
+    return list(dict.fromkeys(itertools.chain.from_iterable(covered)))
 
 
-def _spread(n: int, window: list[int], slots: int) -> Schedule:
-    base, rem = divmod(n, len(window))
-    posts = [0] * slots
-    for k, s in enumerate(window):
-        posts[s] = base + (1 if k < rem else 0)
+def _apportion(n: int, weights: list[float], order) -> Schedule:
+    """n posts in proportion to `weights` by largest remainder: each slot gets
+    the floor of its quota, and the posts left over go to the largest
+    remainders, ties to the slot that comes first in `order`."""
+    total = sum(weights) or 1.0  # all-zero weights only come with n = 0
+    quotas = [n * w / total for w in weights]
+    posts = [int(q) for q in quotas]
+    for s in sorted(order, key=lambda s: posts[s] - quotas[s])[: n - sum(posts)]:
+        posts[s] += 1
     return Schedule(tuple(posts))
 
 
@@ -204,22 +184,19 @@ def heuristic(
     night_hours: tuple[int, int] = DEFAULT_NIGHT_HOURS,
     lunch_hours: tuple[int, int] = DEFAULT_LUNCH_HOURS,
 ) -> Schedule:
-    """Popular scheduling recipes.
+    """Popular scheduling recipes, each n posts apportioned by largest
+    remainder over a weight vector.
 
-    uniform   -- even spread across all slots, remainder to the lowest indices
-    peak      -- n posts proportional to the given per-slot activity weights
-                 (largest-remainder rounding)
-    graveyard -- even spread across the late-night window
-    smart     -- even spread across the lunch window plus the night window
+    uniform   -- equal weights on all slots, remainder to the lowest indices
+    peak      -- the given per-slot activity weights, ties to the lowest index
+    graveyard -- equal weights on the late-night window, remainder in hour order
+    smart     -- equal weights on the lunch window, then the night window
     """
     if kind not in HEURISTICS:
         raise ValueError(f"unknown heuristic {kind!r}; expected one of {HEURISTICS}")
     slots = instance.slots
     if not 0 <= n <= instance.budget:
         raise ValueError(f"spend {n} must lie in [0, budget={instance.budget}]")
-    if kind == "uniform":
-        base, rem = divmod(n, slots)
-        return Schedule(tuple(base + (1 if s < rem else 0) for s in range(slots)))
     if kind == "peak":
         if activity is None:
             raise ValueError("the peak heuristic requires per-slot activity weights")
@@ -232,25 +209,16 @@ def heuristic(
             raise ValueError("activity weights must be finite")
         if any(w < 0 for w in weights):
             raise ValueError("activity weights must be >= 0")
-        total_w = sum(weights)
-        if n > 0 and total_w <= 0:
+        if n > 0 and sum(weights) <= 0:
             raise ValueError("activity weights must not all be zero")
-        posts = [0] * slots
-        if n > 0:
-            quotas = [n * w / total_w for w in weights]
-            posts = [int(q) for q in quotas]
-            leftovers = sorted(
-                range(slots), key=lambda s: (-(quotas[s] - posts[s]), s)
-            )
-            for s in leftovers[: n - sum(posts)]:
-                posts[s] += 1
-        return Schedule(tuple(posts))
-    night = window_slots(*night_hours, slots)
-    if kind == "graveyard":
-        return _spread(n, night, slots)
-    lunch = window_slots(*lunch_hours, slots)
-    combined = lunch + [s for s in night if s not in lunch]
-    return _spread(n, combined, slots)
+        return _apportion(n, weights, range(slots))
+    if kind == "uniform":
+        window = range(slots)
+    else:
+        window = window_slots(*night_hours, slots)
+        if kind == "smart":
+            window = list(dict.fromkeys(window_slots(*lunch_hours, slots) + window))
+    return _apportion(n, [float(s in window) for s in range(slots)], window)
 
 
 def multistart(instance: ProblemInstance, restarts: int, seed: int) -> OptimizationReport:

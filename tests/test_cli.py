@@ -885,7 +885,7 @@ class TestSeedAndDefaultChecks:
 
 class TestConfigFile:
     """A config-file value must have its field's type; a float field takes an
-    integer and a pair of hours a two-element list."""
+    integer and a pair of hours a two-element list of hours in 0..23."""
 
     @pytest.mark.parametrize(
         "config, command, key",
@@ -900,6 +900,10 @@ class TestConfigFile:
             ({"slots": 0}, "estimate", "slots"),
             ({"gap_hours": 8, "cluster_survival_shifted": False}, "estimate", None),
             ({"night_hours": [22, 5], "seed": 3, "enumeration_cap": 10}, "smart", None),
+            ({"lunch_hours": [12, 99]}, "smart", "lunch_hours"),
+            ({"night_hours": [-1, 6]}, "smart", "night_hours"),
+            ({"night_hours": [23, 24]}, "smart", "night_hours"),
+            ({"lunch_hours": [0, 23], "night_hours": [23, 0]}, "smart", None),
         ],
     )
     def test_value_types(self, tmp_path, data_dir, config, command, key, capsys):

@@ -1,5 +1,6 @@
 """Greedy allocation, exhaustive search, heuristics and multistart."""
 
+import functools
 import itertools
 import math
 
@@ -20,7 +21,7 @@ from feedsched import (
 )
 from feedsched import optimize
 from feedsched.objective import TimelineLayout
-from feedsched.optimize import window_slots
+from feedsched.optimize import HEURISTICS, window_slots
 
 from conftest import family_instance, random_feasible_schedule, random_instance
 
@@ -206,6 +207,137 @@ class TestHeuristics:
         assert window_slots(12, 13, 24) == [12, 13]
         assert window_slots(23, 6, 12) == [11, 0, 1, 2, 3]
 
+    def test_window_slots_cover_sub_hour_slots(self):
+        assert window_slots(23, 6, 48) == [46, 47] + list(range(14))
+        assert window_slots(12, 13, 96) == list(range(48, 56))
+        # A 16-slot day has 90-minute slots: hours 1 and 2 both overlap slot 1.
+        assert window_slots(1, 1, 16) == [0, 1]
+        assert window_slots(2, 2, 16) == [1]
+        assert window_slots(23, 1, 16) == [15, 0, 1]
+
+    def test_graveyard_fills_every_half_hour_of_the_night(self):
+        schedule = heuristic("graveyard", self.make_instance(slots=48, budget=48), 16)
+        assert schedule.posts == tuple(1 if s < 14 or s >= 46 else 0 for s in range(48))
+
+
+def _reference_window_slots(first_hour: int, last_hour: int, slots: int) -> list[int]:
+    """Slot indices covered by an inclusive, wrapping hour window."""
+    hours = []
+    h = first_hour % 24
+    while True:
+        hours.append(h)
+        if h == last_hour % 24:
+            break
+        h = (h + 1) % 24
+    out: list[int] = []
+    for h in hours:
+        s = h * slots // 24
+        if s not in out:
+            out.append(s)
+    return out
+
+
+def _reference_spread(n: int, window: list[int], slots: int) -> Schedule:
+    base, rem = divmod(n, len(window))
+    posts = [0] * slots
+    for k, s in enumerate(window):
+        posts[s] = base + (1 if k < rem else 0)
+    return Schedule(tuple(posts))
+
+
+def _reference_heuristic(
+    kind: str,
+    instance: ProblemInstance,
+    n: int,
+    activity=None,
+    *,
+    night_hours: tuple[int, int] = (23, 6),
+    lunch_hours: tuple[int, int] = (12, 13),
+) -> Schedule:
+    """The heuristics as first written: divmod spreads for uniform, graveyard
+    and smart, largest remainder for peak. Exact for slot counts dividing 24."""
+    if kind not in HEURISTICS:
+        raise ValueError(f"unknown heuristic {kind!r}; expected one of {HEURISTICS}")
+    slots = instance.slots
+    if not 0 <= n <= instance.budget:
+        raise ValueError(f"spend {n} must lie in [0, budget={instance.budget}]")
+    if kind == "uniform":
+        base, rem = divmod(n, slots)
+        return Schedule(tuple(base + (1 if s < rem else 0) for s in range(slots)))
+    if kind == "peak":
+        if activity is None:
+            raise ValueError("the peak heuristic requires per-slot activity weights")
+        weights = [float(a) for a in activity]
+        if len(weights) != slots:
+            raise ValueError(
+                f"activity weights have length {len(weights)}, expected {slots}"
+            )
+        if not all(math.isfinite(w) for w in weights):
+            raise ValueError("activity weights must be finite")
+        if any(w < 0 for w in weights):
+            raise ValueError("activity weights must be >= 0")
+        total_w = sum(weights)
+        if n > 0 and total_w <= 0:
+            raise ValueError("activity weights must not all be zero")
+        posts = [0] * slots
+        if n > 0:
+            quotas = [n * w / total_w for w in weights]
+            posts = [int(q) for q in quotas]
+            leftovers = sorted(
+                range(slots), key=lambda s: (-(quotas[s] - posts[s]), s)
+            )
+            for s in leftovers[: n - sum(posts)]:
+                posts[s] += 1
+        return Schedule(tuple(posts))
+    night = _reference_window_slots(*night_hours, slots)
+    if kind == "graveyard":
+        return _reference_spread(n, night, slots)
+    lunch = _reference_window_slots(*lunch_hours, slots)
+    combined = lunch + [s for s in night if s not in lunch]
+    return _reference_spread(n, combined, slots)
+
+
+class TestHeuristicsMatchReference:
+    """Every heuristic equals the reference for each spend up to the budget,
+    at every slot count that divides 24, for night windows of 1 to 24 hours
+    starting and ending at every hour (random lunch windows), and for activity
+    weights with zeros and ties."""
+
+    BUDGET = 30
+
+    @pytest.mark.parametrize("slots", [1, 2, 3, 4, 6, 8, 12, 24])
+    def test_uniform_and_peak(self, slots):
+        rng = np.random.default_rng(slots)
+        instance = TestHeuristics().make_instance(slots=slots, budget=self.BUDGET)
+        activities = [[1.0] * slots, [0.0] * (slots - 1) + [2.0]]
+        activities += [rng.choice([0.0, 0.0, 1.0, 1.0, 3.0, 0.1], slots) for _ in range(6)]
+        activities += [rng.integers(0, 2, slots) * rng.random(slots) for _ in range(2)]
+        for n in range(self.BUDGET + 1):
+            assert heuristic("uniform", instance, n) == _reference_heuristic(
+                "uniform", instance, n
+            )
+            for activity in activities:
+                if n > 0 and sum(activity) == 0:
+                    continue  # rejected: no weight to apportion by
+                expected = _reference_heuristic("peak", instance, n, activity)
+                assert heuristic("peak", instance, n, activity) == expected, (n, activity)
+
+    @pytest.mark.parametrize("slots", [1, 2, 3, 4, 6, 8, 12, 24])
+    def test_windows(self, slots):
+        rng = np.random.default_rng(100 + slots)
+        instance = TestHeuristics().make_instance(slots=slots, budget=self.BUDGET)
+        for first in range(24):
+            for length in (1, 2, 8, 13, 24):
+                night = (first, (first + length - 1) % 24)
+                lunch = tuple(int(h) for h in rng.integers(0, 24, 2))
+                for n in range(self.BUDGET + 1):
+                    for kind in ("graveyard", "smart"):
+                        kwargs = {"night_hours": night, "lunch_hours": lunch}
+                        expected = _reference_heuristic(kind, instance, n, **kwargs)
+                        assert heuristic(kind, instance, n, **kwargs) == expected, (
+                            kind, n, kwargs,
+                        )
+
 
 class TestMultistart:
     def test_single_restart_equals_zero_start(self, monotony_two_slot):
@@ -292,6 +424,7 @@ class TestIncrementalGains:
             assert initial == report.schedule
 
 
+@functools.cache
 def lexicographic_schedules(slots, budget):
     return [
         posts
@@ -333,7 +466,9 @@ class TestChunkedBruteForce:
         assert len(small_chunks) > 2
 
     @pytest.mark.parametrize("rows", [1, 2, 5, 7, 64, 10_000])
-    @pytest.mark.parametrize("slots,budget", [(1, 0), (1, 6), (3, 0), (4, 3), (5, 4)])
+    @pytest.mark.parametrize(
+        "slots,budget", [(1, 0), (1, 6), (3, 0), (4, 3), (5, 4), (6, 10), (2, 9), (7, 3)]
+    )
     def test_chunks_enumerate_in_lexicographic_order(self, slots, budget, rows):
         chunks = list(optimize._lex_chunks(slots, budget, rows))
         assert all(1 <= len(c) <= rows for c in chunks)
