@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimate import ActivityTrace, FollowGraph
+from .estimate import EVENT_KINDS, ActivityTrace, FollowGraph, _frozen
 
 __all__ = [
     "MAX_SIZE_BUCKET",
@@ -120,30 +120,27 @@ class _Columns(Sequence):
         return f"{type(self).__name__}({list(self)!r})"
 
 
-def _frozen(*arrays):
-    for a in arrays:
-        a.flags.writeable = False
-
-
 class Timeline(_Columns):
     """One user's timeline, newest first, as columns: each post's timestamp,
     author code (an index into `authors`, which is sorted, so code order is
-    name order), index in its author's events, and reacted flag. Items are
-    `TimelinePost` views."""
+    name order), index in its author's events, kind (an index into
+    `EVENT_KINDS`), and reacted flag. Items are `TimelinePost` views."""
 
-    def __init__(self, authors, events, ts, code, index, reacted):
+    def __init__(self, authors, ts, code, index, kind, reacted):
         self.authors = authors
-        self._events = events  # per author code, that author's events
-        self.ts, self.code, self.index, self.reacted = ts, code, index, reacted
-        _frozen(ts, code, index, reacted)
+        self.ts, self.code, self.index, self.kind, self.reacted = ts, code, index, kind, reacted
+        _frozen(ts, code, index, kind, reacted)
 
     def __len__(self) -> int:
         return len(self.ts)
 
     def _item(self, k: int) -> TimelinePost:
-        code = self.code[k]
-        kind = self._events[code][self.index[k]].kind
-        return TimelinePost(int(self.ts[k]), self.authors[code], kind, bool(self.reacted[k]))
+        return TimelinePost(
+            int(self.ts[k]),
+            self.authors[self.code[k]],
+            EVENT_KINDS[self.kind[k]],
+            bool(self.reacted[k]),
+        )
 
 
 class Clusters(_Columns):
@@ -174,19 +171,17 @@ def reconstruct_timeline(user: str, graph: FollowGraph, trace: ActivityTrace) ->
     """
     if user not in graph:
         raise ValueError(f"unknown user {user!r}")
-    authors = graph.followees_of(user)  # sorted by name
-    events = tuple(trace.events_by_user(a) for a in authors)
-    lengths = np.array([len(evs) for evs in events], np.int64)
-    first = np.cumsum(lengths) - lengths
-    ts = trace.timestamps(*authors)
+    authors = graph.followees_of(user)  # sorted by name, so `rows` ascends
+    rows, lengths = trace.rows(authors)
+    ts = trace.ts[rows]
     code = np.repeat(np.arange(len(authors)), lengths)
-    index = np.arange(len(ts)) - np.repeat(first, lengths)
-    reacted = np.zeros(len(ts), bool)
-    offset = dict(zip(authors, first.tolist()))
-    reacted[[offset[a] + i for _, a, i in trace.attached_reactions(user, authors)]] = True
+    index = np.arange(len(rows)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    reacted = np.zeros(len(rows), bool)
+    reacted[np.searchsorted(rows, trace.attachments(user, authors)[1])] = True
     # ~ts, not -ts: it reverses the order without overflow at ts = -2**63.
     order = np.lexsort((index, code, ~ts))
-    return Timeline(authors, events, ts[order], code[order], index[order], reacted[order])
+    kind = trace.kind_code[rows[order]]
+    return Timeline(authors, ts[order], code[order], index[order], kind, reacted[order])
 
 
 def extract_clusters(timeline) -> Clusters:
@@ -308,16 +303,20 @@ def permutation_test(
 
 
 def interevent_times(events) -> list[float]:
-    """Gaps between a user's consecutive events, in hours; zero gaps dropped."""
-    events = list(events)
-    if len(events) < 2:
+    """Gaps between a user's consecutive events, in hours; zero and negative
+    gaps dropped. `events` may also be the user's timestamps as an int64 array.
+
+    Each gap is exact mod 2**64, so exact where it is positive, and is rounded
+    to a float once before the division, as Python's int / float does."""
+    if isinstance(events, np.ndarray):
+        ts = events
+    else:
+        ts = np.array([ev.ts for ev in events], np.int64)
+    if len(ts) < 2:
         raise ValueError("at least two events are required for inter-event times")
-    taus = []
-    for prev, cur in zip(events, events[1:]):
-        gap = (cur.ts - prev.ts) / 3600.0
-        if gap > 0:
-            taus.append(gap)
-    return taus
+    prev, cur = ts[:-1], ts[1:]
+    gaps = (cur.view(np.uint64) - prev.view(np.uint64))[cur > prev]
+    return (gaps.astype(float) / 3600.0).tolist()
 
 
 def powerlaw_alpha(taus, tau_min: float, min_samples: int = 10) -> float:

@@ -427,9 +427,9 @@ def cmd_analyze(args) -> int:
 
         taus: list[float] = []
         for user in trace.users():
-            events = trace.events_by_user(user)
-            if len(events) >= 2:
-                taus.extend(interevent_times(events))
+            ts = trace.timestamps(user)
+            if len(ts) >= 2:
+                taus.extend(interevent_times(ts))
         if taus:
             edges = np.geomspace(min(taus), max(taus) * (1 + 1e-12), 31)
             hist, _ = np.histogram(taus, bins=edges)

@@ -17,6 +17,8 @@ estimators below are documented surrogates:
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import statistics
 from dataclasses import dataclass
@@ -47,7 +49,6 @@ __all__ = [
 EVENT_KINDS = ("post", "retweet", "reply")
 
 SECONDS_PER_DAY = 86400
-_NO_TIMESTAMPS = np.empty(0, np.int64)
 
 
 class EstimationError(RuntimeError):
@@ -83,56 +84,158 @@ class Event:
 
 
 class ActivityTrace:
-    """Timestamped events, sorted ascending per user after ingestion."""
+    """Timestamped events as read-only columns, one row per event, sorted by
+    (user, ts, ingestion order).
+
+    `names` holds every user and target author, sorted, and `codes` maps each
+    name to its index there, so code order is name order. Per row, `user_code`
+    and `target_code` are name codes (the target is -1 for a post), `ts` is the
+    int64 timestamp and `kind_code` an index into `EVENT_KINDS`. `Event`
+    objects are only built when `events` or `events_by_user` is read.
+    """
 
     def __init__(self, events, tz_offset_minutes: int = 0):
+        events = list(events)
+        self._fill(
+            [ev.user for ev in events],
+            [ev.ts for ev in events],
+            [ev.kind for ev in events],
+            [ev.target_author for ev in events],
+            tz_offset_minutes,
+        )
+
+    @classmethod
+    def from_columns(cls, users, ts, kinds, targets, tz_offset_minutes: int = 0):
+        """A trace from per-event lists in ingestion order. Each event must
+        already obey the rules of `Event`; nothing is checked here."""
+        trace = cls.__new__(cls)
+        trace._fill(users, ts, kinds, targets, tz_offset_minutes)
+        return trace
+
+    def _fill(self, users, ts, kinds, targets, tz_offset_minutes: int) -> None:
         self.tz_offset_minutes = int(tz_offset_minutes)
-        self.events: tuple[Event, ...] = tuple(sorted(events, key=lambda e: e.ts))
-        by_user: dict[str, list[Event]] = {}
-        for ev in self.events:
-            by_user.setdefault(ev.user, []).append(ev)
-        self._by_user = {u: tuple(evs) for u, evs in by_user.items()}
-        self._ts = {u: np.array([ev.ts for ev in evs], np.int64) for u, evs in by_user.items()}
-        for ts in self._ts.values():
-            ts.flags.writeable = False
+        # Codes come from Python strings: a fixed-width numpy string array drops
+        # trailing NULs and would merge "a" with "a\x00".
+        self.names = tuple(sorted(set(users).union(targets).difference([None])))
+        self.codes = {name: k for k, name in enumerate(self.names)}
+        n = len(users)
+        user_code = np.fromiter(map(self.codes.__getitem__, users), np.int64, n)
+        target_code = np.fromiter(map({**self.codes, None: -1}.__getitem__, targets), np.int64, n)
+        kind_code = np.fromiter(map(EVENT_KINDS.index, kinds), np.int8, n)
+        stamps = np.array(ts, np.int64)
+        order = np.lexsort((stamps, user_code))  # stable: ties keep ingestion order
+        self.user_code, self.ts = user_code[order], stamps[order]
+        self.kind_code, self.target_code = kind_code[order], target_code[order]
+        self._ingested = order
+        counts = np.bincount(user_code, minlength=len(self.names))
+        self._offsets = np.concatenate(([0], np.cumsum(counts)))
+        self._users = tuple(itertools.compress(self.names, counts.tolist()))
+        _frozen(self.user_code, self.ts, self.kind_code, self.target_code)
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self.ts)
 
     def users(self) -> tuple[str, ...]:
-        return tuple(sorted(self._by_user))
+        """The users with at least one event, sorted."""
+        return self._users
+
+    def user_slice(self, user: str) -> slice:
+        """The rows of one user's events; empty for a user without any."""
+        k = self.codes.get(user)
+        return slice(0, 0) if k is None else slice(*self._offsets[k : k + 2].tolist())
+
+    def rows(self, users) -> tuple[np.ndarray, np.ndarray]:
+        """The rows of the given users' events, user after user, and each
+        user's event count. Users in name order give ascending rows."""
+        spans = [self.user_slice(u) for u in users]
+        starts = np.array([s.start for s in spans], np.int64)
+        counts = np.array([s.stop - s.start for s in spans], np.int64)
+        shift = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+        return np.arange(len(shift)) + shift, counts
+
+    @functools.cached_property
+    def _row_events(self) -> tuple[Event, ...]:
+        names = self.names
+        return tuple(
+            Event(names[u], t, EVENT_KINDS[k], names[g] if g >= 0 else None)
+            for u, t, k, g in zip(
+                self.user_code.tolist(),
+                self.ts.tolist(),
+                self.kind_code.tolist(),
+                self.target_code.tolist(),
+            )
+        )
+
+    @functools.cached_property
+    def events(self) -> tuple[Event, ...]:
+        """Every event by timestamp, equal timestamps in ingestion order."""
+        order = np.lexsort((self._ingested, self.ts))
+        return tuple(map(self._row_events.__getitem__, order.tolist()))
 
     def events_by_user(self, user: str) -> tuple[Event, ...]:
-        return self._by_user.get(user, ())
+        return self._row_events[self.user_slice(user)]
 
     def timestamps(self, *users: str) -> np.ndarray:
         """The given users' timestamps as one int64 array, user after user, each
         in `events_by_user` order (equal timestamps in ingestion order). Callers
         must not write to it."""
-        parts = [self._ts.get(u, _NO_TIMESTAMPS) for u in users]
-        return parts[0] if len(parts) == 1 else np.concatenate(parts + [_NO_TIMESTAMPS])
+        if len(users) == 1:
+            return self.ts[self.user_slice(users[0])]
+        return self.ts[self.rows(users)[0]]
+
+    @functools.cached_property
+    def _attached_row(self) -> np.ndarray:
+        """Per row, the row of the event a reaction attaches to, its target's
+        latest event at or before it; -1 for posts and unattached reactions.
+        One `searchsorted` on the (user code, ts rank) key of every row; ranks
+        stand in for timestamps, so the key cannot overflow at the int64 ends."""
+        _, rank = np.unique(self.ts, return_inverse=True)
+        stride = len(self.ts) + 1
+        key = self.user_code * stride + rank
+        reaction = np.flatnonzero(self.target_code >= 0)
+        target = self.target_code[reaction]
+        row = np.searchsorted(key, target * stride + rank[reaction], "right") - 1
+        found = row >= self._offsets[target]
+        attached = np.full(len(self.ts), -1, np.int64)
+        attached[reaction[found]] = row[found]
+        _frozen(attached)
+        return attached
+
+    def attachments(self, user: str, authors) -> tuple[np.ndarray, np.ndarray]:
+        """Of each reaction by `user` to one of `authors` that attaches to an
+        event: its position in the user's events and the attached event's row."""
+        span = self.user_slice(user)
+        codes = [self.codes[a] for a in authors if a in self.codes]
+        rows = self._attached_row[span]
+        position = np.flatnonzero((rows >= 0) & np.isin(self.target_code[span], codes))
+        return position, rows[position]
 
     def attached_reactions(self, user: str, authors) -> list[tuple[int, str, int]]:
         """`(position in the user's events, target author, index in the target's
         events)` of each reaction by `user` to one of `authors`, attached to the
         target's latest event at or before it; reactions before any are left out."""
-        authors = set(authors)
-        attached = []
-        for k, ev in enumerate(self.events_by_user(user)):
-            if ev.is_reaction and ev.target_author in authors:
-                idx = int(np.searchsorted(self.timestamps(ev.target_author), ev.ts, "right")) - 1
-                if idx >= 0:
-                    attached.append((k, ev.target_author, idx))
-        return attached
+        position, rows = self.attachments(user, authors)
+        target = self.user_code[rows]
+        index = rows - self._offsets[target]
+        names = self.names
+        return [
+            (k, names[t], i)
+            for k, t, i in zip(position.tolist(), target.tolist(), index.tolist())
+        ]
 
     def window_days(self) -> int:
         """Number of distinct local calendar days spanned by the trace."""
-        if not self.events:
+        if not len(self.ts):
             raise ValueError("the trace is empty; its window is undefined")
         off = 60 * self.tz_offset_minutes
-        first = (self.events[0].ts + off) // SECONDS_PER_DAY
-        last = (self.events[-1].ts + off) // SECONDS_PER_DAY
-        return int(last - first + 1)
+        first = (int(self.ts.min()) + off) // SECONDS_PER_DAY
+        last = (int(self.ts.max()) + off) // SECONDS_PER_DAY
+        return last - first + 1
+
+
+def _frozen(*arrays) -> None:
+    for a in arrays:
+        a.flags.writeable = False
 
 
 class FollowGraph:
@@ -186,19 +289,30 @@ def _slot_counts(trace: ActivityTrace, users, slots: int) -> np.ndarray:
     return np.bincount(slot_of(ts, slots, trace.tz_offset_minutes), minlength=slots)
 
 
-def split_sessions(events, gap_hours: float = 8.0) -> list[list[Event]]:
-    """Split a user's events into sessions separated by gaps over `gap_hours`,
-    which must be finite and positive."""
+def _session_starts(ts, gap_hours: float) -> np.ndarray:
+    """Indices of the timestamps that start a session: the first, and each one
+    more than `gap_hours` (finite and positive) after its predecessor.
+
+    Gaps compare exactly as Python ints would. Differences are taken mod 2**64,
+    exact wherever a timestamp does not precede its predecessor (the only place
+    a gap can start a session), and compared with the gap's whole seconds.
+    """
     if not (math.isfinite(gap_hours) and gap_hours > 0):
         raise ValueError(f"gap_hours must be finite and > 0, got {gap_hours}")
     gap = gap_hours * 3600.0
-    sessions: list[list[Event]] = []
-    for ev in events:
-        if sessions and ev.ts - sessions[-1][-1].ts <= gap:
-            sessions[-1].append(ev)
-        else:
-            sessions.append([ev])
-    return sessions
+    limit = np.uint64(math.floor(gap) if gap < 2.0**64 else 2**64 - 1)
+    ts = np.asarray(ts, np.int64)
+    prev, cur = ts[:-1], ts[1:]
+    step = cur.view(np.uint64) - prev.view(np.uint64)
+    return np.flatnonzero(np.concatenate(([len(ts) > 0], (cur >= prev) & (step > limit))))
+
+
+def split_sessions(events, gap_hours: float = 8.0) -> list[list[Event]]:
+    """Split a user's events into sessions separated by gaps over `gap_hours`,
+    which must be finite and positive."""
+    events = list(events)
+    bounds = _session_starts([ev.ts for ev in events], gap_hours).tolist() + [len(events)]
+    return [events[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def estimate_login_slot(
@@ -206,12 +320,13 @@ def estimate_login_slot(
 ) -> int:
     """Median start slot: a start event follows an inactive period over
     `gap_hours` (the user's first event always counts). Even counts take the
-    lower median."""
-    sessions = split_sessions(events, gap_hours)
-    if not sessions:
+    lower median. `events` may also be the user's timestamps as an int64 array."""
+    ts = events if isinstance(events, np.ndarray) else np.array([ev.ts for ev in events], np.int64)
+    starts = _session_starts(ts, gap_hours)
+    if not len(starts):
         raise ValueError("at least one event is required to estimate a login slot")
-    start_slots = sorted(slot_of(s[0].ts, slots, tz_offset_minutes) for s in sessions)
-    return start_slots[(len(start_slots) - 1) // 2]
+    start_slots = np.sort(slot_of(ts[starts], slots, tz_offset_minutes))
+    return int(start_slots[(len(start_slots) - 1) // 2])
 
 
 def estimate_rho(mu: float) -> float:
@@ -239,14 +354,14 @@ def consumption_depth_mu(
     samples gets `fallback`, or an EstimationError when none is configured.
     """
     followees = graph.followees_of(follower)
-    sessions = split_sessions(trace.events_by_user(follower), gap_hours)
-    attached = trace.attached_reactions(follower, followees)
-    position = [k for k, _, _ in attached]
+    own = trace.timestamps(follower)
+    starts = _session_starts(own, gap_hours)
+    position, attached = trace.attachments(follower, followees)
     feed_ts = np.sort(trace.timestamps(*followees))
-    above = np.searchsorted(feed_ts, trace.timestamps(follower)[position], "right")
-    above -= np.searchsorted(feed_ts, [trace.timestamps(a)[i] for _, a, i in attached], "right")
-    session_of = np.searchsorted(np.cumsum([len(s) for s in sessions]), position, "right")
-    deepest = np.zeros(len(sessions), dtype=np.int64)
+    above = np.searchsorted(feed_ts, own[position], "right")
+    above -= np.searchsorted(feed_ts, trace.ts[attached], "right")
+    session_of = np.searchsorted(starts, position, "right") - 1
+    deepest = np.zeros(len(starts), dtype=np.int64)
     np.maximum.at(deepest, session_of, above + 1)
     samples = deepest[deepest > 0]
     if not len(samples):
@@ -261,15 +376,11 @@ def consumption_depth_mu(
 
 def tie_strength(follower: str, producer: str, trace: ActivityTrace) -> float:
     """Reactions by the follower targeting the producer, per producer post."""
-    producer_posts = len(trace.events_by_user(producer))
+    producer_posts = len(trace.timestamps(producer))
     if producer_posts == 0:
         raise ValueError(f"producer {producer!r} has no posts in the trace window")
-    reactions = sum(
-        1
-        for ev in trace.events_by_user(follower)
-        if ev.is_reaction and ev.target_author == producer
-    )
-    return reactions / producer_posts
+    targets = trace.target_code[trace.user_slice(follower)]
+    return int(np.count_nonzero(targets == trace.codes[producer])) / producer_posts
 
 
 def estimate_deltas(
@@ -323,10 +434,10 @@ def activity_histogram(
     return grid
 
 
-def _reaction_rate(events) -> float:
-    if not events:
+def _reaction_rate(kind_codes: np.ndarray) -> float:
+    if not len(kind_codes):
         return 0.0
-    return sum(1 for ev in events if ev.is_reaction) / len(events)
+    return int(np.count_nonzero(kind_codes != EVENT_KINDS.index("post"))) / len(kind_codes)
 
 
 def build_instance(
@@ -366,20 +477,19 @@ def build_instance(
     observed = [m for m in raw_mu.values() if m is not None]
     median_mu = statistics.median(observed) if observed else None
 
-    if trace.events_by_user(producer):
+    if len(trace.timestamps(producer)):
         deltas = estimate_deltas(followers, producer, trace, delta_default)
     else:
         deltas = {f: delta_default for f in followers}
 
     profiles = []
     for f in followers:
-        events = trace.events_by_user(f)
-        sigma = (
-            estimate_login_slot(events, slots, gap_hours, tz) if events else 0
-        )
+        rows = trace.user_slice(f)
+        ts = trace.ts[rows]
+        sigma = estimate_login_slot(ts, slots, gap_hours, tz) if len(ts) else 0
         mu = raw_mu[f] if raw_mu[f] is not None else median_mu
         rho = estimate_rho(mu) if mu is not None else rho_default
-        gamma = 1.0 if gamma_mode == "one" else _reaction_rate(events)
+        gamma = 1.0 if gamma_mode == "one" else _reaction_rate(trace.kind_code[rows])
         profiles.append(
             FollowerProfile(
                 id=f,

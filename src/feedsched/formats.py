@@ -20,13 +20,14 @@ import functools
 import itertools
 import json
 import math
+import operator
 import reprlib
 import types
 import typing
 from pathlib import Path
 
 from .analyze import OVERFLOW_BUCKET, bucket_name
-from .estimate import ActivityTrace, Event, FollowGraph
+from .estimate import EVENT_KINDS, ActivityTrace, Event, FollowGraph
 from .model import ProblemInstance, Schedule
 
 __all__ = [
@@ -50,9 +51,58 @@ class TraceFormatError(ValueError):
     """Raised on malformed input files; the message names file and line."""
 
 
-def load_trace(path, tz_offset_minutes: int = 0) -> ActivityTrace:
-    path = Path(path)
-    events = []
+_scan = json.JSONDecoder().scan_once
+_CHUNK_LINES = 2048
+_REQUIRED = ("user", "ts", "kind")
+# Each (kind, type of target_author) pair that `Event` admits.
+_KIND_TARGET = {(kind, str) for kind in EVENT_KINDS if kind != "post"} | {("post", type(None))}
+
+
+def _decode_lines(lines) -> list | None:
+    """The JSON value of each non-blank line, or None when some line does not
+    hold exactly one JSON value. The scanner's end index must be the line's end,
+    so a line with two values, or a value split over two lines, is caught."""
+    values = []
+    try:
+        for line in lines:
+            line = line.strip()
+            if line:
+                value, end = _scan(line, 0)
+                if end != len(line):
+                    return None
+                values.append(value)
+    except (StopIteration, ValueError, RecursionError):
+        return None
+    return values
+
+
+def _trace_columns(values) -> tuple[list, list, list, list] | None:
+    """The user, ts, kind and target_author columns of decoded trace lines, or
+    None when some value breaks a rule of `Event`: each value must be an
+    object, `user` and `kind` strings, `ts` an integer (not a bool) in the int64
+    range, `kind` one of `EVENT_KINDS`, and `target_author` a non-empty string
+    on reactions only."""
+    if not set(map(type, values)) <= {dict}:
+        return None
+    try:
+        users, ts, kinds = (list(map(operator.itemgetter(k), values)) for k in _REQUIRED)
+    except KeyError:
+        return None
+    targets = list(map(dict.get, values, itertools.repeat("target_author")))
+    if not set(map(type, users)) | set(map(type, kinds)) <= {str}:
+        return None
+    if not set(map(type, ts)) <= {int}:
+        return None
+    if min(ts, default=0) < -(2**63) or max(ts, default=0) >= 2**63:
+        return None
+    if not set(zip(kinds, map(type, targets))) <= _KIND_TARGET or "" in targets:
+        return None
+    return users, ts, kinds, targets
+
+
+def _raise_first_bad_line(path: Path) -> typing.NoReturn:
+    """Read the trace one `Event` per line and raise the error of its first bad
+    line. Only called once the columns are rejected, so some line is bad."""
     with path.open() as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -65,12 +115,45 @@ def load_trace(path, tz_offset_minutes: int = 0) -> ActivityTrace:
             if not isinstance(obj, dict):
                 raise TraceFormatError(f"{path}:{lineno}: expected a JSON object")
             try:
-                events.append(Event(obj["user"], obj["ts"], obj["kind"], obj.get("target_author")))
+                Event(obj["user"], obj["ts"], obj["kind"], obj.get("target_author"))
             except (KeyError, TypeError, ValueError) as exc:
                 raise TraceFormatError(f"{path}:{lineno}: {exc}") from exc
-    if not events:
+    raise AssertionError(f"{path}: the trace columns were rejected, but every line is valid")
+
+
+def load_trace(path, tz_offset_minutes: int = 0) -> ActivityTrace:
+    """Read a JSONL trace: one JSON value per line, blank lines skipped. The
+    file is decoded once and checked as columns; if any line is bad, the file
+    is read again one `Event` per line, so the error names the first bad line
+    with `Event`'s own message."""
+    path = Path(path)
+    columns = _read_columns(path)
+    if columns is None:
+        _raise_first_bad_line(path)
+    if not columns[0]:
         raise TraceFormatError(f"{path}:1: the trace file contains no events")
-    return ActivityTrace(events, tz_offset_minutes=tz_offset_minutes)
+    return ActivityTrace.from_columns(*columns, tz_offset_minutes=tz_offset_minutes)
+
+
+def _read_columns(path: Path) -> tuple[list, list, list, list] | None:
+    """The user, ts, kind and target_author columns of a trace file, or None
+    when some line is bad. Lines are decoded a chunk at a time, so only one
+    chunk's objects are alive at once, and the columns share one string object
+    per distinct name or kind."""
+    users, ts, kinds, targets = columns = ([], [], [], [])
+    shared: dict = {}
+    try:
+        with path.open() as fh:
+            while chunk := list(itertools.islice(fh, _CHUNK_LINES)):
+                values = _decode_lines(chunk)
+                part = None if values is None else _trace_columns(values)
+                if part is None:
+                    return None
+                for column, new in zip(columns, part):
+                    column.extend(new if column is ts else map(shared.setdefault, new, new))
+    except UnicodeDecodeError:
+        return None
+    return columns
 
 
 def load_graph(path) -> FollowGraph:

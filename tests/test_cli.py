@@ -10,16 +10,45 @@ from pathlib import Path
 
 import pytest
 
-from feedsched import FollowerProfile, ProblemInstance, Schedule
+import reference_trace
+
+from feedsched import (
+    Event,
+    FollowerProfile,
+    FollowGraph,
+    ProblemInstance,
+    Schedule,
+    build_instance,
+    reconstruct_timeline,
+)
 from feedsched.cli import main
 from feedsched.formats import (
+    TraceFormatError,
+    _decode_lines,
+    _trace_columns,
     dump_json,
     instance_from_dict,
     instance_to_dict,
     load_json,
+    load_trace,
     schedule_to_dict,
 )
 from perfbench import generators
+
+
+# The second line of a trace file, after `{"user": "a", `, and the field its
+# error names.
+MALFORMED_FIELDS = [
+    ('"ts": 1.9, "kind": "post"', "ts"),
+    ('"ts": true, "kind": "post"', "ts"),
+    ('"ts": 1e30, "kind": "post"', "ts"),
+    ('"ts": 1234567890123456789012345, "kind": "post"', "ts"),
+    ('"ts": Infinity, "kind": "post"', "ts"),
+    ('"ts": NaN, "kind": "post"', "ts"),
+    ('"ts": 1, "kind": "post", "user": null', "user"),
+    ('"ts": 1, "kind": 3', "kind"),
+    ('"ts": 1, "kind": "retweet", "target_author": 5', "target_author"),
+]
 
 
 @pytest.fixture
@@ -124,20 +153,7 @@ class TestEstimateCommand:
         assert rc == 2
         assert ":2:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "line, field",
-        [
-            ('"ts": 1.9, "kind": "post"', "ts"),
-            ('"ts": true, "kind": "post"', "ts"),
-            ('"ts": 1e30, "kind": "post"', "ts"),
-            ('"ts": 1234567890123456789012345, "kind": "post"', "ts"),
-            ('"ts": Infinity, "kind": "post"', "ts"),
-            ('"ts": NaN, "kind": "post"', "ts"),
-            ('"ts": 1, "kind": "post", "user": null', "user"),
-            ('"ts": 1, "kind": 3', "kind"),
-            ('"ts": 1, "kind": "retweet", "target_author": 5', "target_author"),
-        ],
-    )
+    @pytest.mark.parametrize("line, field", MALFORMED_FIELDS)
     def test_malformed_trace_field_names_line(self, tmp_path, data_dir, line, field, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"user": "a", "ts": 1, "kind": "post"}\n{"user": "a", ' + line + "}\n")
@@ -163,6 +179,101 @@ class TestEstimateCommand:
             ]
         )
         assert rc == 2
+
+
+GOOD_LINE = '{"user": "a", "ts": 1, "kind": "post"}\n'
+
+
+class TestTraceReader:
+    """`load_trace` decodes one JSON value per line and checks the rules of
+    `Event` on the columns; any bad line is named as the reference reader
+    (one `Event` per line) names it, with the same message."""
+
+    def estimate(self, trace, data_dir, tmp_path):
+        return main(
+            [
+                "estimate", str(trace), str(data_dir / "pop_small.graph.csv"), "prod",
+                "-o", str(tmp_path / "x.json"), "--budget", "6",
+            ]
+        )
+
+    @pytest.mark.parametrize(
+        "text, lineno",
+        [
+            # Joined with commas into one JSON list, these two lines read as two
+            # valid events: the first merges into the second, which splits in two.
+            ('{"user": "a", "ts": 1, "kind": "post"\n'
+             '"x": 0}, {"user": "b", "ts": 2, "kind": "post"}\n', 1),
+            (GOOD_LINE + GOOD_LINE.strip() + " " + GOOD_LINE, 2),
+            (GOOD_LINE + GOOD_LINE.strip() + ", " + GOOD_LINE, 2),
+            # A field error on line 3 comes before a JSON error on line 5.
+            (GOOD_LINE * 2 + '{"user": "a", "ts": "3", "kind": "post"}\n'
+             + GOOD_LINE + "{oops\n", 3),
+            # Blank lines are skipped but counted.
+            ("\n\n  \n" + GOOD_LINE + "\n[1]\n", 6),
+            (GOOD_LINE + '"just a string"\n', 2),
+            (GOOD_LINE + '{"user": "a", "kind": "post"}\n', 2),
+            (GOOD_LINE + '{"user": "a", "ts": 2, "kind": "reply", "target_author": ""}\n', 2),
+            (GOOD_LINE + '{"user": "a", "ts": 2, "kind": "post", "target_author": "b"}\n', 2),
+            (GOOD_LINE + '{"user": "a", "ts": 9223372036854775808, "kind": "post"}\n', 2),
+        ],
+    )
+    def test_first_bad_line_named_as_the_reference_names_it(
+        self, tmp_path, data_dir, capsys, text, lineno
+    ):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(text)
+        with pytest.raises(TraceFormatError) as expected:
+            reference_trace.load_trace(bad)
+        assert str(expected.value).startswith(f"{bad}:{lineno}: ")
+        with pytest.raises(TraceFormatError) as got:
+            load_trace(bad)
+        assert str(got.value) == str(expected.value)
+        assert self.estimate(bad, data_dir, tmp_path) == 2
+        assert str(expected.value) in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
+    def test_bad_last_line_of_a_large_file_is_named(self, tmp_path, data_dir, capsys):
+        bad = tmp_path / "big.jsonl"
+        bad.write_text(GOOD_LINE * 19_999 + GOOD_LINE.replace("}", ""))
+        assert self.estimate(bad, data_dir, tmp_path) == 2
+        assert f"{bad}:20000: invalid JSON (Expecting ',' delimiter)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, field", MALFORMED_FIELDS)
+    def test_column_check_rejects_each_field_error(self, line, field):
+        values = _decode_lines([GOOD_LINE, '{"user": "a", ' + line + "}"])
+        assert values is not None and len(values) == 2
+        assert _trace_columns(values) is None
+
+    def test_unknown_keys_ignored(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        path.write_text('{"user": "a", "ts": 1, "kind": "post", "lang": "en", "ts_ms": 1.5}\n')
+        assert load_trace(path).events == (Event("a", 1, "post"),)
+
+    def test_names_differing_by_a_trailing_nul_stay_apart(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        events = [("a", 3600, "f"), ("a\u0000", 7 * 3600, "g"), ("a", 7200, "f"), ("x", 60, "a")]
+        path.write_text("".join(
+            json.dumps({"user": u, "ts": ts, "kind": "retweet", "target_author": t}) + "\n"
+            for u, ts, t in events
+        ) + '{"user": "f", "ts": 0, "kind": "post"}\n{"user": "g", "ts": 0, "kind": "post"}\n')
+        assert "\\u0000" in path.read_text()
+        trace = load_trace(path)
+        assert trace.users() == ("a", "a\x00", "f", "g", "x")
+        assert trace.timestamps("a").tolist() == [3600, 7200]
+        assert trace.timestamps("a\x00").tolist() == [7 * 3600]
+        graph = FollowGraph(
+            [("a", "f"), ("a\x00", "g"), ("x", "a"), ("x", "a\x00"), ("a", "p"), ("a\x00", "p")]
+        )
+        authors = {
+            u: [p.author for p in reconstruct_timeline(u, graph, trace)] for u in graph.users()
+        }
+        assert authors["a"] == ["f"] and authors["a\x00"] == ["g"]
+        assert authors["x"] == ["a\x00", "a", "a"]
+        reacted = [p.reacted for p in reconstruct_timeline("a", graph, trace)]
+        assert reacted == [True]
+        instance = build_instance("p", graph, trace, 24, 6)
+        assert [(f.id, f.sigma) for f in instance.followers] == [("a", 1), ("a\x00", 7)]
 
 
 class TestEvaluateCommand:
