@@ -48,7 +48,7 @@ from .formats import (
     schedule_from_dict,
     schedule_to_dict,
 )
-from .objective import attention_potential, heatmap, timeline_view
+from .objective import TimelineLayout, attention_potential, heatmap, timeline_view  # noqa: F401
 from .optimize import (
     DEFAULT_ENUMERATION_CAP,
     EnumerationCapError,
@@ -223,42 +223,27 @@ def cmd_evaluate(args) -> int:
     report.add("total", breakdown.total, "attention total: {:.6f}")
     report.lap("evaluate")
     if args.breakdown:
-        rows = [
-            (
-                follower.id,
-                view.position,
-                view.source_slot,
-                view.producer_count,
-                _cell(view.competitor_above),
-                _cell(view.depth_offset),
-                _cell(float(breakdown.per_cluster[view.position, j])),
-            )
-            for j, follower in enumerate(instance.followers)
-            for view in timeline_view(schedule, follower)
-        ]
-        _write_csv(
-            args.breakdown,
-            [
-                "follower_id",
-                "cluster_position",
-                "source_slot",
-                "producer_count",
-                "competitor_above",
-                "depth_offset",
-                "attention",
-            ],
-            rows,
+        layout = TimelineLayout(instance)
+        x = layout.timeline_posts(schedule.posts)
+        rows = zip(
+            [f.id for f in instance.followers for _ in range(instance.slots)],
+            np.tile(np.arange(instance.slots), len(instance.followers)).tolist(),
+            layout.order.ravel().tolist(),
+            x.ravel().tolist(),
+            map(repr, layout.loads.ravel().tolist()),
+            map(repr, layout.depths(x).ravel().tolist()),
+            map(repr, breakdown.per_cluster.T.ravel().tolist()),
         )
+        header = ["follower_id", "cluster_position", "source_slot", "producer_count",
+                  "competitor_above", "depth_offset", "attention"]
+        _write_csv(args.breakdown, header, rows)
         report.add("breakdown_path", str(args.breakdown), "wrote breakdown {}")
         report.lap("breakdown")
     if args.heatmap:
         grid = heatmap(schedule, instance, mean_center=args.mean_center)
-        slots = instance.slots
-        _write_csv(
-            args.heatmap,
-            ["broadcast_slot"] + [f"login_{h}" for h in range(slots)],
-            [[s] + [_cell(float(v)) for v in grid[s]] for s in range(slots)],
-        )
+        header = ["broadcast_slot"] + [f"login_{h}" for h in range(instance.slots)]
+        rows = [[s] + list(map(repr, row)) for s, row in enumerate(grid.tolist())]
+        _write_csv(args.heatmap, header, rows)
         report.add("heatmap_path", str(args.heatmap), "wrote heatmap {}")
         report.lap("heatmap")
     return report.emit(args.json)

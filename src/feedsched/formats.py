@@ -102,9 +102,15 @@ def _trace_columns(values) -> tuple[list, list, list, list] | None:
 
 def _raise_first_bad_line(path: Path) -> typing.NoReturn:
     """Read the trace one `Event` per line and raise the error of its first bad
-    line. Only called once the columns are rejected, so some line is bad."""
-    with path.open() as fh:
+    line. Only called once the columns are rejected, so some line is bad. Bytes
+    that are not UTF-8 decode to lone surrogates here, which name their line."""
+    with path.open(encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            try:
+                line.encode()
+            except UnicodeEncodeError as exc:
+                byte = ord(line[exc.start]) - 0xDC00
+                raise TraceFormatError(f"{path}:{lineno}: invalid UTF-8 byte 0x{byte:02x}")
             line = line.strip()
             if not line:
                 continue
@@ -143,7 +149,7 @@ def _read_columns(path: Path) -> tuple[list, list, list, list] | None:
     users, ts, kinds, targets = columns = ([], [], [], [])
     shared: dict = {}
     try:
-        with path.open() as fh:
+        with path.open(encoding="utf-8") as fh:
             while chunk := list(itertools.islice(fh, _CHUNK_LINES)):
                 values = _decode_lines(chunk)
                 part = None if values is None else _trace_columns(values)

@@ -9,16 +9,18 @@ is the expected number of producer posts seen, summed over followers with
 their weights.
 
 `timeline_view` and `cluster_attention` spell this out one follower and one
-cluster at a time and serve as the reference. `TimelineLayout` holds the same
-layout as (followers x slots) arrays: the optimizers score many schedules at
-once on it and the simulator reads its cluster tables from it.
-`attention_total` and `attention_potential` compute the reported totals in
-Python floats.
+cluster at a time and serve as the test oracle. `TimelineLayout` holds the
+same layout as (followers x slots) arrays, and every consumer reads it: the
+optimizers score many schedules at once on it, the simulator reads its cluster
+tables from it, and `attention_total` and `attention_potential` evaluate its
+non-empty cells one by one in Python floats for the reported totals.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -126,14 +128,23 @@ def cluster_attention(
     return keep * seen
 
 
-def _family_kwargs(instance: ProblemInstance) -> dict:
-    return {
-        "follower_family": instance.follower_survival_family,
-        "follower_p": instance.follower_survival_p,
-        "cluster_family": instance.cluster_survival_family,
-        "cluster_p": instance.cluster_survival_p,
-        "cluster_shifted": instance.cluster_survival_shifted,
-    }
+def _sum_in_order(a: np.ndarray) -> np.ndarray:
+    """Sum over the last axis left to right from 0.0, as a `+=` loop adds (not pairwise)."""
+    return np.cumsum(np.concatenate((np.zeros(a.shape[:-1] + (1,)), a), axis=-1), axis=-1)[..., -1]
+
+
+def _pow(base: np.ndarray, exponent: np.ndarray) -> np.ndarray:
+    """base ** exponent through the C library's `pow`, one element at a time as
+    Python's `**` computes it (numpy's array power may differ in the last bit)."""
+    return np.fromiter(map(math.pow, base.tolist(), exponent.tolist()), float, len(base))
+
+
+def _survival(family: str, lam: np.ndarray, p: float, x: np.ndarray) -> np.ndarray:
+    """`survival_array` one element at a time, with its scalar formulas' bits."""
+    if family == "geometric":
+        return _pow(1.0 - lam, x)
+    values = map(survival_array, repeat(family), lam.tolist(), repeat(p), x.tolist())
+    return np.fromiter(values, float, len(lam))
 
 
 class TimelineLayout:
@@ -190,8 +201,13 @@ class TimelineLayout:
         return posts[..., self.order]
 
     def depths(self, x: np.ndarray) -> np.ndarray:
-        """Posts above each cluster's first post, for timeline-order posts x."""
-        return np.cumsum(self.loads + x, axis=-1) - x
+        """Posts above each cluster's first post, for timeline-order posts x,
+        added as `timeline_view` adds them (z = consumed + load, then consumed =
+        z + x): one running sum over the loads and posts interleaved."""
+        steps = np.empty(x.shape[:-1] + (2 * self.slots,))
+        steps[..., 0::2] = self.loads
+        steps[..., 1::2] = x
+        return np.cumsum(steps, axis=-1)[..., 0::2]
 
     def term(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Expected posts seen of a cluster of x producer posts at depth offset
@@ -230,6 +246,41 @@ class TimelineLayout:
         x = self.timeline_posts(posts)
         return self.term(x, self.depths(x))
 
+    def _scalar_terms(self, posts, cells) -> np.ndarray:
+        """`terms` of one schedule for a reported total: 0 for empty clusters,
+        and `cells(x, z, rho, delta)` on 1-D arrays over the non-empty ones."""
+        x = self.timeline_posts(posts)
+        j, i = np.nonzero(x)
+        out = np.zeros(x.shape)
+        out[j, i] = cells(x[j, i], self.depths(x)[j, i], self.rho[j, 0], self.delta[j, 0])
+        return out
+
+    def _attention_cells(self, x, z, rho, delta) -> np.ndarray:
+        """`cluster_attention` in its float operations: keep(x) times the
+        survival at depths z + 1 .. z + x, added one by one."""
+        eff = x - self.shifted
+        if self.cluster_family == "geometric":
+            keep = _pow(delta, eff)
+        else:
+            keep = _survival(self.cluster_family, delta, self.cluster_p, eff)
+        k = np.arange(1, int(x.max(initial=0)) + 1)
+        inside = k <= x[:, None]
+        depth = (z[:, None] + k)[inside]
+        seen = np.zeros(inside.shape)
+        seen[inside] = _survival(self.follower_family, np.repeat(rho, x), self.follower_p, depth)
+        return keep * _sum_in_order(seen)
+
+    def _closed_form_cells(self, x, z, rho, delta) -> np.ndarray:
+        """Two geometric families: delta^(x - shifted) times the sum of q^(z+k)
+        for k = 1..x, as q^z (q - q^(x+1)) / (1 - q) with q = 1 - rho, and as
+        0 at q = 0 and x at q = 1."""
+        q = 1.0 - rho
+        inner = np.where(q == 0.0, 0.0, x)
+        part = (q > 0.0) & (q < 1.0)
+        qp = q[part]
+        inner[part] = _pow(qp, z[part]) * (qp - _pow(qp, x[part] + 1)) / (1.0 - qp)
+        return _pow(delta, x - self.shifted) * inner
+
     def totals(self, posts) -> np.ndarray:
         """Weighted total of each schedule: shape posts.shape[:-1]."""
         return self.terms(posts).sum(axis=-1) @ self.gamma
@@ -259,28 +310,14 @@ class TimelineLayout:
 
 def attention_potential(schedule: Schedule, instance: ProblemInstance) -> AttentionBreakdown:
     """Evaluate the schedule against the whole population, with full breakdown.
-
-    Every cell is `cluster_attention` itself, so the breakdown is the
-    reference to the last bit.
-    """
-    slots = instance.slots
-    if len(schedule.posts) != slots:
-        raise ValueError(
-            f"schedule has {len(schedule.posts)} slots, instance expects {slots}"
-        )
-    n = len(instance.followers)
-    kwargs = _family_kwargs(instance)
-    per_cluster = np.zeros((slots, n))
-    per_follower = np.zeros(n)
-    per_source_slot = np.zeros(slots)
-    for j, f in enumerate(instance.followers):
-        raw = 0.0
-        for view in timeline_view(schedule, f):
-            fij = cluster_attention(view, f, **kwargs)
-            per_cluster[view.position, j] = fij
-            per_source_slot[view.source_slot] += f.gamma * fij
-            raw += fij
-        per_follower[j] = f.gamma * raw
+    Each cell is `cluster_attention`'s arithmetic, summed in the same order, so
+    the breakdown is the reference to the last bit."""
+    layout = TimelineLayout(instance)
+    cells = layout._scalar_terms(schedule.posts, layout._attention_cells)
+    per_follower = layout.gamma * _sum_in_order(cells)
+    weighted = (cells * layout.gamma[:, None]).ravel()
+    per_source_slot = np.bincount(layout.order.ravel(), weighted, layout.slots)
+    per_cluster = np.ascontiguousarray(cells.T)
     total = float(per_follower.sum())
     for arr in (per_cluster, per_follower, per_source_slot):
         arr.flags.writeable = False
@@ -288,43 +325,14 @@ def attention_potential(schedule: Schedule, instance: ProblemInstance) -> Attent
 
 
 def attention_total(schedule: Schedule, instance: ProblemInstance) -> float:
-    """Population total of one schedule, as reported by the optimizers.
-
-    Uses a closed form of the geometric inner sum when both survival families
-    are geometric, and the full breakdown otherwise. It works in Python
-    floats, one term at a time: numpy's vectorised power may differ from the
-    C library's in the last bit, and reported totals stay bit-for-bit stable.
-    Ranking many candidates goes through `TimelineLayout` instead.
-    """
+    """Population total of one schedule, as reported by the optimizers: a closed
+    form of the geometric inner sum when both survival families are geometric,
+    the full breakdown otherwise. Ranking goes through `TimelineLayout.totals`."""
     layout = TimelineLayout(instance)
-    posts = layout.timeline_posts(schedule.posts)
     if layout.follower_family != "geometric" or layout.cluster_family != "geometric":
         return attention_potential(schedule, instance).total
-    shifted = layout.shifted
-    total = 0.0
-    for xs, loads, q, delta, gamma in zip(
-        posts.tolist(),
-        layout.loads.tolist(),
-        (1.0 - layout.rho[:, 0]).tolist(),
-        layout.delta[:, 0].tolist(),
-        layout.gamma.tolist(),
-    ):
-        acc = 0.0
-        depth = 0.0
-        for x, c in zip(xs, loads):
-            z = depth + c
-            if x:
-                if q == 0.0:
-                    inner = 0.0
-                elif q == 1.0:
-                    inner = float(x)
-                else:
-                    # sum of q^(z+k) for k = 1..x
-                    inner = q**z * (q - q ** (x + 1)) / (1.0 - q)
-                acc += delta ** (x - shifted) * inner
-            depth = z + x
-        total += gamma * acc
-    return total
+    cells = layout._scalar_terms(schedule.posts, layout._closed_form_cells)
+    return float(_sum_in_order(layout.gamma * _sum_in_order(cells)))
 
 
 def heatmap(

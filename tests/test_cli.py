@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour: formats, exit codes, determinism."""
 
 import csv
+import io
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import reference_trace
@@ -19,7 +21,9 @@ from feedsched import (
     ProblemInstance,
     Schedule,
     build_instance,
+    cluster_attention,
     reconstruct_timeline,
+    timeline_view,
 )
 from feedsched.cli import main
 from feedsched.formats import (
@@ -34,6 +38,8 @@ from feedsched.formats import (
     schedule_to_dict,
 )
 from perfbench import generators
+
+from conftest import family_instance
 
 
 # The second line of a trace file, after `{"user": "a", `, and the field its
@@ -184,6 +190,37 @@ class TestEstimateCommand:
 GOOD_LINE = '{"user": "a", "ts": 1, "kind": "post"}\n'
 
 
+def oracle_breakdown(instance, schedule) -> bytes:
+    """The `evaluate --breakdown` CSV built from `timeline_view` and
+    `cluster_attention`, one row per follower and timeline position, floats
+    written with `repr`."""
+    kwargs = dict(
+        follower_family=instance.follower_survival_family,
+        follower_p=instance.follower_survival_p,
+        cluster_family=instance.cluster_survival_family,
+        cluster_p=instance.cluster_survival_p,
+        cluster_shifted=instance.cluster_survival_shifted,
+    )
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(
+        [
+            "follower_id", "cluster_position", "source_slot", "producer_count",
+            "competitor_above", "depth_offset", "attention",
+        ]
+    )
+    for f in instance.followers:
+        for view in timeline_view(schedule, f):
+            writer.writerow(
+                [
+                    f.id, view.position, view.source_slot, view.producer_count,
+                    repr(view.competitor_above), repr(view.depth_offset),
+                    repr(cluster_attention(view, f, **kwargs)),
+                ]
+            )
+    return out.getvalue().encode()
+
+
 class TestTraceReader:
     """`load_trace` decodes one JSON value per line and checks the rules of
     `Event` on the columns; any bad line is named as the reference reader
@@ -232,6 +269,20 @@ class TestTraceReader:
         assert self.estimate(bad, data_dir, tmp_path) == 2
         assert str(expected.value) in capsys.readouterr().err
         assert not (tmp_path / "x.json").exists()
+
+    def test_undecodable_byte_names_its_line(self, tmp_path, data_dir, capsys):
+        bad = tmp_path / "bad.jsonl"
+        line = b'{"user": "a\xff", "ts": 2, "kind": "post"}\n'
+        bad.write_bytes(GOOD_LINE.encode() + line + GOOD_LINE.encode())
+        message = f"{bad}:2: invalid UTF-8 byte 0xff"
+        with pytest.raises(TraceFormatError) as got:
+            load_trace(bad)
+        assert str(got.value) == message
+        assert self.estimate(bad, data_dir, tmp_path) == 2
+        assert message in capsys.readouterr().err
+        argv = ["analyze", str(bad), str(data_dir / "pop_small.graph.csv"), "--all"]
+        assert main(argv + ["-o", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
 
     def test_bad_last_line_of_a_large_file_is_named(self, tmp_path, data_dir, capsys):
         bad = tmp_path / "big.jsonl"
@@ -308,6 +359,17 @@ class TestEvaluateCommand:
         err = capsys.readouterr().err
         assert str(bad) in err and "NaN" in err
 
+    def test_invalid_lambda_exits_2_even_for_the_empty_schedule(self, tmp_path, capsys):
+        follower = FollowerProfile(id="u", sigma=0, rho=0.0, delta=0.5, competitor_load=(0.0, 0.0))
+        instance = ProblemInstance(
+            slots=2, budget=1, followers=(follower,), follower_survival_family="exponential"
+        )
+        instance_path, schedule_path = tmp_path / "i.json", tmp_path / "s.json"
+        dump_json(instance_to_dict(instance), instance_path)
+        dump_json(schedule_to_dict(Schedule.zeros(2)), schedule_path)
+        assert main(["evaluate", str(instance_path), str(schedule_path)]) == 2
+        assert "exponential survival requires lambda > 0" in capsys.readouterr().err
+
     @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
     def test_load_json_rejects_non_finite_constants(self, tmp_path, constant):
         path = tmp_path / "x.json"
@@ -315,7 +377,7 @@ class TestEvaluateCommand:
         with pytest.raises(ValueError, match=f"{path}: non-finite number {constant}"):
             load_json(path)
 
-    def test_heatmap_and_breakdown_emission(self, tmp_path, hand_files):
+    def test_heatmap_and_breakdown_emission(self, tmp_path, hand_files, data_dir):
         instance_path, schedule_path = hand_files
         heat = tmp_path / "heat.csv"
         breakdown = tmp_path / "breakdown.csv"
@@ -339,6 +401,18 @@ class TestEvaluateCommand:
         bd_rows = read_csv(breakdown)
         assert bd_rows[0][0] == "follower_id"
         assert len(bd_rows) == 4  # header + one row per cluster
+
+        pop = instance_from_dict(load_json(data_dir / "pop_small.instance.json"))
+        rng = np.random.default_rng(5)
+        family = family_instance(rng, "weibull", "loglogistic", True)
+        assert any(c != int(c) for f in family.followers for c in f.competitor_load)
+        for instance in (pop, family):
+            schedule = Schedule(tuple(int(v) for v in rng.integers(0, 4, size=instance.slots)))
+            dump_json(instance_to_dict(instance), instance_path)
+            dump_json(schedule_to_dict(schedule), schedule_path)
+            argv = ["evaluate", str(instance_path), str(schedule_path)]
+            assert main(argv + ["--breakdown", str(breakdown)]) == 0
+            assert breakdown.read_bytes() == oracle_breakdown(instance, schedule)
 
     def test_mean_centered_heatmap_rows_sum_to_zero(self, tmp_path, hand_files):
         instance_path, schedule_path = hand_files

@@ -272,6 +272,45 @@ def oracle_total(schedule, instance):
     return sum(f.gamma * a for f, _, a in oracle_cells(schedule, instance))
 
 
+def _reference_attention_total(schedule, instance):
+    """`attention_total` as a follower x slot loop in Python floats, the
+    reference its layout cells must match with `==`. Under non-geometric
+    families it is the breakdown total: the oracle cells summed per follower
+    left to right, weighted, then summed by numpy as `attention_potential` does."""
+    layout = TimelineLayout(instance)
+    posts = layout.timeline_posts(schedule.posts)
+    if layout.follower_family != "geometric" or layout.cluster_family != "geometric":
+        raw = {}
+        for f, _, a in oracle_cells(schedule, instance):
+            raw[f.id] = raw.get(f.id, 0.0) + a
+        return float(np.array([f.gamma * raw[f.id] for f in instance.followers]).sum())
+    shifted = layout.shifted
+    total = 0.0
+    for xs, loads, q, delta, gamma in zip(
+        posts.tolist(),
+        layout.loads.tolist(),
+        (1.0 - layout.rho[:, 0]).tolist(),
+        layout.delta[:, 0].tolist(),
+        layout.gamma.tolist(),
+    ):
+        acc = 0.0
+        depth = 0.0
+        for x, c in zip(xs, loads):
+            z = depth + c
+            if x:
+                if q == 0.0:
+                    inner = 0.0
+                elif q == 1.0:
+                    inner = float(x)
+                else:
+                    # sum of q^(z+k) for k = 1..x
+                    inner = q**z * (q - q ** (x + 1)) / (1.0 - q)
+                acc += delta ** (x - shifted) * inner
+            depth = z + x
+        total += gamma * acc
+    return total
+
+
 FAMILY_GRID = [
     (ff, cf, shifted) for ff in FAMILIES for cf in FAMILIES for shifted in (True, False)
 ]
@@ -300,6 +339,19 @@ class TestAgreementWithReference:
             )
             layout = TimelineLayout(instance)
             assert float(layout.totals(schedule.posts)) == pytest.approx(expected, rel=1e-9)
+
+    def test_reported_evaluators_keep_the_reference_bits(
+        self, follower_family, cluster_family, shifted
+    ):
+        """The reported evaluators read the layout's cells, but with the
+        oracle's scalar formulas and summation order: `==`, not a tolerance."""
+        for instance, schedule in self.cases(follower_family, cluster_family, shifted):
+            per_cluster = attention_potential(schedule, instance).per_cluster
+            row = {f.id: j for j, f in enumerate(instance.followers)}
+            for f, view, a in oracle_cells(schedule, instance):
+                assert per_cluster[view.position, row[f.id]] == a, (f.id, view)
+            expected = _reference_attention_total(schedule, instance)
+            assert attention_total(schedule, instance) == expected
 
     def test_layout_terms_per_cluster(self, follower_family, cluster_family, shifted):
         for instance, schedule in self.cases(follower_family, cluster_family, shifted):
@@ -376,9 +428,11 @@ class TestLayoutValidation:
         )
         with pytest.raises(ValueError, match="exponential survival requires lambda > 0"):
             TimelineLayout(instance)
-        # Even the empty schedule, which scores no cluster, is refused.
-        with pytest.raises(ValueError, match="lambda > 0"):
-            attention_total(Schedule.zeros(2), instance)
+        # Even the empty schedule, which scores no cluster, is refused by both
+        # reported evaluators.
+        for evaluate in (attention_total, attention_potential):
+            with pytest.raises(ValueError, match="lambda > 0"):
+                evaluate(Schedule.zeros(2), instance)
 
     def test_length_mismatch_rejected(self, hand_instance):
         with pytest.raises(ValueError, match="slots"):
