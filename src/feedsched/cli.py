@@ -24,7 +24,6 @@ from . import __version__
 from .analyze import (
     OVERFLOW_BUCKET,
     bucket_name,
-    difference_statistic,
     extract_clusters,
     interevent_times,
     permutation_test,
@@ -387,11 +386,9 @@ def cmd_analyze(args) -> int:
     max_size = cfg.matrix_max_size
     sizes = [k for k in range(1, max_size + 1) if k in counts]
     pairs = [(i, j) for i in sizes for j in sizes if i < j]
-    t_obs = {(i, j): difference_statistic(counts, i, j) for i, j in pairs}
-    p_values = {
-        (i, j): permutation_test(counts, i, j, cfg.permutations, cfg.seed).p_value
-        for i, j in pairs
-    }
+    tests = {pair: permutation_test(counts, *pair, cfg.permutations, cfg.seed) for pair in pairs}
+    t_obs = {pair: test.t_obs for pair, test in tests.items()}
+    p_values = {pair: test.p_value for pair, test in tests.items()}
     report.lap("tests")
     for name, values in (("t_obs", t_obs), ("p_values", p_values)):
         write(f"{name}.csv", *_matrix_rows(values, max_size))

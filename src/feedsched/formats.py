@@ -9,7 +9,9 @@ dataclass field for field (`ProblemInstance`, `Schedule`, `cli.RunConfig`).
 wrong JSON type are rejected, naming the file and key; an ``int`` field takes
 only a JSON integer and a ``float`` field an integer or a float; nothing is
 converted from a string or a bool; missing keys take the dataclass defaults.
-Emission is deterministic (sorted keys, two-space indent, trailing newline).
+Every input is read as UTF-8: a byte that is not UTF-8, or JSON nested too
+deeply to decode, is an error naming the file (and line). Emission is
+deterministic (sorted keys, two-space indent, trailing newline).
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import functools
 import itertools
 import json
 import math
-import operator
 import reprlib
 import types
 import typing
@@ -52,134 +53,106 @@ class TraceFormatError(ValueError):
 
 
 _scan = json.JSONDecoder().scan_once
-_CHUNK_LINES = 2048
-_REQUIRED = ("user", "ts", "kind")
-# Each (kind, type of target_author) pair that `Event` admits.
-_KIND_TARGET = {(kind, str) for kind in EVENT_KINDS if kind != "post"} | {("post", type(None))}
 
 
-def _decode_lines(lines) -> list | None:
-    """The JSON value of each non-blank line, or None when some line does not
-    hold exactly one JSON value. The scanner's end index must be the line's end,
-    so a line with two values, or a value split over two lines, is caught."""
-    values = []
+def _check_utf8(path, lineno: int, line: str) -> None:
+    """Raise a TraceFormatError naming the first byte of `line` that is not
+    UTF-8; read with errors="surrogateescape", such a byte is a lone surrogate."""
     try:
-        for line in lines:
-            line = line.strip()
-            if line:
-                value, end = _scan(line, 0)
-                if end != len(line):
-                    return None
-                values.append(value)
-    except (StopIteration, ValueError, RecursionError):
-        return None
-    return values
+        line.encode()
+    except UnicodeEncodeError as exc:
+        byte = ord(line[exc.start]) - 0xDC00
+        raise TraceFormatError(f"{path}:{lineno}: invalid UTF-8 byte 0x{byte:02x}") from None
 
 
-def _trace_columns(values) -> tuple[list, list, list, list] | None:
-    """The user, ts, kind and target_author columns of decoded trace lines, or
-    None when some value breaks a rule of `Event`: each value must be an
-    object, `user` and `kind` strings, `ts` an integer (not a bool) in the int64
-    range, `kind` one of `EVENT_KINDS`, and `target_author` a non-empty string
-    on reactions only."""
-    if not set(map(type, values)) <= {dict}:
-        return None
-    try:
-        users, ts, kinds = (list(map(operator.itemgetter(k), values)) for k in _REQUIRED)
-    except KeyError:
-        return None
-    targets = list(map(dict.get, values, itertools.repeat("target_author")))
-    if not set(map(type, users)) | set(map(type, kinds)) <= {str}:
-        return None
-    if not set(map(type, ts)) <= {int}:
-        return None
-    if min(ts, default=0) < -(2**63) or max(ts, default=0) >= 2**63:
-        return None
-    if not set(zip(kinds, map(type, targets))) <= _KIND_TARGET or "" in targets:
-        return None
-    return users, ts, kinds, targets
-
-
-def _raise_first_bad_line(path: Path) -> typing.NoReturn:
-    """Read the trace one `Event` per line and raise the error of its first bad
-    line. Only called once the columns are rejected, so some line is bad. Bytes
-    that are not UTF-8 decode to lone surrogates here, which name their line."""
-    with path.open(encoding="utf-8", errors="surrogateescape") as fh:
+def _utf8_lines(path: Path):
+    """The lines of a UTF-8 file, line endings as written, each checked."""
+    with path.open(encoding="utf-8", errors="surrogateescape", newline="") as fh:
         for lineno, line in enumerate(fh, start=1):
-            try:
-                line.encode()
-            except UnicodeEncodeError as exc:
-                byte = ord(line[exc.start]) - 0xDC00
-                raise TraceFormatError(f"{path}:{lineno}: invalid UTF-8 byte 0x{byte:02x}")
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise TraceFormatError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(obj, dict):
-                raise TraceFormatError(f"{path}:{lineno}: expected a JSON object")
-            try:
-                Event(obj["user"], obj["ts"], obj["kind"], obj.get("target_author"))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise TraceFormatError(f"{path}:{lineno}: {exc}") from exc
-    raise AssertionError(f"{path}: the trace columns were rejected, but every line is valid")
+            if not line.isascii():
+                _check_utf8(path, lineno, line)
+            yield line
+
+
+def _loads(text: str, where, **kwargs):
+    """`json.loads(text)`; a failure names `where` and the reason."""
+    try:
+        return json.loads(text, **kwargs)
+    except json.JSONDecodeError as exc:
+        reason = exc.msg
+    except RecursionError:
+        reason = "nested too deeply"
+    raise TraceFormatError(f"{where}: invalid JSON ({reason})")
 
 
 def load_trace(path, tz_offset_minutes: int = 0) -> ActivityTrace:
-    """Read a JSONL trace: one JSON value per line, blank lines skipped. The
-    file is decoded once and checked as columns; if any line is bad, the file
-    is read again one `Event` per line, so the error names the first bad line
-    with `Event`'s own message."""
+    """Read a JSONL trace in one pass: one JSON value per line, blank lines
+    skipped but counted. A line that plainly obeys the rules of `Event` goes
+    straight into the columns. Any other line is decoded again and given to
+    `Event`, which accepts it or names the line with its own message, so the
+    first bad line in file order is the one reported. The columns share one
+    string object per distinct name or kind."""
     path = Path(path)
-    columns = _read_columns(path)
-    if columns is None:
-        _raise_first_bad_line(path)
-    if not columns[0]:
+    users, stamps, kinds, targets = [], [], [], []
+    intern = {}.setdefault
+    with path.open(encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            if not line.isascii():
+                _check_utf8(path, lineno, line)
+            try:
+                obj, end = _scan(line, 0)
+            except (StopIteration, ValueError, RecursionError):
+                end = -1
+            # The fast check: as strict as `Event` or stricter, never looser, so a
+            # line it refuses costs a second decode, never a different verdict.
+            if not (
+                end == len(line)
+                and type(obj) is dict
+                and type(user := obj.get("user")) is str
+                and type(ts := obj.get("ts")) is int
+                and -(2**63) <= ts < 2**63
+                and (kind := obj.get("kind")) in EVENT_KINDS
+                and ((target := obj.get("target_author")) is None) == (kind == "post")
+                and (target is None or type(target) is str and target != "")
+            ):
+                where = f"{path}:{lineno}"
+                obj = _loads(line, where)
+                if not isinstance(obj, dict):
+                    raise TraceFormatError(f"{where}: expected a JSON object")
+                try:
+                    event = Event(obj["user"], obj["ts"], obj["kind"], obj.get("target_author"))
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise TraceFormatError(f"{where}: {exc}") from exc
+                user, ts, kind, target = event.user, event.ts, event.kind, event.target_author
+            users.append(intern(user, user))
+            stamps.append(ts)
+            kinds.append(intern(kind, kind))
+            targets.append(intern(target, target))
+    if not users:
         raise TraceFormatError(f"{path}:1: the trace file contains no events")
-    return ActivityTrace.from_columns(*columns, tz_offset_minutes=tz_offset_minutes)
-
-
-def _read_columns(path: Path) -> tuple[list, list, list, list] | None:
-    """The user, ts, kind and target_author columns of a trace file, or None
-    when some line is bad. Lines are decoded a chunk at a time, so only one
-    chunk's objects are alive at once, and the columns share one string object
-    per distinct name or kind."""
-    users, ts, kinds, targets = columns = ([], [], [], [])
-    shared: dict = {}
-    try:
-        with path.open(encoding="utf-8") as fh:
-            while chunk := list(itertools.islice(fh, _CHUNK_LINES)):
-                values = _decode_lines(chunk)
-                part = None if values is None else _trace_columns(values)
-                if part is None:
-                    return None
-                for column, new in zip(columns, part):
-                    column.extend(new if column is ts else map(shared.setdefault, new, new))
-    except UnicodeDecodeError:
-        return None
-    return columns
+    return ActivityTrace.from_columns(users, stamps, kinds, targets, tz_offset_minutes)
 
 
 def load_graph(path) -> FollowGraph:
     path = Path(path)
     edges = []
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["follower", "followee"]:
+    reader = csv.reader(_utf8_lines(path))
+    header = next(reader, None)
+    if header is None or [h.strip() for h in header] != ["follower", "followee"]:
+        raise TraceFormatError(
+            f"{path}:1: expected the header 'follower,followee', got {header!r}"
+        )
+    for lineno, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != 2 or not row[0].strip() or not row[1].strip():
             raise TraceFormatError(
-                f"{path}:1: expected the header 'follower,followee', got {header!r}"
+                f"{path}:{lineno}: expected two non-empty columns, got {row!r}"
             )
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 2 or not row[0].strip() or not row[1].strip():
-                raise TraceFormatError(
-                    f"{path}:{lineno}: expected two non-empty columns, got {row!r}"
-                )
-            edges.append((row[0].strip(), row[1].strip()))
+        edges.append((row[0].strip(), row[1].strip()))
     return FollowGraph(edges)
 
 
@@ -189,33 +162,32 @@ def load_counts(path) -> dict[int, tuple[int, int]]:
     total >= 1."""
     buckets = {bucket_name(b): b for b in range(1, OVERFLOW_BUCKET + 1)}
     counts: dict[int, tuple[int, int]] = {}
-    with Path(path).open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["size", "reactions", "total"]:
-            raise TraceFormatError(
-                f"{path}:1: expected the header 'size,reactions,total', got {header!r}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                if len(row) != 3:
-                    raise ValueError(f"expected three columns, got {row!r}")
-                label = row[0].strip()
-                if label not in buckets:
-                    raise ValueError(f"size must be one of {list(buckets)}, got {label!r}")
-                bucket = buckets[label]
-                if bucket in counts:
-                    raise ValueError(f"a second row for size {label}")
-                reactions, total = int(row[1]), int(row[2])
-                if not 0 <= reactions <= total or total < 1:
-                    raise ValueError(
-                        f"need 0 <= reactions <= total and total >= 1, got {reactions}, {total}"
-                    )
-                counts[bucket] = (reactions, total)
-            except ValueError as exc:
-                raise TraceFormatError(f"{path}:{lineno}: {exc}") from exc
+    reader = csv.reader(_utf8_lines(Path(path)))
+    header = next(reader, None)
+    if header is None or [h.strip() for h in header] != ["size", "reactions", "total"]:
+        raise TraceFormatError(
+            f"{path}:1: expected the header 'size,reactions,total', got {header!r}"
+        )
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        try:
+            if len(row) != 3:
+                raise ValueError(f"expected three columns, got {row!r}")
+            label = row[0].strip()
+            if label not in buckets:
+                raise ValueError(f"size must be one of {list(buckets)}, got {label!r}")
+            bucket = buckets[label]
+            if bucket in counts:
+                raise ValueError(f"a second row for size {label}")
+            reactions, total = int(row[1]), int(row[2])
+            if not 0 <= reactions <= total or total < 1:
+                raise ValueError(
+                    f"need 0 <= reactions <= total and total >= 1, got {reactions}, {total}"
+                )
+            counts[bucket] = (reactions, total)
+        except ValueError as exc:
+            raise TraceFormatError(f"{path}:{lineno}: {exc}") from exc
     if not counts:
         raise TraceFormatError(f"{path}:1: the counts table is empty")
     return counts
@@ -225,20 +197,19 @@ def load_activity(path, slots: int) -> list[float]:
     """Read `slots` per-slot activity weights, finite and >= 0, laid out over
     any number of comma-separated rows."""
     values: list[float] = []
-    with Path(path).open(newline="") as fh:
-        reader = csv.reader(fh)
-        for row in reader:
-            for cell in filter(None, map(str.strip, row)):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    value = math.nan
-                if not (math.isfinite(value) and value >= 0):
-                    raise TraceFormatError(
-                        f"{path}:{reader.line_num}: activity weights must be finite "
-                        f"numbers >= 0, got {cell!r}"
-                    )
-                values.append(value)
+    reader = csv.reader(_utf8_lines(Path(path)))
+    for row in reader:
+        for cell in filter(None, map(str.strip, row)):
+            try:
+                value = float(cell)
+            except ValueError:
+                value = math.nan
+            if not (math.isfinite(value) and value >= 0):
+                raise TraceFormatError(
+                    f"{path}:{reader.line_num}: activity weights must be finite "
+                    f"numbers >= 0, got {cell!r}"
+                )
+            values.append(value)
     if len(values) != slots:
         raise ValueError(
             f"{path}: expected {slots} activity weights, found {len(values)}"
@@ -410,9 +381,10 @@ def load_json(path) -> dict:
         raise ValueError(f"{path}: non-finite number {name} is not allowed")
 
     try:
-        obj = json.loads(path.read_text(), parse_constant=reject_constant)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: invalid JSON ({exc.msg})") from exc
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError:  # read it again by lines to name the line of the byte
+        text = "".join(_utf8_lines(path))
+    obj = _loads(text, path, parse_constant=reject_constant)
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: expected a JSON object at the top level")
     return obj

@@ -55,10 +55,7 @@ class OptimizationReport:
 
 
 def marginal_allocation(
-    instance: ProblemInstance,
-    initial: Schedule | None = None,
-    *,
-    layout: TimelineLayout | None = None,
+    instance: ProblemInstance, initial: Schedule | None = None
 ) -> OptimizationReport:
     """Greedy hill climb: repeatedly add one post to the slot with the largest
     objective gain, stopping when no slot improves or the budget is spent.
@@ -67,7 +64,7 @@ def marginal_allocation(
     positive gains are accepted. Each scan takes all slot gains at once from
     `TimelineLayout.slot_gains` and counts as one evaluation per slot, after
     one for the starting point; the reported total is a full evaluation of
-    the final schedule. Pass `layout` to reuse one built for `instance`.
+    the final schedule.
     """
     slots, budget = instance.slots, instance.budget
     current = initial if initial is not None else Schedule.zeros(slots)
@@ -79,8 +76,7 @@ def marginal_allocation(
         raise ValueError(
             f"initial schedule spends {current.spend}, exceeding the budget {budget}"
         )
-    if layout is None:
-        layout = TimelineLayout(instance)
+    layout = TimelineLayout(instance)
     posts = np.array(current.posts, dtype=np.int64)
     evaluations = 1
     trajectory: list[tuple[int, float]] = []
@@ -229,7 +225,6 @@ def multistart(instance: ProblemInstance, restarts: int, seed: int) -> Optimizat
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     rng = np.random.default_rng(seed)
     slots, budget = instance.slots, instance.budget
-    layout = TimelineLayout(instance)
     best: OptimizationReport | None = None
     evaluations = 0
     for r in range(restarts):
@@ -239,7 +234,7 @@ def multistart(instance: ProblemInstance, restarts: int, seed: int) -> Optimizat
             spend = int(rng.integers(0, budget + 1))
             counts = rng.multinomial(spend, [1.0 / slots] * slots)
             initial = Schedule(tuple(int(c) for c in counts))
-        report = marginal_allocation(instance, initial, layout=layout)
+        report = marginal_allocation(instance, initial)
         evaluations += report.evaluations
         if best is None or report.total > best.total:
             best = report

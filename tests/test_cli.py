@@ -28,11 +28,12 @@ from feedsched import (
 from feedsched.cli import main
 from feedsched.formats import (
     TraceFormatError,
-    _decode_lines,
-    _trace_columns,
     dump_json,
     instance_from_dict,
     instance_to_dict,
+    load_activity,
+    load_counts,
+    load_graph,
     load_json,
     load_trace,
     schedule_to_dict,
@@ -222,9 +223,9 @@ def oracle_breakdown(instance, schedule) -> bytes:
 
 
 class TestTraceReader:
-    """`load_trace` decodes one JSON value per line and checks the rules of
-    `Event` on the columns; any bad line is named as the reference reader
-    (one `Event` per line) names it, with the same message."""
+    """`load_trace` decodes one JSON value per line and takes it straight when
+    it plainly obeys the rules of `Event`; any bad line is named as the
+    reference reader (one `Event` per line) names it, with the same message."""
 
     def estimate(self, trace, data_dir, tmp_path):
         return main(
@@ -270,9 +271,16 @@ class TestTraceReader:
         assert str(expected.value) in capsys.readouterr().err
         assert not (tmp_path / "x.json").exists()
 
-    def test_undecodable_byte_names_its_line(self, tmp_path, data_dir, capsys):
+    @pytest.mark.parametrize(
+        "line",
+        [
+            b'{"user": "a\xff", "ts": 2, "kind": "post"}\n',
+            b'{"user": "a", "ts": 2, "kind": "post", "l\xffang": "en"}\n',
+        ],
+        ids=["user", "ignored-key"],
+    )
+    def test_undecodable_byte_names_its_line(self, tmp_path, data_dir, capsys, line):
         bad = tmp_path / "bad.jsonl"
-        line = b'{"user": "a\xff", "ts": 2, "kind": "post"}\n'
         bad.write_bytes(GOOD_LINE.encode() + line + GOOD_LINE.encode())
         message = f"{bad}:2: invalid UTF-8 byte 0xff"
         with pytest.raises(TraceFormatError) as got:
@@ -291,10 +299,95 @@ class TestTraceReader:
         assert f"{bad}:20000: invalid JSON (Expecting ',' delimiter)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line, field", MALFORMED_FIELDS)
-    def test_column_check_rejects_each_field_error(self, line, field):
-        values = _decode_lines([GOOD_LINE, '{"user": "a", ' + line + "}"])
-        assert values is not None and len(values) == 2
-        assert _trace_columns(values) is None
+    def test_each_field_error_named_as_the_reference_names_it(self, tmp_path, line, field):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(GOOD_LINE + '{"user": "a", ' + line + "}\n")
+        with pytest.raises(TraceFormatError) as expected:
+            reference_trace.load_trace(bad)
+        assert str(expected.value).startswith(f"{bad}:2: {field} must be")
+        with pytest.raises(TraceFormatError) as got:
+            load_trace(bad)
+        assert str(got.value) == str(expected.value)
+
+    def test_random_lines_judged_as_the_reference_judges_them(self, tmp_path):
+        """Lines built from a pool of field values, each after one good line:
+        `load_trace` accepts exactly the lines the reference accepts, with the
+        same events, and otherwise raises the reference's message."""
+        rng = np.random.default_rng(13)
+        missing = object()
+        pool = [
+            "a", "", "é名", 0, 2**63 - 1, 2**63, -(2**63), -(2**63) - 1, True, False,
+            1.5, 1e30, math.inf, None, [], ["a"], {}, {"user": "a"}, missing,
+        ]
+        plausible = {
+            "user": ["a", "b", "é名"],
+            "ts": [0, 1, 2**63 - 1, -(2**63)],
+            "kind": ["post", "retweet", "reply", "like"],
+            "target_author": ["b", "é名", None, missing],
+        }
+        path = tmp_path / "trace.jsonl"
+        accepted = 0
+        for _ in range(2000):
+            obj = {}
+            for key, good in plausible.items():
+                options = good if rng.random() < 0.75 else pool
+                value = options[rng.integers(len(options))]
+                if value is not missing:
+                    obj[key] = value
+            for _ in range(rng.integers(3)):
+                obj[f"x{rng.integers(3)}"] = pool[rng.integers(len(pool) - 1)]
+            items = list(obj.items())
+            rng.shuffle(items)
+            line = json.dumps(dict(items), ensure_ascii=bool(rng.integers(2)))
+            path.write_text(GOOD_LINE + line + "\n", encoding="utf-8")
+            try:
+                expected = sorted(map(repr, reference_trace.load_trace(path).events))
+            except TraceFormatError as exc:
+                with pytest.raises(TraceFormatError) as got:
+                    load_trace(path)
+                assert str(got.value) == str(exc), line
+            else:
+                assert sorted(map(repr, load_trace(path).events)) == expected, line
+                accepted += 1
+        assert 200 < accepted < 1800
+
+    def test_non_ascii_trace_reads_as_the_reference_reads_it(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        lines = [
+            {"user": "émile", "ts": 5, "kind": "post"},
+            {"user": "名前", "ts": 7, "kind": "reply", "target_author": "émile", "lang": "日本"},
+            {"user": "a", "ts": 9, "kind": "retweet", "target_author": "名前"},
+        ]
+        path.write_text(
+            "".join(json.dumps(obj, ensure_ascii=False) + "\n" for obj in lines),
+            encoding="utf-8",
+        )
+        expected = reference_trace.load_trace(path).events
+        assert sorted(load_trace(path).events, key=repr) == sorted(expected, key=repr)
+        assert load_trace(path).users() == ("a", "émile", "名前")
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write('{"user": "名前", "ts": 1, "kind": "retweet", "target_author": ""}\n')
+        with pytest.raises(TraceFormatError) as expected_error:
+            reference_trace.load_trace(path)
+        with pytest.raises(TraceFormatError) as got:
+            load_trace(path)
+        assert str(got.value) == str(expected_error.value)
+        assert str(got.value).startswith(f"{path}:4: retweet events must carry")
+
+    @pytest.mark.parametrize("command", ["estimate", "analyze"])
+    def test_deeply_nested_line_exits_2(self, tmp_path, data_dir, capsys, command):
+        bad = tmp_path / "deep.jsonl"
+        bad.write_text(GOOD_LINE + "[" * 100_000 + "]" * 100_000 + "\n")
+        message = f"{bad}:2: invalid JSON (nested too deeply)"
+        with pytest.raises(TraceFormatError) as got:
+            load_trace(bad)
+        assert str(got.value) == message
+        if command == "estimate":
+            assert self.estimate(bad, data_dir, tmp_path) == 2
+        else:
+            argv = ["analyze", str(bad), str(data_dir / "pop_small.graph.csv"), "--all"]
+            assert main(argv + ["-o", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
 
     def test_unknown_keys_ignored(self, tmp_path):
         path = tmp_path / "trace.jsonl"
@@ -325,6 +418,53 @@ class TestTraceReader:
         assert reacted == [True]
         instance = build_instance("p", graph, trace, 24, 6)
         assert [(f.id, f.sigma) for f in instance.followers] == [("a", 1), ("a\x00", 7)]
+
+
+class TestInputFiles:
+    """Every input is read as UTF-8: a byte that is not names its file and
+    line. A JSON file nested too deeply to decode is a bad input, not a crash."""
+
+    @pytest.mark.parametrize(
+        "read, text",
+        [
+            (load_graph, "follower,followee\na,b\nc\xff,d\n"),
+            (load_counts, "size,reactions,total\n1,2,10\n2,1,5\xff\n"),
+            (lambda path: load_activity(path, 3), "1\r\n2\r3\xff\n"),
+            (load_json, '{"slots": 3,\n"budget": 2,\n "\xff": 1}\n'),
+        ],
+        ids=["graph", "counts", "activity", "json"],
+    )
+    def test_undecodable_byte_names_its_line(self, tmp_path, read, text):
+        path = tmp_path / "input"
+        path.write_bytes(text.encode("latin-1"))
+        with pytest.raises(TraceFormatError) as got:
+            read(path)
+        assert str(got.value) == f"{path}:3: invalid UTF-8 byte 0xff"
+
+    def test_non_ascii_names_in_a_graph(self, tmp_path):
+        path = tmp_path / "graph.csv"
+        path.write_text("follower,followee\némile,名前\n", encoding="utf-8")
+        assert load_graph(path).followees_of("émile") == ("名前",)
+
+    @pytest.mark.parametrize("which", ["instance", "schedule", "config"])
+    def test_deeply_nested_json_exits_2(self, tmp_path, hand_files, capsys, which):
+        instance_path, schedule_path = hand_files
+        bad = tmp_path / "deep.json"
+        bad.write_text('{"x": ' + "[" * 100_000 + "]" * 100_000 + "}\n")
+        message = f"{bad}: invalid JSON (nested too deeply)"
+        with pytest.raises(TraceFormatError) as got:
+            load_json(bad)
+        assert str(got.value) == message
+        argv = {
+            "instance": ["evaluate", str(bad), str(schedule_path)],
+            "schedule": ["evaluate", str(instance_path), str(bad)],
+            "config": [
+                "optimize", str(instance_path), "-o", str(tmp_path / "s.json"),
+                "--method", "marginal", "--config", str(bad),
+            ],
+        }[which]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestEvaluateCommand:
