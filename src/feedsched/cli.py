@@ -160,7 +160,7 @@ class Report:
 
 
 def _write_csv(path, header, rows) -> None:
-    with Path(path).open("w", newline="") as fh:
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -315,9 +315,11 @@ def cmd_simulate(args) -> int:
     instance = instance_from_dict(load_json(args.instance), args.instance)
     schedule = schedule_from_dict(load_json(args.schedule), args.schedule)
     report.lap("load")
-    result = simulate(schedule, instance, args.days, args.seed, merged=args.merged)
+    # The replay runs on whole loads, so the analytic check reads the same ones.
+    rounded = rounded_instance(instance)
+    result = simulate(schedule, rounded, args.days, args.seed, merged=args.merged)
     report.lap("simulate")
-    analytic = attention_potential(schedule, rounded_instance(instance)).total
+    analytic = attention_potential(schedule, rounded).total
     report.lap("analytic")
     diff = result.empirical_total - analytic
     if result.standard_error > 0:

@@ -9,9 +9,10 @@ dataclass field for field (`ProblemInstance`, `Schedule`, `cli.RunConfig`).
 wrong JSON type are rejected, naming the file and key; an ``int`` field takes
 only a JSON integer and a ``float`` field an integer or a float; nothing is
 converted from a string or a bool; missing keys take the dataclass defaults.
-Every input is read as UTF-8: a byte that is not UTF-8, or JSON nested too
-deeply to decode, is an error naming the file (and line). Emission is
-deterministic (sorted keys, two-space indent, trailing newline).
+Every input is read as UTF-8: a byte that is not UTF-8, JSON nested too
+deeply to decode, or an integer past the interpreter's digit limit is an
+error naming the file (and line). Emission is UTF-8 and deterministic (sorted
+keys, two-space indent, trailing newline).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import itertools
 import json
 import math
 import reprlib
+import sys
 import types
 import typing
 from pathlib import Path
@@ -75,13 +77,18 @@ def _utf8_lines(path: Path):
 
 
 def _loads(text: str, where, **kwargs):
-    """`json.loads(text)`; a failure names `where` and the reason."""
+    """`json.loads(text)`; a failure names `where` and the reason. A hook in
+    `kwargs` that raises `TraceFormatError` keeps its own message."""
     try:
         return json.loads(text, **kwargs)
     except json.JSONDecodeError as exc:
         reason = exc.msg
     except RecursionError:
         reason = "nested too deeply"
+    except TraceFormatError:
+        raise
+    except ValueError:  # `int` refuses a literal past the interpreter's digit limit
+        reason = f"integer of more than {sys.get_int_max_str_digits()} digits"
     raise TraceFormatError(f"{where}: invalid JSON ({reason})")
 
 
@@ -371,14 +378,14 @@ def schedule_from_dict(obj: dict, where="schedule JSON") -> Schedule:
 
 
 def dump_json(obj: dict, path) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def load_json(path) -> dict:
     path = Path(path)
 
     def reject_constant(name: str):
-        raise ValueError(f"{path}: non-finite number {name} is not allowed")
+        raise TraceFormatError(f"{path}: non-finite number {name} is not allowed")
 
     try:
         text = path.read_text(encoding="utf-8")

@@ -14,6 +14,13 @@ integers for discrete replay (`rounded_instance`), and every follower's
 cluster table - posts and integer depth offsets in timeline order - is read
 from the `TimelineLayout` of the rounded instance. Compare against the
 analytic value recomputed on the rounded instance.
+
+A cluster kept with probability exactly 0 or 1 (a singleton under the shifted
+cluster survival, for one) draws no skip variate: clusters whose fate is
+certain are summed by scroll depth, and a follower's skip generator is built
+only when some cluster's keep lies strictly between. That follower then draws
+its whole (days x groups) block as if every cluster were drawn, so the
+results are bit-identical to drawing for every cluster.
 """
 
 from __future__ import annotations
@@ -55,10 +62,15 @@ class SimulationResult:
 
 
 def rounded_instance(instance: ProblemInstance) -> ProblemInstance:
-    """Copy of the instance with competitor loads rounded half-up to integers."""
+    """The instance with competitor loads rounded half-up to integers: the
+    instance itself when rounding changes no load, a copy otherwise."""
+    loads = np.array([f.competitor_load for f in instance.followers])
+    rounded = np.floor(loads + 0.5)
+    if np.array_equal(rounded, loads):
+        return instance
     followers = tuple(
-        replace(f, competitor_load=tuple(float(math.floor(c + 0.5)) for c in f.competitor_load))
-        for f in instance.followers
+        replace(f, competitor_load=tuple(row))
+        for f, row in zip(instance.followers, rounded.tolist())
     )
     return replace(instance, followers=followers)
 
@@ -92,14 +104,13 @@ def simulate(
     # Every timeline holds the schedule's k non-empty slots as k clusters, so
     # these (days x k) scratch buffers serve every follower.
     k = np.count_nonzero(schedule.posts)
-    draws, seen = np.empty(days * k), np.empty((days, k))
+    draws, seen = np.empty(days * k), np.empty(days * k)
     kept_buf = np.empty(days * k, dtype=bool)
     ones = np.ones(max(days, k))
     for j in range(n):
         x, z = posts[j], offsets[j]
         length = int(z[-1] + x[-1])
         quit_rng = np.random.default_rng([seed, j, 0])
-        skip_rng = np.random.default_rng([seed, j, 1])
 
         # Scroll depth per day: count of depths d with u < F(d).
         curve = survival_array(
@@ -117,18 +128,35 @@ def simulate(
             joins[1:] = starts[1:] == starts[:-1] + counts[:-1]
         group = np.cumsum(~joins) - 1
         sizes = np.bincount(group, weights=counts)
-        g = len(sizes)
-        u_skip = skip_rng.random(out=draws[: days * g].reshape(days, g))
-        keep = layout.keep(sizes, layout.delta[j])
-        kept = np.less(u_skip, keep, out=kept_buf[: days * g].reshape(days, g))
+        keep = layout.keep(sizes, layout.delta[j])[group]
+        # A cluster survives a day when its group's draw u in [0, 1) is below
+        # keep: always at keep 1, never at keep 0, and only between is it drawn.
+        sure = keep >= 1.0
+        drawn = np.flatnonzero((keep > 0.0) & ~sure)
 
-        # Posts seen of each cluster at every depth 0..length, read off per
-        # day. The sums add small integers, so they are exact in any order.
+        # Posts seen of each cluster at every depth 0..length. The sums add
+        # small integers, so they are exact in any order.
         reach = np.minimum(np.maximum(np.arange(length + 1.0)[:, None] - starts, 0), counts)
-        np.take(reach, depth, axis=0, out=seen)
-        np.copyto(seen, 0.0, where=~(kept[:, group] if merged else kept))
-        per_cluster[positions, j] = ones[:days] @ seen / days
-        day_totals += layout.gamma[j] * (seen @ ones[:k])
+        reach_sure = reach[:, sure]
+        hist = np.bincount(depth, minlength=length + 1)
+        per_cluster[positions[sure], j] = hist @ reach_sure / days
+        day_sum = reach_sure.sum(axis=1)[depth]
+        if len(drawn):
+            # The whole (days x groups) block is drawn, so the stream is the same
+            # whichever clusters read it. Every index is in range, and
+            # mode="clip" spares `take` the check that buffers its output.
+            m, g = len(drawn), len(sizes)
+            skip_rng = np.random.default_rng([seed, j, 1])
+            u_skip = skip_rng.random(out=draws[: days * g].reshape(days, g))
+            seen_m = seen[: days * m].reshape(days, m)
+            kept = kept_buf[: days * m].reshape(days, m)
+            np.take(u_skip, group[drawn], axis=1, out=seen_m, mode="clip")
+            np.less(seen_m, keep[drawn], out=kept)
+            np.take(reach[:, drawn], depth, axis=0, out=seen_m, mode="clip")
+            seen_m *= kept
+            per_cluster[positions[drawn], j] = ones[:days] @ seen_m / days
+            day_sum += seen_m @ ones[:m]
+        day_totals += layout.gamma[j] * day_sum
 
     empirical_total = float(day_totals.mean())
     if days > 1:

@@ -389,6 +389,24 @@ class TestTraceReader:
             assert main(argv + ["-o", str(tmp_path / "out")]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["estimate", "analyze"])
+    def test_integer_past_the_digit_limit_names_its_line(
+        self, tmp_path, data_dir, capsys, command
+    ):
+        bad = tmp_path / "long.jsonl"
+        bad.write_text(GOOD_LINE + '{"user": "a", "ts": %s, "kind": "post"}\n' % ("1" * 5000))
+        limit = sys.get_int_max_str_digits()
+        message = f"{bad}:2: invalid JSON (integer of more than {limit} digits)"
+        with pytest.raises(TraceFormatError) as got:
+            load_trace(bad)
+        assert str(got.value) == message
+        if command == "estimate":
+            assert self.estimate(bad, data_dir, tmp_path) == 2
+        else:
+            argv = ["analyze", str(bad), str(data_dir / "pop_small.graph.csv"), "--all"]
+            assert main(argv + ["-o", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+
     def test_unknown_keys_ignored(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         path.write_text('{"user": "a", "ts": 1, "kind": "post", "lang": "en", "ts_ms": 1.5}\n')
@@ -467,6 +485,18 @@ class TestInputFiles:
         assert message in capsys.readouterr().err
 
 
+    def test_integer_past_the_digit_limit_names_the_file(self, tmp_path, hand_files, capsys):
+        instance_path, _ = hand_files
+        bad = tmp_path / "long.json"
+        bad.write_text('{"posts": [%s, 0, 0]}\n' % ("1" * 5000))
+        message = f"{bad}: invalid JSON (integer of more than {sys.get_int_max_str_digits()} digits)"
+        with pytest.raises(TraceFormatError) as got:
+            load_json(bad)
+        assert str(got.value) == message
+        assert main(["evaluate", str(instance_path), str(bad)]) == 2
+        assert message in capsys.readouterr().err
+
+
 class TestEvaluateCommand:
     def test_prints_hand_total(self, hand_files, capsys):
         instance_path, schedule_path = hand_files
@@ -509,6 +539,32 @@ class TestEvaluateCommand:
         dump_json(schedule_to_dict(Schedule.zeros(2)), schedule_path)
         assert main(["evaluate", str(instance_path), str(schedule_path)]) == 2
         assert "exponential survival requires lambda > 0" in capsys.readouterr().err
+
+    def test_csv_outputs_are_utf8_under_an_ascii_locale(self, tmp_path):
+        follower = FollowerProfile(id="émile", sigma=1, rho=0.2, delta=0.5, competitor_load=(1.0, 0.0))
+        instance_path, schedule_path = tmp_path / "i.json", tmp_path / "s.json"
+        dump_json(instance_to_dict(ProblemInstance(2, 2, (follower,))), instance_path)
+        dump_json(schedule_to_dict(Schedule((1, 1))), schedule_path)
+        breakdown = tmp_path / "breakdown.csv"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = {
+            **os.environ,
+            "PYTHONPATH": src + (os.pathsep + path if path else ""),
+            "PYTHONUTF8": "0",
+            "PYTHONCOERCECLOCALE": "0",
+            "LC_ALL": "C",
+        }
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "feedsched.cli", "evaluate",
+                str(instance_path), str(schedule_path), "--breakdown", str(breakdown),
+            ],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        rows = list(csv.reader(io.StringIO(breakdown.read_bytes().decode("utf-8"))))
+        assert {row[0] for row in rows[1:]} == {"émile"}
 
     @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
     def test_load_json_rejects_non_finite_constants(self, tmp_path, constant):
@@ -864,6 +920,32 @@ class TestSimulateCommand:
             assert rc == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
+
+    def test_instance_is_rounded_once(self, hand_files, monkeypatch):
+        from feedsched import cli
+
+        rounded, read = [], []
+        round_, replay, analytic = cli.rounded_instance, cli.simulate, cli.attention_potential
+
+        def rounding(instance):
+            rounded.append(round_(instance))
+            return rounded[-1]
+
+        def replaying(schedule, instance, *args, **kwargs):
+            read.append(instance)
+            return replay(schedule, instance, *args, **kwargs)
+
+        def evaluating(schedule, instance):
+            read.append(instance)
+            return analytic(schedule, instance)
+
+        monkeypatch.setattr(cli, "rounded_instance", rounding)
+        monkeypatch.setattr(cli, "simulate", replaying)
+        monkeypatch.setattr(cli, "attention_potential", evaluating)
+        instance_path, schedule_path = hand_files
+        assert main(["simulate", str(instance_path), str(schedule_path), "--days", "10"]) == 0
+        assert len(rounded) == 1 and len(read) == 2
+        assert all(instance is rounded[0] for instance in read)
 
     def test_merged_mode_flag(self, hand_files, capsys):
         instance_path, schedule_path = hand_files

@@ -2,6 +2,7 @@
 merged-cluster mode, standard-error scaling, and bit-for-bit agreement with
 the per-follower reference loop."""
 
+import importlib
 import math
 from dataclasses import replace
 
@@ -385,3 +386,107 @@ def test_matches_the_reference_loop_bit_for_bit(follower_family, cluster_family,
                     assert result.empirical_total == total
                     assert result.standard_error == standard_error
                     assert np.array_equal(result.per_cluster, per_cluster)
+
+
+def _edge_instance(delta, shifted=True, family="geometric"):
+    """Four followers on four slots. The first two have loads that all round
+    to 0, so their adjacent producer clusters merge; the other two see at
+    least one competitor post between every pair of slots."""
+    loads = [(0.0, 0.0, 0.0, 0.0), (0.3, 0.49, 0.2, 0.0), (0.7, 1.5, 2.0, 1.0), (3.2, 0.5, 1.0, 2.6)]
+    followers = tuple(
+        _follower(j, j, 0.1 + 0.1 * j, delta, 1.0 + 0.5 * j, load) for j, load in enumerate(loads)
+    )
+    return ProblemInstance(
+        slots=4,
+        budget=6,
+        followers=followers,
+        cluster_survival_family=family,
+        cluster_survival_shifted=shifted,
+    )
+
+
+@pytest.fixture
+def generator_keys(monkeypatch):
+    """The key of every generator `feedsched.simulate` builds, in order."""
+    # The package exports the function `simulate` under the module's name.
+    module = importlib.import_module("feedsched.simulate")
+    keys = []
+    build = module.np.random.default_rng
+
+    def recording(seed=None):
+        keys.append(list(seed))
+        return build(seed)
+
+    monkeypatch.setattr(module.np.random, "default_rng", recording)
+    return keys
+
+
+def _assert_matches_reference(schedule, instance, merged):
+    for days in (1, 2, 37):
+        result = simulate(schedule, instance, days, 17, merged=merged)
+        total, standard_error, per_cluster = _reference_simulate(
+            schedule, instance, days, 17, merged
+        )
+        assert result.empirical_total == total
+        assert result.standard_error == standard_error
+        assert np.array_equal(result.per_cluster, per_cluster)
+
+
+class TestSkipDrawsOnlyWhereUncertain:
+    """A cluster kept with probability exactly 0 or 1 draws no skip variate:
+    a follower whose clusters are all certain builds only its quit generator,
+    and the results stay those of the reference loop bit for bit."""
+
+    def test_all_singletons_under_a_shifted_family_build_one_generator_each(
+        self, generator_keys
+    ):
+        instance = _edge_instance(0.5)
+        simulate(Schedule((1, 1, 1, 1)), instance, days=50, seed=3)
+        assert generator_keys == [[3, j, 0] for j in range(4)]
+
+    def test_a_two_post_cluster_builds_the_skip_generator(self, generator_keys):
+        instance = _edge_instance(0.5)
+        simulate(Schedule((2, 0, 1, 1)), instance, days=50, seed=3)
+        assert generator_keys == [[3, j, part] for j in range(4) for part in (0, 1)]
+
+    def test_merged_adjacent_singletons_draw_only_where_they_merge(self, generator_keys):
+        instance = _edge_instance(0.5)
+        simulate(Schedule((1, 1, 0, 0)), instance, days=50, seed=3)
+        assert generator_keys == [[3, j, 0] for j in range(4)]
+        generator_keys.clear()
+        simulate_merged(Schedule((1, 1, 0, 0)), instance, days=50, seed=3)
+        # Followers 0 and 1 see no whole competitor post between the two slots.
+        assert generator_keys == [[3, 0, 0], [3, 0, 1], [3, 1, 0], [3, 1, 1], [3, 2, 0], [3, 3, 0]]
+
+    @pytest.mark.parametrize("merged", [False, True])
+    @pytest.mark.parametrize(
+        "delta,shifted,schedule",
+        [
+            (0.0, True, (2, 1, 0, 3)),  # keep exactly 0 beside exactly 1
+            (1.0, True, (2, 1, 0, 3)),  # keep exactly 1 for every size
+            (0.5, False, (1, 1, 1, 1)),  # a non-shifted singleton is uncertain
+            (0.5, True, (1, 1, 0, 0)),  # merged, two singletons form one uncertain group
+            (0.5, True, (0, 0, 0, 0)),  # no producer cluster at all
+        ],
+        ids=["keep-0", "keep-1", "unshifted-singletons", "adjacent-singletons", "empty"],
+    )
+    def test_matches_the_reference_loop(self, delta, shifted, schedule, merged):
+        _assert_matches_reference(Schedule(schedule), _edge_instance(delta, shifted), merged)
+
+    def test_matches_the_reference_loop_under_a_non_geometric_cluster_family(self):
+        # loglogistic keeps a shifted singleton with probability exactly 1 and a
+        # larger cluster with probability strictly between 0 and 1.
+        instance = _edge_instance(0.8, family="loglogistic")
+        for merged in (False, True):
+            _assert_matches_reference(Schedule((2, 1, 1, 0)), instance, merged)
+
+
+class TestRoundedInstance:
+    def test_fractional_loads_are_copied_and_whole_ones_returned_as_is(self):
+        instance = _edge_instance(0.5)
+        rounded = rounded_instance(instance)
+        assert rounded is not instance
+        assert [f.competitor_load for f in rounded.followers] == [
+            (0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0), (1.0, 2.0, 2.0, 1.0), (3.0, 1.0, 1.0, 3.0)
+        ]
+        assert rounded_instance(rounded) is rounded
