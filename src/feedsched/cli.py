@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -438,6 +439,21 @@ def cmd_analyze(args) -> int:
 # ---------------------------------------------------------------- wiring
 
 
+def _user_id(arg: str) -> str:
+    """A user id from the command line, read as UTF-8 like every input file.
+    Python decodes `sys.argv` in the locale encoding (under an ASCII locale,
+    `émile` arrives as '\\udcc3\\udca9mile'), so its bytes are decoded again.
+    Paths are left as Python decoded them."""
+    try:
+        raw = os.fsencode(arg)
+    except UnicodeEncodeError:
+        return arg  # text passed to `main` that the locale cannot encode: not from argv bytes
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError:
+        raise argparse.ArgumentTypeError(f"{arg!r} is not valid UTF-8") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="feedsched",
@@ -453,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="estimate follower parameters from a trace")
     p.add_argument("trace", help="activity trace (JSONL)")
     p.add_argument("graph", help="follow graph (CSV: follower,followee)")
-    p.add_argument("producer", help="producer user id")
+    p.add_argument("producer", type=_user_id, help="producer user id")
     p.add_argument("-o", "--out", required=True, help="output instance JSON path")
     p.add_argument("--config", default=None, help="JSON config file")
     p.add_argument("--slots", type=int, default=None)
@@ -502,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="cluster statistics and randomization tests")
     p.add_argument("trace", nargs="?", default=None, help="activity trace (JSONL)")
     p.add_argument("graph", nargs="?", default=None, help="follow graph (CSV)")
-    p.add_argument("--user", default=None, help="analyze one user's timeline")
+    p.add_argument("--user", type=_user_id, default=None, help="analyze one user's timeline")
     p.add_argument("--all", action="store_true", help="analyze every user's timeline")
     p.add_argument("--counts", default=None, help="size,reactions,total CSV instead of a trace")
     p.add_argument("-o", "--out", default=".", help="output directory")

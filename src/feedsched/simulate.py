@@ -15,12 +15,23 @@ cluster table - posts and integer depth offsets in timeline order - is read
 from the `TimelineLayout` of the rounded instance. Compare against the
 analytic value recomputed on the rounded instance.
 
+Followers are replayed in blocks of at most `_BLOCK_CELLS` (follower x day)
+cells. Per follower, a block builds the generators, in the order of a replay
+one follower at a time, and fills the follower's row of uniforms; it also
+evaluates `keep` for a follower with a group larger than the shift, and
+draws the skip block of a follower with an uncertain cluster. All else runs
+once per block. Scroll depths come from a guide table (`_scroll_depths`): one
+table lookup and a short walk per draw instead of a binary search, deciding
+by the same float comparisons, so the depths are those of `searchsorted` bit
+for bit.
+
 A cluster kept with probability exactly 0 or 1 (a singleton under the shifted
 cluster survival, for one) draws no skip variate: clusters whose fate is
-certain are summed by scroll depth, and a follower's skip generator is built
-only when some cluster's keep lies strictly between. That follower then draws
-its whole (days x groups) block as if every cluster were drawn, so the
-results are bit-identical to drawing for every cluster.
+certain are summed by scroll depth over the whole block, and a follower's skip
+generator is built only when some cluster's keep lies strictly between. That
+follower then draws its whole (days x groups) block as if every cluster were
+drawn, so the results are bit-identical to drawing for every cluster. Every
+per-day and per-cluster sum adds small integers, which are exact in any order.
 """
 
 from __future__ import annotations
@@ -48,6 +59,13 @@ __all__ = [
     "simulate_merged",
 ]
 
+# A replay block holds at most this many (follower x day) cells and as many
+# (follower x guide bucket) cells, or else one follower. Larger blocks save
+# little time and raise peak memory.
+_BLOCK_CELLS = 1 << 15
+# Steps a scroll-depth draw walks from its guide bucket before it bisects.
+_WALK_STEPS = 4
+
 
 @dataclass(frozen=True)
 class SimulationResult:
@@ -73,6 +91,171 @@ def rounded_instance(instance: ProblemInstance) -> ProblemInstance:
         for f, row in zip(instance.followers, rounded.tolist())
     )
     return replace(instance, followers=followers)
+
+
+def _guide_size(longest: int) -> int:
+    """Guide-table buckets for survival curves of up to `longest` depths: the
+    least power of two >= 4 * longest, and 4 for empty timelines."""
+    return 4 << max(longest - 1, 0).bit_length()
+
+
+def _scroll_depths(curve: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Scroll depth of every draw of a block: depth[r, t] = #{d : curve[r, d] >
+    u[r, t]}, for rows of `curve` that are non-increasing and end in -1.
+
+    Guide-table inversion (Chen & Asau 1974; Devroye 1986, ch. III). With G
+    buckets, at_least[r, k] = #{d : curve[r, d] >= k / G}, one `bincount` of
+    floor(curve * G) summed from the top. A draw u in bucket b = floor(u * G)
+    has its depth between at_least[r, b + 1] and at_least[r, b]: it starts at
+    the first and steps while curve[r, depth] > u, and a draw still stepping
+    after `_WALK_STEPS` steps (the curve's tail crowds bucket 0) bisects what is
+    left of that range. Every step decides by the comparison curve[r, d] > u,
+    and u * G and k / G are exact for G a power of two, so the depth equals
+    `length - searchsorted(curve[r, :length][::-1], u, "right")` bit for bit.
+    """
+    rows, width = curve.shape
+    days = u.shape[1]
+    guide = _guide_size(width - 1)
+    row = np.arange(rows)[:, None]
+    # floor(F * G) of F in [0, 1] lies in 0..G and goes to bin key + 1; the -1
+    # padding goes to bin 0, which no bucket counts.
+    keys = np.maximum((curve * guide).astype(np.intp), -1)
+    keys += row * (guide + 2) + 1
+    counts = np.bincount(keys.ravel(), minlength=rows * (guide + 2)).reshape(rows, guide + 2)
+    at_least = np.cumsum(counts[:, :0:-1], axis=1)[:, ::-1].ravel()
+
+    # Positions are flat indices into `curve`; curve[r, length_r] = -1 ends
+    # every walk inside its own row. `take` buffers its output in its default
+    # mode, so `at` can hold its own indices.
+    at = np.multiply(u, guide, out=np.empty(u.shape, np.intp), casting="unsafe")
+    at += row * (guide + 1)
+    np.take(at_least[1:], at, out=at)
+    at += row * width
+    flat_curve, flat_u, flat_at = curve.ravel(), u.ravel(), at.ravel()
+    walking = np.flatnonzero(flat_curve[flat_at] > flat_u)
+    for _ in range(_WALK_STEPS):
+        flat_at[walking] += 1
+        walking = walking[flat_curve[flat_at[walking]] > flat_u[walking]]
+    if walking.size:
+        # The depth lies in [lo, hi]: curve[lo - 1] > u >= curve[hi].
+        v, r = flat_u[walking], walking // days
+        lo = flat_at[walking] + 1
+        hi = at_least[(v * guide).astype(np.intp) + r * (guide + 1)] + r * width
+        while np.any(lo < hi):
+            mid = (lo + hi) // 2
+            above = flat_curve[mid] > v
+            lo = np.where(above, mid + 1, lo)
+            hi = np.where(above, hi, mid)
+        flat_at[walking] = lo
+    at -= row * width
+    return at
+
+
+def _replay_block(
+    layout: TimelineLayout,
+    first: int,
+    x: np.ndarray,
+    z: np.ndarray,
+    days: int,
+    seed: int,
+    merged: bool,
+    per_cluster: np.ndarray,
+    scratch: tuple[np.ndarray, ...],
+) -> np.ndarray:
+    """Replay followers first, first + 1, ... whose timeline posts and depth
+    offsets are the rows of x and z. Writes their per-cluster means into the
+    columns of `per_cluster` and returns the (followers x days) posts seen.
+    The skip draws of a follower reuse the buffers in `scratch`."""
+    rows = len(x)
+    length = z[:, -1] + x[:, -1]
+    longest = int(length.max())
+
+    # Skip-draw groups over the block's clusters, in follower then timeline
+    # order: one per non-empty cluster or, merged, one per run of non-empty
+    # clusters with no competitor posts between them.
+    row, pos = np.nonzero(x)
+    starts, counts = z[row, pos], x[row, pos]
+    opens = np.ones(len(row), dtype=bool)
+    if merged:
+        opens[1:] = (row[1:] != row[:-1]) | (starts[1:] != starts[:-1] + counts[:-1])
+    group = np.cumsum(opens) - 1
+    sizes = np.bincount(group, weights=counts)
+    # keep is exactly 1 in every family while size - shifted <= 0, so only a
+    # follower with a larger group evaluates keep, on all its groups at once.
+    keep = np.ones(len(sizes))
+    group_row = row[opens]
+    group_first = np.searchsorted(group_row, np.arange(rows + 1))
+    for r in np.unique(group_row[sizes > layout.shifted]).tolist():
+        g = slice(group_first[r], group_first[r + 1])
+        keep[g] = layout.keep(sizes[g], layout.delta[first + r])
+    keep = keep[group]
+    # A cluster survives a day when its group's draw u in [0, 1) is below
+    # keep: always at keep 1, never at keep 0, and only between is it drawn.
+    sure = keep >= 1.0
+    drawn = (keep > 0.0) & ~sure
+    drawing = np.zeros(rows, dtype=bool)
+    drawing[row[drawn]] = True
+
+    u = np.empty((rows, days))
+    skip_rngs = {}
+    for r in range(rows):
+        np.random.default_rng([seed, first + r, 0]).random(out=u[r])
+        if drawing[r]:
+            skip_rngs[r] = np.random.default_rng([seed, first + r, 1])
+
+    # Survival F(1..longest) per follower, -1 past its length. A follower who
+    # quits at d never reaches d + 1, so F is non-increasing.
+    curve = np.full((rows, longest + 1), -1.0)
+    curve[:, :longest] = survival_array(
+        layout.follower_family,
+        layout.rho[first : first + rows],
+        layout.follower_p,
+        np.arange(1, longest + 1),
+    )
+    curve[np.arange(longest + 1) >= length[:, None]] = -1.0
+    np.minimum.accumulate(curve, axis=1, out=curve)
+    depth = _scroll_depths(curve, u)
+    # (followers x days) arrays dominate the block's memory: each is freed
+    # as soon as it is read for the last time.
+    del u
+
+    # Sure clusters, summed by scroll depth over (followers x depths 0..longest
+    # + 1) tables: reached[r, d] adds up the days that reach each of the
+    # depths 1..d, and sure_seen[r, d] counts the sure posts at depths 1..d.
+    cells = depth + np.arange(rows)[:, None] * (longest + 2)
+    hist = np.bincount(cells.ravel(), minlength=rows * (longest + 2)).reshape(rows, -1)
+    reached = np.cumsum(np.cumsum(hist[:, ::-1], axis=1)[:, ::-1], axis=1)
+    on, top, end = row[sure], starts[sure], starts[sure] + counts[sure]
+    per_cluster[pos[sure], on] = (reached[on, end] - reached[on, top]) / days
+    bounds = np.zeros((rows, longest + 2))
+    bounds[on, top + 1] += 1.0
+    bounds[on, end + 1] -= 1.0
+    sure_seen = np.cumsum(np.cumsum(bounds, axis=1), axis=1)
+    day_sum = sure_seen.ravel()[cells]
+    del cells
+
+    draws, seen, kept_buf, ones = scratch
+    cluster_first = np.searchsorted(row, np.arange(rows + 1))
+    for r, skip_rng in skip_rngs.items():
+        c = slice(cluster_first[r], cluster_first[r + 1])
+        grp = group[c] - group[c.start]
+        mine = np.flatnonzero(drawn[c])
+        # The whole (days x groups) block is drawn, so the stream is the same
+        # whichever clusters read it. Every index is in range, and
+        # mode="clip" spares `take` the check that buffers its output.
+        m, g = len(mine), int(grp[-1]) + 1
+        u_skip = skip_rng.random(out=draws[: days * g].reshape(days, g))
+        seen_m = seen[: days * m].reshape(days, m)
+        kept = kept_buf[: days * m].reshape(days, m)
+        np.take(u_skip, grp[mine], axis=1, out=seen_m, mode="clip")
+        np.less(seen_m, keep[c][mine], out=kept)
+        reach = np.arange(length[r] + 1.0)[:, None] - starts[c][mine]
+        reach = np.minimum(np.maximum(reach, 0), counts[c][mine])
+        np.take(reach, depth[r], axis=0, out=seen_m, mode="clip")
+        seen_m *= kept
+        per_cluster[pos[c][mine], r] = ones[:days] @ seen_m / days
+        day_sum[r] += seen_m @ ones[:m]
+    return day_sum
 
 
 def simulate(
@@ -104,59 +287,23 @@ def simulate(
     # Every timeline holds the schedule's k non-empty slots as k clusters, so
     # these (days x k) scratch buffers serve every follower.
     k = np.count_nonzero(schedule.posts)
-    draws, seen = np.empty(days * k), np.empty(days * k)
-    kept_buf = np.empty(days * k, dtype=bool)
-    ones = np.ones(max(days, k))
-    for j in range(n):
-        x, z = posts[j], offsets[j]
-        length = int(z[-1] + x[-1])
-        quit_rng = np.random.default_rng([seed, j, 0])
-
-        # Scroll depth per day: count of depths d with u < F(d).
-        curve = survival_array(
-            layout.follower_family, layout.rho[j], layout.follower_p, np.arange(1, length + 1)
+    scratch = (
+        np.empty(days * k), np.empty(days * k), np.empty(days * k, dtype=bool), np.ones(max(days, k))
+    )
+    # Blocks of `step` followers keep both their (followers x days) draws and
+    # their (followers x guide buckets) table within _BLOCK_CELLS cells.
+    longest = int((offsets[:, -1] + posts[:, -1]).max())
+    step = max(1, _BLOCK_CELLS // max(days, _guide_size(longest)))
+    for first in range(0, n, step):
+        block = slice(first, first + step)
+        day_sum = _replay_block(
+            layout, first, posts[block], offsets[block], days, seed, merged,
+            per_cluster[:, block], scratch,
         )
-        u = quit_rng.random(days)
-        depth = length - np.searchsorted(curve[::-1], u, side="right")
-
-        # Skip-draw groups: one per non-empty cluster or, merged, one per run of
-        # non-empty clusters with no competitor posts between them.
-        positions = np.flatnonzero(x)
-        starts, counts = z[positions], x[positions]
-        joins = np.zeros(len(positions), dtype=bool)
-        if merged:
-            joins[1:] = starts[1:] == starts[:-1] + counts[:-1]
-        group = np.cumsum(~joins) - 1
-        sizes = np.bincount(group, weights=counts)
-        keep = layout.keep(sizes, layout.delta[j])[group]
-        # A cluster survives a day when its group's draw u in [0, 1) is below
-        # keep: always at keep 1, never at keep 0, and only between is it drawn.
-        sure = keep >= 1.0
-        drawn = np.flatnonzero((keep > 0.0) & ~sure)
-
-        # Posts seen of each cluster at every depth 0..length. The sums add
-        # small integers, so they are exact in any order.
-        reach = np.minimum(np.maximum(np.arange(length + 1.0)[:, None] - starts, 0), counts)
-        reach_sure = reach[:, sure]
-        hist = np.bincount(depth, minlength=length + 1)
-        per_cluster[positions[sure], j] = hist @ reach_sure / days
-        day_sum = reach_sure.sum(axis=1)[depth]
-        if len(drawn):
-            # The whole (days x groups) block is drawn, so the stream is the same
-            # whichever clusters read it. Every index is in range, and
-            # mode="clip" spares `take` the check that buffers its output.
-            m, g = len(drawn), len(sizes)
-            skip_rng = np.random.default_rng([seed, j, 1])
-            u_skip = skip_rng.random(out=draws[: days * g].reshape(days, g))
-            seen_m = seen[: days * m].reshape(days, m)
-            kept = kept_buf[: days * m].reshape(days, m)
-            np.take(u_skip, group[drawn], axis=1, out=seen_m, mode="clip")
-            np.less(seen_m, keep[drawn], out=kept)
-            np.take(reach[:, drawn], depth, axis=0, out=seen_m, mode="clip")
-            seen_m *= kept
-            per_cluster[positions[drawn], j] = ones[:days] @ seen_m / days
-            day_sum += seen_m @ ones[:m]
-        day_totals += layout.gamma[j] * day_sum
+        # Weighted day sums add up in follower order, as one follower at a time
+        # adds them, so the totals keep their bits.
+        for weighted in layout.gamma[block, None] * day_sum:
+            day_totals += weighted
 
     empirical_total = float(day_totals.mean())
     if days > 1:

@@ -566,6 +566,55 @@ class TestEvaluateCommand:
         rows = list(csv.reader(io.StringIO(breakdown.read_bytes().decode("utf-8"))))
         assert {row[0] for row in rows[1:]} == {"émile"}
 
+    @pytest.mark.parametrize("command", ["estimate", "analyze"])
+    def test_user_ids_on_the_command_line_are_utf8_under_an_ascii_locale(self, tmp_path, command):
+        trace, graph = tmp_path / "t.jsonl", tmp_path / "g.csv"
+        graph.write_text("follower,followee\na,émile\nb,émile\némile,b\n", encoding="utf-8")
+        lines = [
+            {"user": "b", "ts": 50, "kind": "post"},
+            {"user": "émile", "ts": 100, "kind": "post"},
+            {"user": "a", "ts": 200, "kind": "retweet", "target_author": "émile"},
+            {"user": "émile", "ts": 300, "kind": "reply", "target_author": "b"},
+        ]
+        trace.write_text(
+            "".join(json.dumps(obj, ensure_ascii=False) + "\n" for obj in lines), encoding="utf-8"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = {
+            **os.environ,
+            "PYTHONPATH": src + (os.pathsep + path if path else ""),
+            "PYTHONUTF8": "0",
+            "PYTHONCOERCECLOCALE": "0",
+            "LC_ALL": "C",
+        }
+        out = str(tmp_path / "out")
+
+        def run(name, as_text=False):
+            if command == "estimate":
+                args = ["estimate", str(trace), str(graph), name, "--budget", "3", "-o", out]
+            else:
+                args = ["analyze", str(trace), str(graph), "--user", name, "-o", out]
+            args.append("--json")
+            argv = [sys.executable, "-m", "feedsched.cli", *args]
+            if as_text:
+                # `main` called with text, which the ASCII locale cannot encode.
+                code = f"from feedsched.cli import main; raise SystemExit(main({ascii(args)}))"
+                argv = [sys.executable, "-c", code]
+            return subprocess.run(argv, capture_output=True, env=env, timeout=60)
+
+        for proc in (run("émile"), run("émile", as_text=True)):
+            assert proc.returncode == 0, proc.stderr
+            report = json.loads(proc.stdout)
+            if command == "estimate":
+                assert report["followers"] == 2
+            else:
+                assert report["cluster_stats"] == {"1": 1.0}
+        proc = run(b"\xffmile")
+        assert proc.returncode == 2
+        argument = "producer" if command == "estimate" else "--user"
+        assert f"argument {argument}: '\\udcffmile' is not valid UTF-8" in proc.stderr.decode()
+
     @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
     def test_load_json_rejects_non_finite_constants(self, tmp_path, constant):
         path = tmp_path / "x.json"

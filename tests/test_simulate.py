@@ -1,9 +1,11 @@
 """Monte Carlo replay: agreement with the analytic objective, determinism,
-merged-cluster mode, standard-error scaling, and bit-for-bit agreement with
-the per-follower reference loop."""
+merged-cluster mode, standard-error scaling, bit-for-bit agreement with the
+per-follower reference loop across replay blocks, the guide-table scroll
+depths against `searchsorted`, and peak memory."""
 
 import importlib
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -20,8 +22,10 @@ from feedsched import (
     simulate,
     simulate_merged,
 )
+from feedsched.formats import instance_from_dict
 from feedsched.model import survival_array
 from feedsched.objective import TimelineLayout
+from perfbench import generators
 
 from conftest import family_instance, random_instance, random_feasible_schedule
 
@@ -479,6 +483,200 @@ class TestSkipDrawsOnlyWhereUncertain:
         instance = _edge_instance(0.8, family="loglogistic")
         for merged in (False, True):
             _assert_matches_reference(Schedule((2, 1, 1, 0)), instance, merged)
+
+
+# The module, which the package's function `simulate` shadows as an attribute.
+SIMULATE = importlib.import_module("feedsched.simulate")
+
+
+def _padded(curves):
+    """Survival curves of any lengths as one block: -1 past each length."""
+    longest = max(map(len, curves))
+    block = np.full((len(curves), longest + 1), -1.0)
+    for r, curve in enumerate(curves):
+        block[r, : len(curve)] = curve
+    return block
+
+
+def _with_ends(u):
+    """Draws plus the extreme uniforms 0 and nextafter(1, 0) in every row."""
+    ends = np.tile([0.0, np.nextafter(1.0, 0.0)], (len(u), 1))
+    return np.ascontiguousarray(np.hstack([u, ends]))
+
+
+class TestScrollDepths:
+    """The guide-table lookup against one `searchsorted` per follower, with ==,
+    walking no step, a few steps, or far enough that the bisection rarely runs."""
+
+    @pytest.fixture(params=[0, 4, 64], autouse=True)
+    def walk_steps(self, request, monkeypatch):
+        monkeypatch.setattr(SIMULATE, "_WALK_STEPS", request.param)
+
+    @staticmethod
+    def assert_searchsorted(curves, u):
+        depth = SIMULATE._scroll_depths(_padded(curves), u)
+        assert depth.shape == u.shape
+        for r, curve in enumerate(curves):
+            curve = np.asarray(curve, dtype=float)
+            expected = len(curve) - np.searchsorted(curve[::-1], u[r], side="right")
+            assert np.array_equal(depth[r], expected), r
+
+    def test_reads_everything_and_reads_nothing(self):
+        # rho 0 gives F = 1 at every depth, rho 1 gives F = 0.
+        u = _with_ends(np.random.default_rng(1).random((3, 50)))
+        self.assert_searchsorted([np.ones(7), np.zeros(7), np.ones(1)], u)
+
+    def test_curve_values_and_draws_on_bucket_edges(self):
+        # 8 depths take G = 32 buckets; curve values and draws sit on k / 32.
+        guide = SIMULATE._guide_size(8)
+        assert guide == 32
+        curve = np.array([32, 31, 17, 16, 16, 3, 1, 0]) / guide
+        edges = np.arange(guide) / guide
+        draws = np.concatenate([edges, np.nextafter(edges, 1.0), np.nextafter(edges[1:], 0.0)])
+        u = _with_ends(np.tile(draws, (2, 1)))
+        self.assert_searchsorted([curve, curve[:5]], u)
+
+    def test_draws_equal_to_curve_values(self):
+        curve = survival_array("geometric", np.array([0.3]), 1.0, np.arange(1, 40))
+        u = _with_ends(np.tile(curve, (1, 1)))
+        self.assert_searchsorted([curve], u)
+
+    @pytest.mark.parametrize(
+        "family,lam,p",
+        [("geometric", 0.9, 1.0), ("weibull", 0.5, 1.5), ("loglogistic", 1.0, 3.0)],
+    )
+    def test_a_steep_curve_crowds_its_tail_into_bucket_zero(self, family, lam, p):
+        curve = survival_array(family, np.array([lam]), p, np.arange(1, 301))
+        rng = np.random.default_rng(2)
+        guide = SIMULATE._guide_size(300)
+        assert np.count_nonzero(curve < 1.0 / guide) > 100
+        # Draws below 1 / G start at the top of the tail and walk or bisect it.
+        tiny = 10.0 ** -rng.uniform(0.0, 300.0, 200)
+        u = _with_ends(np.vstack([tiny, rng.random(200), rng.random(200) / guide]))
+        self.assert_searchsorted([curve, curve[:150], curve], u)
+
+    def test_zero_length_timelines(self):
+        u = _with_ends(np.random.default_rng(3).random((3, 20)))
+        self.assert_searchsorted([[], [0.5], []], u)
+        self.assert_searchsorted([[], [], []], u)
+
+    def test_one_day(self):
+        rng = np.random.default_rng(4)
+        curves = [survival_array("exponential", np.array([lam]), 1.0, np.arange(1, 1 + n))
+                  for lam, n in ((0.05, 90), (0.7, 3), (1.0, 0))]
+        for u in (rng.random((3, 1)), np.zeros((3, 1)), np.full((3, 1), np.nextafter(1.0, 0.0))):
+            self.assert_searchsorted(curves, u)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_block_survival_curves_are_the_per_follower_curves_and_non_increasing(family):
+    """Each row of the block's survival table equals the curve of that follower
+    alone on its own length, and `np.minimum.accumulate` leaves it unchanged, bit
+    for bit, at the edges of lambda (and p) and in between."""
+    if family == "geometric":
+        lams = [0.0, 1e-12, 1e-6, 0.3, 0.5, 1.0 - 1e-12, 1.0]
+    else:
+        lams = [1e-12, 1e-6, 0.05, 0.3, 0.5, 1.0 - 1e-12, 1.0]
+    ps = [0.05, 0.5, 1.0, 2.5, 20.0] if family in ("weibull", "loglogistic") else [1.0]
+    depths = np.arange(1, 2001)
+    for p in ps:
+        curve = survival_array(family, np.array(lams)[:, None], p, depths)
+        assert np.array_equal(np.minimum.accumulate(curve, axis=1), curve), p
+        for lam, row in zip(lams, curve):
+            for length in (1, 7, 1000, 2000):
+                alone = survival_array(family, np.array([lam]), p, depths[:length])
+                assert np.array_equal(row[:length], alone), (lam, p, length)
+
+
+def _many_followers(rng, n, follower_family, cluster_family, shifted):
+    """n followers on 5 slots whose timelines differ in length (up to about 70
+    posts); the first has no competitor posts, so the zero schedule leaves it
+    an empty timeline, and geometric families get rho or delta 0 and 1."""
+
+    def lam(family):
+        edges = [0.0, 1.0] if family == "geometric" else [1.0]
+        return float(rng.choice(edges + [rng.uniform(0.01, 1.0)] * 2))
+
+    followers = tuple(
+        FollowerProfile(
+            id=f"u{j}",
+            sigma=int(rng.integers(5)),
+            rho=lam(follower_family),
+            delta=lam(cluster_family),
+            gamma=float(rng.uniform(0.1, 2.0)),
+            competitor_load=(0.0,) * 5 if j == 0 else tuple(
+                float(v) for v in rng.choice([0.0, 0.4, 1.5, rng.uniform(0.0, 12.0)], size=5)
+            ),
+        )
+        for j in range(n)
+    )
+    return ProblemInstance(
+        slots=5,
+        budget=9,
+        followers=followers,
+        follower_survival_family=follower_family,
+        cluster_survival_family=cluster_family,
+        follower_survival_p=float(rng.uniform(0.5, 2.5)),
+        cluster_survival_p=float(rng.uniform(0.5, 2.5)),
+        cluster_survival_shifted=shifted,
+    )
+
+
+class TestReplayBlocks:
+    """Followers replayed in blocks match the per-follower reference loop bit
+    for bit wherever the blocks end."""
+
+    @pytest.mark.parametrize("follower_family", FAMILIES)
+    @pytest.mark.parametrize(
+        "block_cells,days",
+        # 600 days exceed every guide table here (at most 4 * 128 buckets), so
+        # blocks hold two followers and the fifth is alone; 16 cells are fewer
+        # than 37 days, so every follower is a block of its own.
+        [(2 * 600, 600), (16, 37)],
+        ids=["two-per-block", "one-per-block"],
+    )
+    def test_matches_the_reference_loop(self, monkeypatch, follower_family, block_cells, days):
+        monkeypatch.setattr(SIMULATE, "_BLOCK_CELLS", block_cells)
+        rng = np.random.default_rng([FAMILIES.index(follower_family), block_cells])
+        for cluster_family, shifted in (("geometric", True), ("loglogistic", False)):
+            instance = _many_followers(rng, 5, follower_family, cluster_family, shifted)
+            for schedule in (random_feasible_schedule(rng, instance), Schedule.zeros(5)):
+                for merged in (False, True):
+                    result = simulate(schedule, instance, days, 29, merged=merged)
+                    total, standard_error, per_cluster = _reference_simulate(
+                        schedule, instance, days, 29, merged
+                    )
+                    assert result.empirical_total == total
+                    assert result.standard_error == standard_error
+                    assert np.array_equal(result.per_cluster, per_cluster)
+
+    def test_generators_are_built_in_follower_order_across_blocks(
+        self, monkeypatch, generator_keys
+    ):
+        # 100 days exceed the guide tables of these timelines: two per block.
+        monkeypatch.setattr(SIMULATE, "_BLOCK_CELLS", 2 * 100)
+        instance = _edge_instance(0.5)
+        simulate_merged(Schedule((1, 1, 0, 0)), instance, days=100, seed=3)
+        assert generator_keys == [[3, 0, 0], [3, 0, 1], [3, 1, 0], [3, 1, 1], [3, 2, 0], [3, 3, 0]]
+        generator_keys.clear()
+        simulate(Schedule((2, 0, 1, 1)), instance, days=100, seed=3)
+        assert generator_keys == [[3, j, part] for j in range(4) for part in (0, 1)]
+
+
+@pytest.mark.parametrize(
+    "schedule", [(1,) * 24, (3, 0, 0, 2, 0, 1) * 4], ids=["singletons", "uncertain"]
+)
+def test_peak_memory_at_a_thousand_followers_and_two_thousand_days(schedule):
+    """The replay's traced peak stays under 7 MB: one block's tables, not the
+    (followers x days) draws."""
+    instance = instance_from_dict(generators.instance_dict(0, followers=1000))
+    tracemalloc.start()
+    try:
+        simulate(Schedule(schedule), instance, days=2000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 * 2**20
 
 
 class TestRoundedInstance:
