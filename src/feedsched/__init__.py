@@ -40,6 +40,7 @@ from .estimate import (
 from .model import (
     FAMILIES,
     FollowerProfile,
+    Followers,
     ProblemInstance,
     Schedule,
     SurvivalModel,
@@ -74,6 +75,7 @@ __all__ = [
     "SurvivalModel",
     "Schedule",
     "FollowerProfile",
+    "Followers",
     "ProblemInstance",
     "survival_eval",
     "follower_survival",

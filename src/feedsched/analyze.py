@@ -23,13 +23,12 @@ millions of labels; the p-value uses the add-one estimator.
 from __future__ import annotations
 
 import math
-import operator
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .estimate import EVENT_KINDS, ActivityTrace, FollowGraph, _frozen
+from .estimate import EVENT_KINDS, ActivityTrace, FollowGraph
+from .model import _Columns, _frozen
 
 __all__ = [
     "MAX_SIZE_BUCKET",
@@ -97,27 +96,6 @@ class TestResult:
 
 def bucket_name(bucket: int) -> str:
     return f">{MAX_SIZE_BUCKET}" if bucket == OVERFLOW_BUCKET else str(bucket)
-
-
-class _Columns(Sequence):
-    """A read-only sequence over column arrays whose items are built on access.
-    It compares equal to the tuple of its items."""
-
-    def __getitem__(self, i):
-        k = operator.index(i)
-        if not -len(self) <= k < len(self):
-            raise IndexError(f"{type(self).__name__} index {i} out of range")
-        return self._item(k % len(self))
-
-    def __eq__(self, other):
-        if isinstance(other, (tuple, _Columns)):
-            return tuple(self) == tuple(other)
-        return NotImplemented
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({list(self)!r})"
 
 
 class Timeline(_Columns):

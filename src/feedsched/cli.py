@@ -12,6 +12,7 @@ import csv
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -199,10 +200,13 @@ def cmd_estimate(args) -> int:
     report.lap("estimate")
     dump_json(instance_to_dict(instance), args.out)
     report.lap("write")
-    n = len(instance.followers)
-    mean_rho = sum(f.rho for f in instance.followers) / n
-    mean_delta = sum(f.delta for f in instance.followers) / n
-    total_load = sum(sum(f.competitor_load) for f in instance.followers)
+    # Python's `sum` adds left to right in follower order, as these means were
+    # always added; `np.sum` adds pairwise and would move their last bits.
+    followers = instance.followers
+    n = len(followers)
+    mean_rho = sum(followers.rho.tolist()) / n
+    mean_delta = sum(followers.delta.tolist()) / n
+    total_load = sum(map(sum, followers.competitor_load.tolist()))
     report.add("followers", n, "followers: {}")
     report.add("mean_rho", mean_rho, "mean rho: {:.6f}")
     report.add("mean_delta", mean_delta, "mean delta: {:.6f}")
@@ -223,20 +227,7 @@ def cmd_evaluate(args) -> int:
     report.add("total", breakdown.total, "attention total: {:.6f}")
     report.lap("evaluate")
     if args.breakdown:
-        layout = TimelineLayout(instance)
-        x = layout.timeline_posts(schedule.posts)
-        rows = zip(
-            [f.id for f in instance.followers for _ in range(instance.slots)],
-            np.tile(np.arange(instance.slots), len(instance.followers)).tolist(),
-            layout.order.ravel().tolist(),
-            x.ravel().tolist(),
-            map(repr, layout.loads.ravel().tolist()),
-            map(repr, layout.depths(x).ravel().tolist()),
-            map(repr, breakdown.per_cluster.T.ravel().tolist()),
-        )
-        header = ["follower_id", "cluster_position", "source_slot", "producer_count",
-                  "competitor_above", "depth_offset", "attention"]
-        _write_csv(args.breakdown, header, rows)
+        _write_breakdown(args.breakdown, instance, schedule, breakdown.per_cluster)
         report.add("breakdown_path", str(args.breakdown), "wrote breakdown {}")
         report.lap("breakdown")
     if args.heatmap:
@@ -247,6 +238,40 @@ def cmd_evaluate(args) -> int:
         report.add("heatmap_path", str(args.heatmap), "wrote heatmap {}")
         report.lap("heatmap")
     return report.emit(args.json)
+
+
+# Followers whose `--breakdown` rows are joined into one string: the file is
+# written a chunk at a time, never held whole.
+BREAKDOWN_CHUNK = 256
+# A row as `csv.writer` writes it when the id needs no quoting; floats as repr.
+_BREAKDOWN_ROW = "%s,%d,%d,%d,%r,%r,%r\r\n"
+_NEEDS_QUOTING = re.compile('[,"\r\n]')
+
+
+def _write_breakdown(path, instance, schedule, per_cluster) -> None:
+    """The per-cluster CSV: one row per follower and timeline position, read
+    from the instance's layout. Rows are joined a chunk of followers at a
+    time, or written by `csv.writer` when some id needs quoting."""
+    layout = TimelineLayout.of(instance)
+    x = layout.timeline_posts(schedule.posts)
+    columns = (layout.order, x, layout.loads, layout.depths(x), per_cluster.T)
+    ids, slots = instance.followers.ids, instance.slots
+    quoting = _NEEDS_QUOTING.search("".join(ids)) is not None
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["follower_id", "cluster_position", "source_slot", "producer_count",
+                         "competitor_above", "depth_offset", "attention"])
+        for start in range(0, len(ids), BREAKDOWN_CHUNK):
+            chunk = ids[start : start + BREAKDOWN_CHUNK]
+            rows = zip(
+                [i for i in chunk for _ in range(slots)],
+                list(range(slots)) * len(chunk),
+                *(c[start : start + len(chunk)].ravel().tolist() for c in columns),
+            )
+            if quoting:
+                writer.writerows(rows)  # `str` of a float is its repr
+            else:
+                fh.write("".join(map(_BREAKDOWN_ROW.__mod__, rows)))
 
 
 # ---------------------------------------------------------------- optimize

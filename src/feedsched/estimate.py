@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FollowerProfile, ProblemInstance
+from .model import FollowerProfile, ProblemInstance, _frozen
 
 __all__ = [
     "EVENT_KINDS",
@@ -231,11 +231,6 @@ class ActivityTrace:
         first = (int(self.ts.min()) + off) // SECONDS_PER_DAY
         last = (int(self.ts.max()) + off) // SECONDS_PER_DAY
         return last - first + 1
-
-
-def _frozen(*arrays) -> None:
-    for a in arrays:
-        a.flags.writeable = False
 
 
 class FollowGraph:

@@ -9,6 +9,7 @@ dataclass field for field (`ProblemInstance`, `Schedule`, `cli.RunConfig`).
 wrong JSON type are rejected, naming the file and key; an ``int`` field takes
 only a JSON integer and a ``float`` field an integer or a float; nothing is
 converted from a string or a bool; missing keys take the dataclass defaults.
+An instance's followers are read and written as columns (`model.Followers`).
 Every input is read as UTF-8: a byte that is not UTF-8, JSON nested too
 deeply to decode, or an integer past the interpreter's digit limit is an
 error naming the file (and line). Emission is UTF-8 and deterministic (sorted
@@ -17,21 +18,25 @@ keys, two-space indent, trailing newline).
 
 from __future__ import annotations
 
+import collections.abc
 import csv
 import dataclasses
 import functools
 import itertools
 import json
 import math
+import operator
 import reprlib
 import sys
 import types
 import typing
 from pathlib import Path
 
+import numpy as np
+
 from .analyze import OVERFLOW_BUCKET, bucket_name
 from .estimate import EVENT_KINDS, ActivityTrace, Event, FollowGraph
-from .model import ProblemInstance, Schedule
+from .model import FollowerProfile, Followers, ProblemInstance, Schedule
 
 __all__ = [
     "TraceFormatError",
@@ -318,6 +323,8 @@ def _decoder(hint):
         return _number
     if typing.get_origin(hint) is tuple:
         return _tuple(typing.get_args(hint))
+    if typing.get_origin(hint) is collections.abc.Sequence:
+        return _tuple((*typing.get_args(hint), Ellipsis))
     kinds = typing.get_args(hint) if typing.get_origin(hint) is types.UnionType else (hint,)
     what = " or ".join(_EXACT[kind] for kind in kinds)
 
@@ -339,37 +346,81 @@ def from_json(cls, obj, where):
         raise ValueError(f"{where}{loc}: {exc}") from None
 
 
-@functools.cache
-def _encoder(cls):
-    """The encoding function of one dataclass: a copy of its fields with each
-    tuple as a list, and dataclass items of a tuple encoded in turn."""
-    convert = []
-    for name, hint in typing.get_type_hints(cls).items():
-        if typing.get_origin(hint) is tuple:
-            item = typing.get_args(hint)[0]
-            if dataclasses.is_dataclass(item):
-                convert.append((name, lambda values, enc=_encoder(item): [enc(v) for v in values]))
-            else:
-                convert.append((name, list))
-
-    def encode(obj) -> dict:
-        out = dict(vars(obj))  # a model dataclass keeps exactly its fields there
-        for name, conv in convert:
-            out[name] = conv(out[name])
-        return out
-
-    return encode
-
-
 def to_json(obj) -> dict:
-    """The JSON object of a dataclass instance, field for field."""
-    return _encoder(type(obj))(obj)
+    """The JSON object of a dataclass instance, field for field, each tuple as
+    a list."""
+    values = ((f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj))
+    return {name: list(v) if isinstance(v, tuple) else v for name, v in values}
 
 
-instance_to_dict = schedule_to_dict = to_json
+schedule_to_dict = to_json
+
+_FOLLOWER_FIELDS = tuple(f.name for f in dataclasses.fields(FollowerProfile))
+_NUMBERS = {int, float}
+
+
+def instance_to_dict(instance: ProblemInstance) -> dict:
+    """`to_json` of the instance, with each follower as the JSON object of its
+    `FollowerProfile`, written from the follower columns."""
+    out = to_json(instance)
+    f = instance.followers
+    columns = (f.sigma, f.rho, f.delta, f.gamma, f.competitor_load)
+    out["followers"] = [
+        dict(zip(_FOLLOWER_FIELDS, row))
+        for row in zip(f.ids, *(c.tolist() for c in columns))
+    ]
+    return out
+
+
+def _follower_columns(followers) -> Followers | None:
+    """The followers of an instance object as columns, when each is an object
+    with every field of `FollowerProfile` and each value has the exact JSON
+    type `from_json` takes there; None otherwise (zero followers too). The
+    values are not checked here: `ProblemInstance` checks the columns."""
+    if type(followers) is not list or not followers or set(map(type, followers)) != {dict}:
+        return None
+    if set(map(len, followers)) != {len(_FOLLOWER_FIELDS)}:
+        return None
+    try:  # one list per field, with no object per follower
+        ids, sigma, rho, delta, gamma, load = (
+            list(map(operator.itemgetter(name), followers)) for name in _FOLLOWER_FIELDS
+        )
+    except KeyError:
+        return None
+    if set(map(type, load)) != {list}:
+        return None
+    flat = list(itertools.chain.from_iterable(load))
+    widths = set(map(len, load))
+    if not (
+        set(map(type, ids)) == {str}
+        and set(map(type, sigma)) == {int}
+        and set(map(type, rho + delta + gamma)) <= _NUMBERS
+        and len(widths) == 1
+        and set(map(type, flat)) <= _NUMBERS
+    ):
+        return None
+    n, width = len(followers), widths.pop()
+    try:  # an integer past the float range, or a sigma past intp, overflows
+        sigma = np.fromiter(sigma, np.intp, n)
+        rho, delta, gamma = (np.fromiter(c, float, n) for c in (rho, delta, gamma))
+        load = np.fromiter(flat, float, n * width).reshape(n, width)
+    except OverflowError:
+        return None
+    return Followers(ids, sigma, rho, delta, gamma, load)
 
 
 def instance_from_dict(obj: dict, where="instance JSON") -> ProblemInstance:
+    """Decode an instance object by the strict rule above. Followers that
+    `_follower_columns` takes and `ProblemInstance` accepts go straight into
+    columns; on any failure the object is decoded again by `from_json`,
+    which names the first bad follower with its own message."""
+    columns = _follower_columns(obj.get("followers")) if type(obj) is dict else None
+    if columns is not None:
+        try:
+            empty = from_json(ProblemInstance, {**obj, "followers": []}, where)
+            return dataclasses.replace(empty, followers=columns)
+        except ValueError:
+            pass
     return from_json(ProblemInstance, obj, where)
 
 

@@ -4,12 +4,16 @@ Pure data and pure functions: a broadcast schedule, per-follower behavioural
 parameters, and the parametric survival curves that model timeline consumption
 (how deep a follower scrolls before quitting) and cluster skipping (whether a
 run of same-author posts is skimmed over in irritation). Everything here is
-immutable after construction and safe to share across threads.
+immutable after construction and safe to share across threads. A problem
+instance holds its followers as columns (`Followers`), so a population of any
+size costs a few arrays, not one object per follower.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +23,7 @@ __all__ = [
     "SurvivalModel",
     "Schedule",
     "FollowerProfile",
+    "Followers",
     "ProblemInstance",
     "survival_eval",
     "survival_array",
@@ -157,6 +162,77 @@ class FollowerProfile:
         object.__setattr__(self, "competitor_load", load)
 
 
+def _frozen(*arrays) -> None:
+    for a in arrays:
+        a.flags.writeable = False
+
+
+class _Columns(Sequence):
+    """A read-only sequence over column arrays whose items are built on access.
+    It compares equal to the tuple of its items."""
+
+    def __getitem__(self, i):
+        k = operator.index(i)
+        if not -len(self) <= k < len(self):
+            raise IndexError(f"{type(self).__name__} index {i} out of range")
+        return self._item(k % len(self))
+
+    def __eq__(self, other):
+        if isinstance(other, (tuple, _Columns)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({list(self)!r})"
+
+
+class Followers(_Columns):
+    """A follower population as read-only columns, one entry per follower:
+    `ids` (a tuple of str), `sigma` (intp), `rho`, `delta` and `gamma`
+    (float64), and the (followers x slots) float64 `competitor_load`. Items
+    are `FollowerProfile`s built on access; `len` builds none. The arrays
+    given are kept as they are (shared, not copied) and made read-only."""
+
+    def __init__(self, ids, sigma, rho, delta, gamma, competitor_load):
+        self.ids = tuple(ids)
+        self.sigma = np.asarray(sigma, dtype=np.intp)
+        self.rho, self.delta, self.gamma, self.competitor_load = (
+            np.asarray(c, dtype=float) for c in (rho, delta, gamma, competitor_load)
+        )
+        _frozen(self.sigma, self.rho, self.delta, self.gamma, self.competitor_load)
+
+    @classmethod
+    def of(cls, profiles: tuple[FollowerProfile, ...], slots: int) -> "Followers":
+        """The columns of profiles whose loads have `slots` entries each."""
+        loads = np.array([f.competitor_load for f in profiles], dtype=float)
+        return cls(
+            [f.id for f in profiles],
+            [f.sigma for f in profiles],
+            [f.rho for f in profiles],
+            [f.delta for f in profiles],
+            [f.gamma for f in profiles],
+            loads.reshape(len(profiles), slots),
+        )
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def _item(self, k: int) -> FollowerProfile:
+        return FollowerProfile(
+            self.ids[k],
+            int(self.sigma[k]),
+            float(self.rho[k]),
+            float(self.delta[k]),
+            float(self.gamma[k]),
+            tuple(self.competitor_load[k].tolist()),
+        )
+
+
 @dataclass(frozen=True)
 class ProblemInstance:
     """A scheduling problem: slot count, post budget and follower population.
@@ -165,11 +241,15 @@ class ProblemInstance:
     the geometric defaults use the closed forms (1-rho)^d and delta^(x-1);
     any other family reads the raw field value directly as its lambda, with
     the shape parameter supplied here.
+
+    `followers` may be given as `FollowerProfile`s or as `Followers` columns,
+    and is held as `Followers`. Columns are checked as a whole; a bad
+    follower is named with the message its profile or this class raises.
     """
 
     slots: int
     budget: int
-    followers: tuple[FollowerProfile, ...]
+    followers: Sequence[FollowerProfile]
     follower_survival_family: str = "geometric"
     cluster_survival_family: str = "geometric"
     follower_survival_p: float = 1.0
@@ -183,7 +263,6 @@ class ProblemInstance:
             raise ValueError(f"budget must be a non-negative integer, got {self.budget!r}")
         object.__setattr__(self, "slots", int(self.slots))
         object.__setattr__(self, "budget", int(self.budget))
-        object.__setattr__(self, "followers", tuple(self.followers))
         for fam, p in (
             (self.follower_survival_family, self.follower_survival_p),
             (self.cluster_survival_family, self.cluster_survival_p),
@@ -194,16 +273,36 @@ class ProblemInstance:
                 raise ValueError(f"survival shape p must be finite, got p={p}")
             if fam in ("weibull", "loglogistic") and not p > 0.0:
                 raise ValueError(f"{fam} survival requires p > 0, got p={p}")
-        for f in self.followers:
-            if f.sigma >= self.slots:
-                raise ValueError(
-                    f"follower {f.id!r} has sigma={f.sigma} outside the {self.slots} slots"
-                )
-            if len(f.competitor_load) != self.slots:
-                raise ValueError(
-                    f"follower {f.id!r} has a competitor load of length "
-                    f"{len(f.competitor_load)}, expected {self.slots}"
-                )
+        followers = self.followers
+        if not isinstance(followers, Followers):
+            followers = tuple(followers)
+            for f in followers:
+                self._check(f)
+            followers = Followers.of(followers, self.slots)
+        elif len(followers):
+            f = followers
+            ok = (
+                (f.sigma >= 0) & (f.sigma < self.slots)
+                & (f.rho >= 0.0) & (f.rho <= 1.0)
+                & (f.delta >= 0.0) & (f.delta <= 1.0)
+                & (f.gamma >= 0.0) & (f.gamma < math.inf)
+                & ((f.competitor_load >= 0.0) & (f.competitor_load < math.inf)).all(axis=1)
+                & (f.competitor_load.shape[1] == self.slots)
+            )
+            if not ok.all():  # the first bad profile raises, or else fails `_check`
+                self._check(f[int(np.argmin(ok))])
+        object.__setattr__(self, "followers", followers)
+
+    def _check(self, f: FollowerProfile) -> None:
+        if f.sigma >= self.slots:
+            raise ValueError(
+                f"follower {f.id!r} has sigma={f.sigma} outside the {self.slots} slots"
+            )
+        if len(f.competitor_load) != self.slots:
+            raise ValueError(
+                f"follower {f.id!r} has a competitor load of length "
+                f"{len(f.competitor_load)}, expected {self.slots}"
+            )
 
 
 def follower_survival(

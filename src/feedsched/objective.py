@@ -31,6 +31,7 @@ from .model import (
     SurvivalModel,
     cluster_survival,
     follower_survival,
+    _frozen,
     survival_array,
 )
 
@@ -147,6 +148,12 @@ def _survival(family: str, lam: np.ndarray, p: float, x: np.ndarray) -> np.ndarr
     return np.fromiter(values, float, len(lam))
 
 
+def _bincount(keys: np.ndarray, weights: np.ndarray, length: int) -> np.ndarray:
+    """Weights summed per key into `length` bins, as float64 even with no
+    weights at all (`np.bincount` then counts in int64)."""
+    return np.bincount(keys.ravel(), weights.ravel(), length).astype(float, copy=False)
+
+
 class TimelineLayout:
     """Every follower's timeline as (followers x slots) arrays, built once per
     instance.
@@ -156,10 +163,12 @@ class TimelineLayout:
     loads      -- competitor loads gathered into the same timeline order
     rho, delta -- (followers x 1) columns; gamma -- per-follower weights
 
-    A schedule's posts, or a (K x slots) matrix of K schedules, score against
-    it with no Python loop over followers. Building the layout checks that
-    `rho`/`delta` are valid lambdas for the non-geometric families, so a bad
-    instance fails before any scoring.
+    The arrays come from the instance's follower columns and are read-only;
+    `TimelineLayout.of` keeps one layout per instance. A schedule's posts, or
+    a (K x slots) matrix of K schedules, score against it with no Python loop
+    over followers. Building the layout checks that `rho`/`delta` are valid
+    lambdas for the non-geometric families, so a bad instance fails before
+    any scoring.
     """
 
     def __init__(self, instance: ProblemInstance):
@@ -171,13 +180,13 @@ class TimelineLayout:
         self.cluster_family = instance.cluster_survival_family
         self.cluster_p = instance.cluster_survival_p
         self.shifted = int(instance.cluster_survival_shifted)
-        sigma = np.array([f.sigma for f in followers], dtype=np.intp)
-        self.order = (sigma[:, None] - np.arange(slots)) % slots
-        loads = np.array([f.competitor_load for f in followers], dtype=float)
-        self.loads = np.take_along_axis(loads.reshape(n, slots), self.order, axis=1)
-        self.rho = np.array([f.rho for f in followers], dtype=float)[:, None]
-        self.delta = np.array([f.delta for f in followers], dtype=float)[:, None]
-        self.gamma = np.array([f.gamma for f in followers], dtype=float)
+        self.order = (followers.sigma[:, None] - np.arange(slots)) % slots
+        loads = followers.competitor_load.reshape(n, slots)
+        self.loads = np.take_along_axis(loads, self.order, axis=1)
+        self.rho = followers.rho[:, None]
+        self.delta = followers.delta[:, None]
+        self.gamma = followers.gamma
+        _frozen(self.order, self.loads)
         for family, lam, p in (
             (self.follower_family, self.rho, self.follower_p),
             (self.cluster_family, self.delta, self.cluster_p),
@@ -189,6 +198,17 @@ class TimelineLayout:
         self._log_q = np.log1p(-np.where(self.rho < 1.0, self.rho, 0.0))
         self._reads_all = self.rho == 0.0
         self._rho_den = np.where(self._reads_all, 1.0, self.rho)
+
+    @classmethod
+    def of(cls, instance: ProblemInstance) -> "TimelineLayout":
+        """The instance's layout, built on its first use and kept with the
+        instance, so that the consumers of one instance share one layout. Both
+        are immutable."""
+        layout = vars(instance).get("_layout")
+        if layout is None:
+            layout = cls(instance)
+            object.__setattr__(instance, "_layout", layout)
+        return layout
 
     def timeline_posts(self, posts) -> np.ndarray:
         """Posts in timeline order: (followers x slots) for one schedule,
@@ -304,19 +324,17 @@ class TimelineLayout:
             push = self.term(x, z + 1) - base
         deeper = np.zeros_like(push)
         deeper[:, :-1] = np.cumsum(push[:, :0:-1], axis=1)[:, ::-1]
-        gains = (grow + deeper) * self.gamma[:, None]
-        return np.bincount(self.order.ravel(), weights=gains.ravel(), minlength=self.slots)
+        return _bincount(self.order, (grow + deeper) * self.gamma[:, None], self.slots)
 
 
 def attention_potential(schedule: Schedule, instance: ProblemInstance) -> AttentionBreakdown:
     """Evaluate the schedule against the whole population, with full breakdown.
     Each cell is `cluster_attention`'s arithmetic, summed in the same order, so
     the breakdown is the reference to the last bit."""
-    layout = TimelineLayout(instance)
+    layout = TimelineLayout.of(instance)
     cells = layout._scalar_terms(schedule.posts, layout._attention_cells)
     per_follower = layout.gamma * _sum_in_order(cells)
-    weighted = (cells * layout.gamma[:, None]).ravel()
-    per_source_slot = np.bincount(layout.order.ravel(), weighted, layout.slots)
+    per_source_slot = _bincount(layout.order, cells * layout.gamma[:, None], layout.slots)
     per_cluster = np.ascontiguousarray(cells.T)
     total = float(per_follower.sum())
     for arr in (per_cluster, per_follower, per_source_slot):
@@ -328,7 +346,7 @@ def attention_total(schedule: Schedule, instance: ProblemInstance) -> float:
     """Population total of one schedule, as reported by the optimizers: a closed
     form of the geometric inner sum when both survival families are geometric,
     the full breakdown otherwise. Ranking goes through `TimelineLayout.totals`."""
-    layout = TimelineLayout(instance)
+    layout = TimelineLayout.of(instance)
     if layout.follower_family != "geometric" or layout.cluster_family != "geometric":
         return attention_potential(schedule, instance).total
     cells = layout._scalar_terms(schedule.posts, layout._closed_form_cells)
@@ -345,12 +363,11 @@ def heatmap(
     each row has its mean subtracted.
     """
     slots = instance.slots
-    layout = TimelineLayout(instance)
+    layout = TimelineLayout.of(instance)
     weighted = layout.terms(schedule.posts) * layout.gamma[:, None]
     # order[:, 0] is each follower's login slot
     cells = layout.order * slots + layout.order[:, :1]
-    grid = np.bincount(cells.ravel(), weights=weighted.ravel(), minlength=slots * slots)
-    grid = grid.reshape(slots, slots)
+    grid = _bincount(cells, weighted, slots * slots).reshape(slots, slots)
     if mean_center:
         grid = grid - grid.mean(axis=1, keepdims=True)
     return grid

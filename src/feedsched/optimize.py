@@ -76,7 +76,7 @@ def marginal_allocation(
         raise ValueError(
             f"initial schedule spends {current.spend}, exceeding the budget {budget}"
         )
-    layout = TimelineLayout(instance)
+    layout = TimelineLayout.of(instance)
     posts = np.array(current.posts, dtype=np.int64)
     evaluations = 1
     trajectory: list[tuple[int, float]] = []
@@ -132,7 +132,7 @@ def brute_force(
             f"enumeration would visit {n_candidates} schedules, "
             f"exceeding the cap of {cap}"
         )
-    layout = TimelineLayout(instance)
+    layout = TimelineLayout.of(instance)
     # Non-geometric follower families sum over up to `budget` posts per cluster.
     depth = 1 if instance.follower_survival_family == "geometric" else max(budget, 1)
     rows = max(1, CHUNK_ELEMENTS // max(1, len(instance.followers) * slots * depth))

@@ -44,6 +44,7 @@ import numpy as np
 # follower_survival and cluster_survival are not called here, but
 # perfbench/tracing.py counts calls under these names in this module.
 from .model import (  # noqa: F401
+    Followers,
     ProblemInstance,
     Schedule,
     cluster_survival,
@@ -81,16 +82,15 @@ class SimulationResult:
 
 def rounded_instance(instance: ProblemInstance) -> ProblemInstance:
     """The instance with competitor loads rounded half-up to integers: the
-    instance itself when rounding changes no load, a copy otherwise."""
-    loads = np.array([f.competitor_load for f in instance.followers])
-    rounded = np.floor(loads + 0.5)
-    if np.array_equal(rounded, loads):
+    instance itself when rounding changes no load, else a copy that shares
+    every other follower column."""
+    f = instance.followers
+    rounded = np.floor(f.competitor_load + 0.5)
+    if np.array_equal(rounded, f.competitor_load):
         return instance
-    followers = tuple(
-        replace(f, competitor_load=tuple(row))
-        for f, row in zip(instance.followers, rounded.tolist())
+    return replace(
+        instance, followers=Followers(f.ids, f.sigma, f.rho, f.delta, f.gamma, rounded)
     )
-    return replace(instance, followers=followers)
 
 
 def _guide_size(longest: int) -> int:
@@ -278,7 +278,7 @@ def simulate(
     if not instance.followers:
         raise ValueError("the instance has no followers to simulate")
 
-    layout = TimelineLayout(rounded_instance(instance))
+    layout = TimelineLayout.of(rounded_instance(instance))
     posts = layout.timeline_posts(schedule.posts)  # checks the schedule's length
     offsets = layout.depths(posts).astype(np.int64)
     n = len(instance.followers)

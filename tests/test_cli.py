@@ -25,10 +25,12 @@ from feedsched import (
     reconstruct_timeline,
     timeline_view,
 )
+from feedsched import cli
 from feedsched.cli import main
 from feedsched.formats import (
     TraceFormatError,
     dump_json,
+    from_json,
     instance_from_dict,
     instance_to_dict,
     load_activity,
@@ -38,6 +40,7 @@ from feedsched.formats import (
     load_trace,
     schedule_to_dict,
 )
+from feedsched.objective import TimelineLayout
 from perfbench import generators
 
 from conftest import family_instance
@@ -622,7 +625,9 @@ class TestEvaluateCommand:
         with pytest.raises(ValueError, match=f"{path}: non-finite number {constant}"):
             load_json(path)
 
-    def test_heatmap_and_breakdown_emission(self, tmp_path, hand_files, data_dir):
+    def test_heatmap_and_breakdown_emission(self, tmp_path, hand_files, data_dir, monkeypatch):
+        # Chunks of two followers, so that every instance below spans several.
+        monkeypatch.setattr(cli, "BREAKDOWN_CHUNK", 2)
         instance_path, schedule_path = hand_files
         heat = tmp_path / "heat.csv"
         breakdown = tmp_path / "breakdown.csv"
@@ -651,7 +656,20 @@ class TestEvaluateCommand:
         rng = np.random.default_rng(5)
         family = family_instance(rng, "weibull", "loglogistic", True)
         assert any(c != int(c) for f in family.followers for c in f.competitor_load)
-        for instance in (pop, family):
+        # Ids that csv.writer quotes, and one that it writes as it is.
+        names = ["a,b", 'say "hi"', "two\nlines", "émile", "plain"]
+        quoted = ProblemInstance(
+            slots=3,
+            budget=3,
+            followers=tuple(
+                FollowerProfile(
+                    id=name, sigma=j % 3, rho=0.3, delta=0.6, gamma=1.0 + j,
+                    competitor_load=(0.5 * j, 1.25, 0.0),
+                )
+                for j, name in enumerate(names)
+            ),
+        )
+        for instance in (pop, family, quoted):
             schedule = Schedule(tuple(int(v) for v in rng.integers(0, 4, size=instance.slots)))
             dump_json(instance_to_dict(instance), instance_path)
             dump_json(schedule_to_dict(schedule), schedule_path)
@@ -1441,3 +1459,163 @@ class TestMatrixSizeAndTimezone:
         out = tmp_path / "x.json"
         assert self.estimate(data_dir, out, "--tz-offset-minutes", str(value)) == 0
         assert out.exists()
+
+
+def _four_followers() -> dict:
+    return {
+        "slots": 2,
+        "budget": 2,
+        "followers": [
+            {"id": f"u{j}", "sigma": j % 2, "rho": 0.25, "delta": 0.5, "gamma": 1.0,
+             "competitor_load": [0.5, 1.0]}
+            for j in range(4)
+        ],
+    }
+
+
+class TestColumnarInstanceDecode:
+    """`instance_from_dict` reads the followers straight into columns. Any bad
+    value sends it back to the per-follower decode, which names the first bad
+    follower with its own message."""
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            pytest.param(
+                lambda f: f["competitor_load"].__setitem__(1, "1.5"),
+                "inst.json: followers[3]: competitor_load[1]: expected a number, got '1.5'",
+                id="string-load",
+            ),
+            pytest.param(
+                lambda f: f["competitor_load"].__setitem__(1, True),
+                "inst.json: followers[3]: competitor_load[1]: expected a number, got True",
+                id="bool-load",
+            ),
+            pytest.param(
+                lambda f: f.update(rho=1.5),
+                "inst.json: followers[3]: rho must lie in [0, 1], got 1.5",
+                id="rho",
+            ),
+            pytest.param(
+                lambda f: f.update(sigma=2),
+                "inst.json: follower 'u3' has sigma=2 outside the 2 slots",
+                id="sigma",
+            ),
+            pytest.param(
+                lambda f: f.update(competitor_load=[0.5]),
+                "inst.json: follower 'u3' has a competitor load of length 1, expected 2",
+                id="load-length",
+            ),
+            pytest.param(
+                lambda f: f.update(gamma=-1),
+                "inst.json: followers[3]: gamma must be finite and >= 0, got -1.0",
+                id="gamma",
+            ),
+            pytest.param(
+                lambda f: f.update(rho=10**400),
+                "inst.json: followers[3]: rho: expected a number in the float range, "
+                "got 100000000000000000...0000000000000000000",
+                id="rho-past-float",
+            ),
+            pytest.param(
+                lambda f: f.update(sigma=2**70),
+                "inst.json: follower 'u3' has sigma=1180591620717411303424 outside the 2 slots",
+                id="sigma-past-intp",
+            ),
+        ],
+    )
+    def test_a_bad_fourth_follower_is_named_as_before(self, edit, message):
+        obj = _four_followers()
+        edit(obj["followers"][3])
+        with pytest.raises(ValueError) as info:
+            instance_from_dict(obj, "inst.json")
+        assert str(info.value) == message
+
+    def test_integer_loads_are_read_as_floats(self):
+        obj = _four_followers()
+        for follower in obj["followers"]:
+            follower["competitor_load"] = [1, 2]
+        instance = instance_from_dict(obj, "inst.json")
+        assert instance == from_json(ProblemInstance, obj, "inst.json")
+        assert instance.followers.competitor_load.tolist() == [[1.0, 2.0]] * 4
+        assert "1.0" in json.dumps(instance_to_dict(instance)["followers"][0]["competitor_load"])
+
+    def test_zero_followers(self):
+        instance = instance_from_dict({"slots": 3, "budget": 2, "followers": []})
+        assert len(instance.followers) == 0 and instance.followers == ()
+        assert instance.followers.competitor_load.shape == (0, 3)
+
+    def test_a_generated_instance_round_trips_byte_for_byte(self, tmp_path):
+        obj = json.loads(json.dumps(generators.instance_dict(2, followers=30)))
+        instance = instance_from_dict(obj, "inst.json")
+        assert instance == from_json(ProblemInstance, obj, "inst.json")
+        dump_json(obj, tmp_path / "a.json")
+        dump_json(instance_to_dict(instance), tmp_path / "b.json")
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+class TestZeroFollowers:
+    def test_heatmap_and_breakdown_write_floats(self, tmp_path):
+        instance_path, schedule_path = tmp_path / "empty.json", tmp_path / "s.json"
+        dump_json({"slots": 3, "budget": 2, "followers": []}, instance_path)
+        dump_json({"posts": [1, 0, 1]}, schedule_path)
+        heat, breakdown = tmp_path / "heat.csv", tmp_path / "breakdown.csv"
+        argv = ["evaluate", str(instance_path), str(schedule_path)]
+        assert main(argv + ["--heatmap", str(heat), "--breakdown", str(breakdown)]) == 0
+        assert heat.read_bytes() == (
+            b"broadcast_slot,login_0,login_1,login_2\r\n"
+            b"0,0.0,0.0,0.0\r\n1,0.0,0.0,0.0\r\n2,0.0,0.0,0.0\r\n"
+        )
+        assert breakdown.read_bytes() == oracle_breakdown(
+            instance_from_dict(load_json(instance_path)), Schedule((1, 0, 1))
+        )
+
+
+class TestPlanCommandsBuildNoProfiles:
+    def test_optimize_evaluate_and_simulate_build_no_follower_profile(
+        self, tmp_path, monkeypatch
+    ):
+        """The three `plan` commands read the population as columns only, also
+        where the benchmark's tracer reads `len(instance.followers)`, and each
+        builds one timeline layout."""
+        from perfbench.tracing import Tracer
+
+        paths = {name: str(tmp_path / name) for name in (
+            "instance.json", "schedule.json", "heat.csv", "breakdown.csv")}
+        generators.write_json(paths["instance.json"], generators.instance_dict(3, followers=40))
+        built = []
+        post_init = FollowerProfile.__post_init__
+
+        def counting(profile):
+            built.append(profile.id)
+            post_init(profile)
+
+        monkeypatch.setattr(FollowerProfile, "__post_init__", counting)
+        layouts = []
+        layout_init = TimelineLayout.__init__
+
+        def counting_layouts(layout, instance):
+            layouts.append(len(instance.followers))
+            layout_init(layout, instance)
+
+        monkeypatch.setattr(TimelineLayout, "__init__", counting_layouts)
+        tracer = Tracer()
+        tracer.install()
+        per_command = []
+        try:
+            for argv in (
+                ["optimize", paths["instance.json"], "-o", paths["schedule.json"],
+                 "--method", "marginal"],
+                ["evaluate", paths["instance.json"], paths["schedule.json"],
+                 "--heatmap", paths["heat.csv"], "--breakdown", paths["breakdown.csv"]],
+                ["simulate", paths["instance.json"], paths["schedule.json"], "--days", "50"],
+            ):
+                assert main(argv + ["--json"]) == 0
+                per_command.append(len(layouts))
+                layouts.clear()
+        finally:
+            tracer.uninstall()
+        assert per_command == [1, 1, 1]
+        assert tracer.counts["simulate.follower_days"] == 40 * 50
+        assert tracer.counts["objective.attention_total_follower_evals"] == 40
+        assert built == []

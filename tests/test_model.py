@@ -1,5 +1,6 @@
 """Survival families, domain-type validation, and model invariants."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from feedsched import (
     FAMILIES,
     FollowerProfile,
+    Followers,
     ProblemInstance,
     Schedule,
     SurvivalModel,
@@ -278,3 +280,57 @@ class TestDomainTypes:
 
     def test_families_registry(self):
         assert FAMILIES == ("exponential", "geometric", "weibull", "loglogistic", "rayleigh")
+
+
+class TestFollowerColumns:
+    """`ProblemInstance` holds its followers as `Followers` columns, whose
+    items are profiles built on access."""
+
+    profiles = (
+        FollowerProfile(id="u", sigma=0, rho=0.5, delta=0.25, competitor_load=(0.0, 1.0)),
+        FollowerProfile(id="v", sigma=1, rho=0.0, delta=1.0, gamma=2.0, competitor_load=(3.0, 0.5)),
+    )
+
+    def test_profiles_are_held_as_read_only_columns(self):
+        instance = ProblemInstance(slots=2, budget=1, followers=self.profiles)
+        f = instance.followers
+        assert isinstance(f, Followers) and len(f) == 2
+        assert f == self.profiles and f[1] == self.profiles[1] and f[-1] == self.profiles[1]
+        assert f.ids == ("u", "v") and f.sigma.tolist() == [0, 1]
+        assert f.gamma.tolist() == [1.0, 2.0]
+        assert f.competitor_load.tolist() == [[0.0, 1.0], [3.0, 0.5]]
+        for column in (f.sigma, f.rho, f.delta, f.gamma, f.competitor_load):
+            assert not column.flags.writeable
+        with pytest.raises(IndexError):
+            f[2]
+        assert hash(instance) == hash(ProblemInstance(slots=2, budget=1, followers=self.profiles))
+
+    def test_replace_shares_the_columns(self):
+        instance = ProblemInstance(slots=2, budget=1, followers=self.profiles)
+        moved = dataclasses.replace(instance, budget=2)
+        assert moved.followers is instance.followers and moved == dataclasses.replace(
+            instance, budget=2, followers=self.profiles
+        )
+
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [
+            ("rho", 1.5, r"rho must lie in \[0, 1\], got 1.5"),
+            ("gamma", math.inf, "gamma must be finite and >= 0, got inf"),
+            ("sigma", 2, "follower 'v' has sigma=2 outside the 2 slots"),
+            ("competitor_load", (0.0, math.nan), "competitor_load entries must be finite"),
+        ],
+    )
+    def test_a_bad_column_entry_is_named_by_its_follower(self, column, value, message):
+        columns = {
+            "ids": ["u", "v"], "sigma": [0, 1], "rho": [0.5, 0.5], "delta": [0.5, 0.5],
+            "gamma": [1.0, 1.0], "competitor_load": [(0.0, 0.0), (0.0, 0.0)],
+        }
+        columns[column][1] = value
+        with pytest.raises(ValueError, match=message):
+            ProblemInstance(slots=2, budget=1, followers=Followers(**columns))
+
+    def test_columns_of_the_wrong_width_are_rejected(self):
+        columns = Followers(["u"], [0], [0.5], [0.5], [1.0], [[0.0, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="competitor load of length 3, expected 2"):
+            ProblemInstance(slots=2, budget=1, followers=columns)

@@ -1,5 +1,6 @@
 """Timeline layout, per-cluster attention, population totals and heatmaps."""
 
+from dataclasses import replace
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -415,6 +416,25 @@ class TestGeometricTermsAgainstDecimal:
                     exact = keep * sum(q ** (z + k) for k in range(1, x + 1))
                     error = abs(Decimal(float(terms[j, view.position])) - exact)
                     assert error <= Decimal("1e-12") * exact + Decimal("1e-300"), (j, view)
+
+
+class TestSharedLayout:
+    def test_an_instance_keeps_one_read_only_layout(self, hand_instance):
+        layout = TimelineLayout.of(hand_instance)
+        assert TimelineLayout.of(hand_instance) is layout
+        assert not layout.order.flags.writeable and not layout.loads.flags.writeable
+        unshifted = replace(hand_instance, cluster_survival_shifted=False)
+        assert TimelineLayout.of(unshifted) is not layout
+        assert TimelineLayout.of(unshifted).shifted == 0
+
+
+class TestZeroFollowers:
+    def test_an_empty_population_scores_in_float64(self):
+        instance = ProblemInstance(slots=3, budget=2, followers=())
+        schedule = Schedule((1, 0, 1))
+        assert heatmap(schedule, instance).dtype == np.float64
+        assert attention_potential(schedule, instance).per_source_slot.dtype == np.float64
+        assert TimelineLayout(instance).slot_gains(schedule.posts).dtype == np.float64
 
 
 class TestLayoutValidation:
