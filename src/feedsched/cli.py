@@ -112,6 +112,8 @@ class RunConfig:
                 raise ValueError(f"{key} must be finite and in [0, 1], got {value}")
         if cfg.seed < 0:
             raise ValueError(f"seed (--seed) must be >= 0, got {cfg.seed}")
+        if cfg.enumeration_cap < 1:
+            raise ValueError(f"enumeration_cap (--cap) must be >= 1, got {cfg.enumeration_cap}")
         for key, flag, low, high in (
             ("matrix_max_size", "--max-size", 2, OVERFLOW_BUCKET),
             ("tz_offset_minutes", "--tz-offset-minutes", -720, 840),  # UTC-12 to UTC+14

@@ -374,19 +374,22 @@ def instance_to_dict(instance: ProblemInstance) -> dict:
 
 def _follower_columns(followers) -> Followers | None:
     """The followers of an instance object as columns, when each is an object
-    with every field of `FollowerProfile` and each value has the exact JSON
-    type `from_json` takes there; None otherwise (zero followers too). The
-    values are not checked here: `ProblemInstance` checks the columns."""
+    with every field of `FollowerProfile` (`gamma` may be left out for its
+    default) and each value has the exact JSON type `from_json` takes there;
+    None otherwise (zero followers too). The values are not checked here:
+    `ProblemInstance` checks the columns."""
     if type(followers) is not list or not followers or set(map(type, followers)) != {dict}:
         return None
-    if set(map(len, followers)) != {len(_FOLLOWER_FIELDS)}:
+    if any(len(f) + ("gamma" not in f) != len(_FOLLOWER_FIELDS) for f in followers):
         return None
     try:  # one list per field, with no object per follower
-        ids, sigma, rho, delta, gamma, load = (
-            list(map(operator.itemgetter(name), followers)) for name in _FOLLOWER_FIELDS
+        ids, sigma, rho, delta, load = (
+            list(map(operator.itemgetter(name), followers))
+            for name in _FOLLOWER_FIELDS if name != "gamma"
         )
     except KeyError:
         return None
+    gamma = list(map(operator.methodcaller("get", "gamma", FollowerProfile.gamma), followers))
     if set(map(type, load)) != {list}:
         return None
     flat = list(itertools.chain.from_iterable(load))

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain
 
 import numpy as np
 
@@ -134,18 +134,27 @@ def _sum_in_order(a: np.ndarray) -> np.ndarray:
     return np.cumsum(np.concatenate((np.zeros(a.shape[:-1] + (1,)), a), axis=-1), axis=-1)[..., -1]
 
 
+def _elementwise(f, *columns: np.ndarray) -> np.ndarray:
+    """f on the Python floats of equal-length 1-D arrays, element by element.
+    The arrays are converted a batch of 4096 at a time, never whole to lists."""
+    n = len(columns[0])
+    batches = (
+        map(f, *(c[lo : lo + 4096].tolist() for c in columns)) for lo in range(0, n, 4096)
+    )
+    return np.fromiter(chain.from_iterable(batches), float, n)
+
+
 def _pow(base: np.ndarray, exponent: np.ndarray) -> np.ndarray:
     """base ** exponent through the C library's `pow`, one element at a time as
     Python's `**` computes it (numpy's array power may differ in the last bit)."""
-    return np.fromiter(map(math.pow, base.tolist(), exponent.tolist()), float, len(base))
+    return _elementwise(math.pow, base, exponent)
 
 
 def _survival(family: str, lam: np.ndarray, p: float, x: np.ndarray) -> np.ndarray:
     """`survival_array` one element at a time, with its scalar formulas' bits."""
     if family == "geometric":
         return _pow(1.0 - lam, x)
-    values = map(survival_array, repeat(family), lam.tolist(), repeat(p), x.tolist())
-    return np.fromiter(values, float, len(lam))
+    return _elementwise(lambda lam_j, x_j: survival_array(family, lam_j, p, x_j), lam, x)
 
 
 def _bincount(keys: np.ndarray, weights: np.ndarray, length: int) -> np.ndarray:
@@ -260,6 +269,42 @@ class TimelineLayout:
             return delta**eff
         return survival_array(self.cluster_family, delta, self.cluster_p, eff)
 
+    def attention_table(self, budget: int, block: int) -> tuple[np.ndarray, np.ndarray]:
+        """Weighted attention of every cluster that a schedule spending at most
+        `budget` posts can form, summed per login group: `(order, table)`.
+
+        order[g] is the timeline order shared by the followers of the g-th
+        login slot present, and table[g, i, P, x] is the sum over them of
+        gamma * keep(x) * (F(L + P + 1) + ... + F(L + P + x)) for a cluster
+        of x posts at timeline position i below P producer posts, where L is
+        the follower's competitor load at and above position i. A schedule's
+        total is the sum of table[g, i, P, x] over groups and positions.
+        Entries with P + x > budget are 0. Followers are taken in blocks of
+        about `block` table cells, so memory is bounded at any population.
+        """
+        n, slots, width = len(self.gamma), self.slots, budget + 1
+        logins, group = np.unique(self.order[:, 0], return_inverse=True)
+        table = np.zeros((len(logins), slots, width, width))
+        # F(L + P + k) is column P + k - 1 of the survival at depths L + 1 ..
+        # L + budget, padded with a 0 column for P + k > budget
+        step = np.arange(width)[:, None] + np.arange(1, width)
+        step = np.where(step <= budget, step - 1, budget)
+        loads = np.cumsum(self.loads, axis=1)[..., None]
+        size = np.arange(width)
+        rows = max(1, block // (slots * width * width))
+        for lo in range(0, n, rows):
+            part = slice(lo, lo + rows)
+            seen = np.zeros(loads[part].shape[:-1] + (width,))
+            seen[..., :budget] = survival_array(
+                self.follower_family, self.rho[part, :, None], self.follower_p,
+                loads[part] + size[1:],
+            )
+            cells = np.zeros(seen.shape + (width,))
+            np.cumsum(seen[..., step], axis=-1, out=cells[..., 1:])
+            cells *= (self.keep(size, self.delta[part]) * self.gamma[part, None])[:, None, None]
+            np.add.at(table, group[part], cells)
+        return (logins[:, None] - np.arange(slots)) % slots, table
+
     def terms(self, posts) -> np.ndarray:
         """Raw per-cluster attention in timeline order, shaped like
         `timeline_posts(posts)`."""
@@ -345,7 +390,8 @@ def attention_potential(schedule: Schedule, instance: ProblemInstance) -> Attent
 def attention_total(schedule: Schedule, instance: ProblemInstance) -> float:
     """Population total of one schedule, as reported by the optimizers: a closed
     form of the geometric inner sum when both survival families are geometric,
-    the full breakdown otherwise. Ranking goes through `TimelineLayout.totals`."""
+    the full breakdown otherwise. Ranking goes through `TimelineLayout.slot_gains`
+    (greedy) and `TimelineLayout.attention_table` (exhaustive search)."""
     layout = TimelineLayout.of(instance)
     if layout.follower_family != "geometric" or layout.cluster_family != "geometric":
         return attention_potential(schedule, instance).total

@@ -121,9 +121,11 @@ def brute_force(
     """Exact optimum by full enumeration; ties keep the lexicographically
     smallest schedule. Refuses instances whose candidate count exceeds `cap`.
 
-    Candidates stream in lexicographic chunks, each ranked as one (K x slots)
-    matrix on the layout; the whole candidate set is never held in memory.
-    The reported total is a full evaluation of the best schedule.
+    Candidates stream in lexicographic chunks; the whole candidate set is
+    never held in memory. Each candidate is ranked by gathering one entry of
+    `TimelineLayout.attention_table` per login group and timeline position,
+    with no survival evaluation per candidate. The reported total is a full
+    evaluation of the best schedule.
     """
     slots, budget = instance.slots, instance.budget
     n_candidates = math.comb(budget + slots, slots)
@@ -132,15 +134,25 @@ def brute_force(
             f"enumeration would visit {n_candidates} schedules, "
             f"exceeding the cap of {cap}"
         )
-    layout = TimelineLayout.of(instance)
-    # Non-geometric follower families sum over up to `budget` posts per cluster.
-    depth = 1 if instance.follower_survival_family == "geometric" else max(budget, 1)
-    rows = max(1, CHUNK_ELEMENTS // max(1, len(instance.followers) * slots * depth))
+    order, table = TimelineLayout.of(instance).attention_table(budget, CHUNK_ELEMENTS)
+    width = budget + 1
+    # flat index of table[g, i, 0, 0] for each group g and timeline position i
+    base = np.arange(order.size).reshape(order.shape) * width * width
+    table = table.ravel()
+    rows = max(1, CHUNK_ELEMENTS // max(1, order.size))
     best_posts: np.ndarray | None = None
     best_total = -math.inf
     evaluations = 0
     for chunk in _lex_chunks(slots, budget, rows):
-        totals = layout.totals(chunk)
+        x = chunk[:, order]  # (K x groups x slots) posts in timeline order
+        # flat index of table[g, i, P, x], built in place to keep one temporary;
+        # P = cumsum(x) - x is the producer posts above each cluster
+        index = np.cumsum(x, axis=-1)
+        index -= x
+        index *= width
+        index += x
+        index += base
+        totals = table[index].sum(axis=(1, 2))
         i = int(np.argmax(totals))  # the first maximum is the smallest schedule
         if totals[i] > best_total:
             best_posts, best_total = chunk[i], totals[i]

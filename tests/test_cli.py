@@ -864,11 +864,26 @@ class TestOptimizeCommand:
         assert rc == 4
         assert "cap of 2" in capsys.readouterr().err
 
-    def test_brute_with_zero_cap_exits_4(self, tmp_path, small_files, capsys):
+    @pytest.mark.parametrize("cap", [0, -3])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_brute_with_cap_below_one_exits_2(self, tmp_path, small_files, source, cap, capsys):
         out = tmp_path / "s.json"
-        argv = ["optimize", str(small_files), "-o", str(out), "--method", "brute", "--cap", "0"]
+        argv = ["optimize", str(small_files), "-o", str(out), "--method", "brute"]
+        if source == "flag":
+            argv += ["--cap", str(cap)]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(f'{{"enumeration_cap": {cap}}}')
+            argv += ["--config", str(config)]
+        assert main(argv) == 2
+        assert f"enumeration_cap (--cap) must be >= 1, got {cap}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_brute_with_cap_of_one_exits_4(self, tmp_path, small_files, capsys):
+        out = tmp_path / "s.json"
+        argv = ["optimize", str(small_files), "-o", str(out), "--method", "brute", "--cap", "1"]
         assert main(argv) == 4
-        assert "cap of 0" in capsys.readouterr().err
+        assert "cap of 1" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
@@ -1544,6 +1559,62 @@ class TestColumnarInstanceDecode:
         instance = instance_from_dict({"slots": 3, "budget": 2, "followers": []})
         assert len(instance.followers) == 0 and instance.followers == ()
         assert instance.followers.competitor_load.shape == (0, 3)
+
+    def test_a_missing_gamma_takes_the_column_path_as_one(self, monkeypatch):
+        with_gamma = _four_followers()
+        with_gamma["followers"][2]["gamma"] = 1.0
+        without = _four_followers()
+        for j in (0, 2, 3):
+            del without["followers"][j]["gamma"]
+        built = []
+        post_init = FollowerProfile.__post_init__
+
+        def counting(profile):
+            built.append(profile.id)
+            post_init(profile)
+
+        monkeypatch.setattr(FollowerProfile, "__post_init__", counting)
+        instance = instance_from_dict(without, "inst.json")
+        assert built == []
+        assert instance == instance_from_dict(with_gamma, "inst.json")
+        assert instance.followers.gamma.tolist() == [1.0, 1.0, 1.0, 1.0]
+        monkeypatch.undo()
+        assert instance == from_json(ProblemInstance, without, "inst.json")
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            pytest.param(
+                lambda f: f.update(rho=1.5),
+                "inst.json: followers[3]: rho must lie in [0, 1], got 1.5",
+                id="rho",
+            ),
+            pytest.param(
+                lambda f: f.update(weight=1.0),
+                "inst.json: followers[3]: unknown key 'weight'; expected one of "
+                "['competitor_load', 'delta', 'gamma', 'id', 'rho', 'sigma']",
+                id="unknown-key",
+            ),
+            pytest.param(
+                lambda f: f.pop("delta"),
+                "inst.json: followers[3]: missing key 'delta'",
+                id="missing-delta",
+            ),
+            pytest.param(
+                lambda f: f.update(gamma="1"),
+                "inst.json: followers[3]: gamma: expected a number, got '1'",
+                id="string-gamma",
+            ),
+        ],
+    )
+    def test_a_bad_follower_without_gamma_is_named_as_before(self, edit, message):
+        obj = _four_followers()
+        for follower in obj["followers"]:
+            del follower["gamma"]
+        edit(obj["followers"][3])
+        with pytest.raises(ValueError) as info:
+            instance_from_dict(obj, "inst.json")
+        assert str(info.value) == message
 
     def test_a_generated_instance_round_trips_byte_for_byte(self, tmp_path):
         obj = json.loads(json.dumps(generators.instance_dict(2, followers=30)))

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,8 +21,10 @@ from feedsched import (
     multistart,
 )
 from feedsched import optimize
+from feedsched.formats import instance_from_dict
 from feedsched.objective import TimelineLayout
 from feedsched.optimize import HEURISTICS, window_slots
+from perfbench import generators
 
 from conftest import family_instance, random_feasible_schedule, random_instance
 
@@ -507,3 +510,121 @@ class TestChunkedBruteForce:
         first = next(optimize._lex_chunks(8, 26, 1000))
         assert first.shape[1] == 8 and 1 <= len(first) <= 1000
         assert first[0].tolist() == [0] * 8
+
+
+def table_total(order, table, posts):
+    """A schedule's total read off `attention_table` one cluster at a time."""
+    total = 0.0
+    for g, timeline in enumerate(order.tolist()):
+        above = 0
+        for i, slot in enumerate(timeline):
+            total += table[g, i, above, posts[slot]]
+            above += posts[slot]
+    return total
+
+
+def grouped_instance(rng, follower_family, cluster_family, shifted, budget):
+    """Six followers on at least two login slots with fractional loads. The
+    second follower reads nothing (rho = 1) and never skips (delta = 1), the
+    third reads everything and the fourth always skips where the geometric
+    family allows 0, and the last has weight 0."""
+
+    def draw(family, edge):
+        if edge is not None and family == "geometric":
+            return edge
+        return float(rng.uniform(0.05, 1.0))
+
+    slots = int(rng.integers(2, 5))
+    sigma = [0, 1] + rng.integers(0, slots, size=4).tolist()
+    followers = tuple(
+        FollowerProfile(
+            id=f"u{j}",
+            sigma=sigma[j],
+            rho=1.0 if j == 1 else draw(follower_family, 0.0 if j == 2 else None),
+            delta=1.0 if j == 1 else draw(cluster_family, 0.0 if j == 3 else None),
+            gamma=0.0 if j == 5 else float(rng.uniform(0.1, 2.0)),
+            competitor_load=tuple(rng.uniform(0.0, 3.0, size=slots).tolist()),
+        )
+        for j in range(6)
+    )
+    return ProblemInstance(
+        slots=slots,
+        budget=budget,
+        followers=followers,
+        follower_survival_family=follower_family,
+        cluster_survival_family=cluster_family,
+        follower_survival_p=float(rng.uniform(0.5, 2.5)),
+        cluster_survival_p=float(rng.uniform(0.5, 2.5)),
+        cluster_survival_shifted=shifted,
+    )
+
+
+class TestAttentionTable:
+    @pytest.mark.parametrize("shifted", [True, False], ids=["shifted", "unshifted"])
+    @pytest.mark.parametrize("cluster_family", FAMILIES)
+    @pytest.mark.parametrize("follower_family", FAMILIES)
+    def test_table_totals_match_the_layout(self, follower_family, cluster_family, shifted):
+        rng = np.random.default_rng(
+            [FAMILIES.index(follower_family), FAMILIES.index(cluster_family), shifted]
+        )
+        for budget in (0, 3, 4):
+            instance = grouped_instance(rng, follower_family, cluster_family, shifted, budget)
+            layout = TimelineLayout.of(instance)
+            order, table = layout.attention_table(budget, optimize.CHUNK_ELEMENTS)
+            assert order.tolist() == [
+                [(g - i) % instance.slots for i in range(instance.slots)]
+                for g in sorted(set(instance.followers.sigma.tolist()))
+            ]
+            # one follower per block adds them in the same order, to the same bits
+            assert np.array_equal(layout.attention_table(budget, 1)[1], table)
+            candidates = lexicographic_schedules(instance.slots, budget)
+            totals = layout.totals(np.array(candidates))
+            from_table = [table_total(order, table, posts) for posts in candidates]
+            np.testing.assert_allclose(from_table, totals, rtol=1e-12, atol=1e-300)
+            best = int(np.argmax(totals))
+            runner_up = max(np.delete(totals, best), default=-math.inf)
+            if totals[best] - runner_up > 1e-9 * abs(totals[best]):
+                assert brute_force(instance).schedule.posts == candidates[best]
+
+    def test_full_spend_ties_across_login_groups_keep_the_smallest(self, small_chunks):
+        # rho = 0 reads everything and delta = 1 never skips, so every schedule
+        # that spends the budget earns budget * sum(gamma) on every group.
+        followers = tuple(
+            FollowerProfile(id=f"u{j}", sigma=sigma, rho=0.0, delta=1.0, gamma=gamma,
+                            competitor_load=load)
+            for j, (sigma, gamma, load) in enumerate([
+                (0, 1.0, (2.0, 0.0, 1.0, 3.0)),
+                (1, 2.0, (0.0, 1.0, 1.0, 0.0)),
+                (3, 0.5, (1.0, 4.0, 0.0, 2.0)),
+                (3, 1.0, (0.0, 0.0, 2.0, 1.0)),
+            ])
+        )
+        instance = ProblemInstance(slots=4, budget=3, followers=followers)
+        order, table = TimelineLayout.of(instance).attention_table(3, optimize.CHUNK_ELEMENTS)
+        assert len(order) == 3
+        schedules = lexicographic_schedules(4, 3)
+        full = [posts for posts in schedules if sum(posts) == 3]
+        assert {table_total(order, table, posts) for posts in full} == {13.5}
+        report = brute_force(instance)
+        assert report.schedule.posts == (0, 0, 0, 3)
+        assert report.total == 13.5
+        assert report.evaluations == len(schedules)
+        enumerated = [tuple(row) for chunk in small_chunks for row in chunk.tolist()]
+        assert enumerated == schedules
+        winner = enumerated.index((0, 0, 0, 3))
+        assert len(small_chunks[0]) <= winner < len(enumerated) - 1
+
+    def test_table_is_built_in_follower_blocks(self):
+        """Peak memory stays under 10 MB at 20,000 followers, S=3, B=6, where
+        the table over all followers at once would take 23.5 MB."""
+        instance = instance_from_dict(
+            generators.instance_dict(0, followers=20_000, slots=3, budget=6)
+        )
+        tracemalloc.start()
+        try:
+            report = brute_force(instance)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.evaluations == math.comb(9, 3)
+        assert peak < 10 * 2**20
