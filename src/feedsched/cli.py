@@ -35,7 +35,7 @@ from .analyze import (
     reaction_prob_by_size_position,
     reconstruct_timeline,
 )
-from .estimate import EstimationError, build_instance
+from .estimate import SECONDS_PER_DAY, EstimationError, build_instance
 from .formats import (
     dump_json,
     from_json,
@@ -52,6 +52,8 @@ from .formats import (
 from .objective import TimelineLayout, attention_potential, heatmap, timeline_view  # noqa: F401
 from .optimize import (
     DEFAULT_ENUMERATION_CAP,
+    DEFAULT_LUNCH_HOURS,
+    DEFAULT_NIGHT_HOURS,
     EnumerationCapError,
     HEURISTICS,
     brute_force,
@@ -62,9 +64,6 @@ from .optimize import (
 from .simulate import rounded_instance, simulate
 
 __all__ = ["RunConfig", "build_parser", "main", "entrypoint"]
-
-SECONDS_PER_DAY = 86400
-
 
 @dataclass
 class RunConfig:
@@ -86,8 +85,8 @@ class RunConfig:
     rho_default: float = 0.5
     delta_default: float = 0.5
     gamma_mode: str = "one"
-    night_hours: tuple[int, int] = (23, 6)
-    lunch_hours: tuple[int, int] = (12, 13)
+    night_hours: tuple[int, int] = DEFAULT_NIGHT_HOURS
+    lunch_hours: tuple[int, int] = DEFAULT_LUNCH_HOURS
     seed: int = 0
     enumeration_cap: int = DEFAULT_ENUMERATION_CAP
     permutations: int = 1000
@@ -132,7 +131,8 @@ class Report:
     """One command's results, each value given once with its JSON key and the
     template of its text line. `lap` charges the wall time since the previous lap
     to a stage, shown as `timings_s` in the JSON object only, so the text stays
-    deterministic. `emit` prints the text or the JSON and returns exit code 0."""
+    deterministic. `emit` prints the text or the JSON (strict JSON: a NaN or an
+    infinity is an error) and returns exit code 0."""
 
     def __init__(self) -> None:
         self.timings_s: dict[str, float] = {}
@@ -156,7 +156,7 @@ class Report:
 
     def emit(self, as_json: bool) -> int:
         if as_json:
-            print(json.dumps(self.fields, indent=2, sort_keys=True))
+            print(json.dumps(self.fields, indent=2, sort_keys=True, allow_nan=False))
         else:
             for line in self.lines:
                 print(line)
@@ -164,16 +164,11 @@ class Report:
 
 
 def _write_csv(path, header, rows) -> None:
+    """A CSV file as `csv.writer` writes it; a float is written as its repr."""
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
-
-
-def _cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 # ---------------------------------------------------------------- estimate
@@ -235,7 +230,7 @@ def cmd_evaluate(args) -> int:
     if args.heatmap:
         grid = heatmap(schedule, instance, mean_center=args.mean_center)
         header = ["broadcast_slot"] + [f"login_{h}" for h in range(instance.slots)]
-        rows = [[s] + list(map(repr, row)) for s, row in enumerate(grid.tolist())]
+        rows = [[s] + row for s, row in enumerate(grid.tolist())]
         _write_csv(args.heatmap, header, rows)
         report.add("heatmap_path", str(args.heatmap), "wrote heatmap {}")
         report.lap("heatmap")
@@ -245,24 +240,25 @@ def cmd_evaluate(args) -> int:
 # Followers whose `--breakdown` rows are joined into one string: the file is
 # written a chunk at a time, never held whole.
 BREAKDOWN_CHUNK = 256
-# A row as `csv.writer` writes it when the id needs no quoting; floats as repr.
+# A row as `csv.writer` writes it, given the id as it would quote it; floats as repr.
 _BREAKDOWN_ROW = "%s,%d,%d,%d,%r,%r,%r\r\n"
 _NEEDS_QUOTING = re.compile('[,"\r\n]')
 
 
 def _write_breakdown(path, instance, schedule, per_cluster) -> None:
     """The per-cluster CSV: one row per follower and timeline position, read
-    from the instance's layout. Rows are joined a chunk of followers at a
-    time, or written by `csv.writer` when some id needs quoting."""
+    from the instance's layout and joined a chunk of followers at a time."""
     layout = TimelineLayout.of(instance)
     x = layout.timeline_posts(schedule.posts)
     columns = (layout.order, x, layout.loads, layout.depths(x), per_cluster.T)
-    ids, slots = instance.followers.ids, instance.slots
-    quoting = _NEEDS_QUOTING.search("".join(ids)) is not None
+    slots = instance.slots
+    ids = [
+        '"' + i.replace('"', '""') + '"' if _NEEDS_QUOTING.search(i) else i
+        for i in instance.followers.ids
+    ]
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["follower_id", "cluster_position", "source_slot", "producer_count",
-                         "competitor_above", "depth_offset", "attention"])
+        fh.write("follower_id,cluster_position,source_slot,producer_count,"
+                 "competitor_above,depth_offset,attention\r\n")
         for start in range(0, len(ids), BREAKDOWN_CHUNK):
             chunk = ids[start : start + BREAKDOWN_CHUNK]
             rows = zip(
@@ -270,10 +266,7 @@ def _write_breakdown(path, instance, schedule, per_cluster) -> None:
                 list(range(slots)) * len(chunk),
                 *(c[start : start + len(chunk)].ravel().tolist() for c in columns),
             )
-            if quoting:
-                writer.writerows(rows)  # `str` of a float is its repr
-            else:
-                fh.write("".join(map(_BREAKDOWN_ROW.__mod__, rows)))
+            fh.write("".join(map(_BREAKDOWN_ROW.__mod__, rows)))
 
 
 # ---------------------------------------------------------------- optimize
@@ -320,14 +313,8 @@ def cmd_optimize(args) -> int:
         report.add("evaluations", result.evaluations, "evaluations: {}")
         report.add("terminated_by", result.terminated_by, "terminated by: {}")
         if args.trace:
-            _write_csv(
-                args.trace,
-                ["iteration", "slot", "gain"],
-                [
-                    (it, slot, _cell(gain))
-                    for it, (slot, gain) in enumerate(result.trajectory, start=1)
-                ],
-            )
+            rows = [(it, *step) for it, step in enumerate(result.trajectory, start=1)]
+            _write_csv(args.trace, ["iteration", "slot", "gain"], rows)
             report.add("trajectory_path", str(args.trace), "wrote trajectory {}")
     dump_json(schedule_to_dict(schedule), args.out)
     report.add("schedule_path", str(args.out), "wrote {}")
@@ -350,17 +337,15 @@ def cmd_simulate(args) -> int:
     analytic = attention_potential(schedule, rounded).total
     report.lap("analytic")
     diff = result.empirical_total - analytic
-    if result.standard_error > 0:
-        z = diff / result.standard_error
-    else:
-        z = 0.0 if diff == 0 else float("inf") if diff > 0 else float("-inf")
+    # With no spread and a nonzero difference the z-score is unbounded: null in JSON.
+    z = diff / result.standard_error if result.standard_error > 0 else None if diff else 0.0
     report.add("mode", result.mode, "mode: {}")
     report.add("days", result.replications, "days: {}")
     report.add("seed", result.seed, "seed: {}")
     report.add("empirical_total", result.empirical_total, "empirical total: {:.6f}")
     report.add("standard_error", result.standard_error, "standard error: {:.6f}")
     report.add("analytic_total_rounded", analytic, "analytic total (rounded loads): {:.6f}")
-    report.add("z_score", z, "z-score: {:.4f}")
+    report.add("z_score", z, "z-score: n/a" if z is None else "z-score: {:.4f}")
     return report.emit(args.json)
 
 
@@ -369,12 +354,10 @@ def cmd_simulate(args) -> int:
 
 def _matrix_rows(values: dict[tuple[int, int], float], max_size: int):
     header = ["i\\j"] + [bucket_name(j) for j in range(2, max_size + 1)]
-    rows = []
-    for i in range(1, max_size):
-        row = [bucket_name(i)]
-        for j in range(2, max_size + 1):
-            row.append(_cell(values[(i, j)]) if (i, j) in values else "")
-        rows.append(row)
+    rows = [
+        [bucket_name(i)] + [values.get((i, j), "") for j in range(2, max_size + 1)]
+        for i in range(1, max_size)
+    ]
     return header, rows
 
 
@@ -406,10 +389,7 @@ def cmd_analyze(args) -> int:
         report.lap("clusters")
 
     probs = reaction_prob_by_size(counts)
-    stats_rows = [
-        (bucket_name(b), counts[b][0], counts[b][1], _cell(probs[b]))
-        for b in sorted(counts)
-    ]
+    stats_rows = [(bucket_name(b), *counts[b], probs[b]) for b in sorted(counts)]
     write("cluster_stats.csv", ["size", "reactions", "total", "probability"], stats_rows)
     report.add("cluster_stats", {bucket_name(b): probs[b] for b in sorted(probs)})
 
@@ -431,10 +411,7 @@ def cmd_analyze(args) -> int:
         write(
             "reaction_by_size_position.csv",
             ["size", "position", "probability"],
-            [
-                (bucket_name(b), k, _cell(p))
-                for (b, k), p in sorted(by_pos.items())
-            ],
+            [(bucket_name(b), k, p) for (b, k), p in sorted(by_pos.items())],
         )
 
         taus: list[float] = []
@@ -448,10 +425,7 @@ def cmd_analyze(args) -> int:
             write(
                 "interevent_histogram.csv",
                 ["bin_left_hours", "bin_right_hours", "count"],
-                [
-                    (_cell(float(edges[k])), _cell(float(edges[k + 1])), int(hist[k]))
-                    for k in range(len(hist))
-                ],
+                zip(edges[:-1].tolist(), edges[1:].tolist(), hist.tolist()),
             )
         try:
             alpha = powerlaw_alpha(taus, cfg.tau_min_hours)

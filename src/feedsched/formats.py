@@ -2,9 +2,10 @@
 activity CSV, and JSON instances, schedules and run configs.
 
 Trace files carry one event object per line with fields ``user``, ``ts``,
-``kind`` and (for reactions) ``target_author``. Graph files are CSV with the
-header ``follower,followee``. Instance, schedule and config JSON mirror a
-dataclass field for field (`ProblemInstance`, `Schedule`, `cli.RunConfig`).
+``kind`` and (for reactions) ``target_author``. Graph, counts and activity
+files are CSV, read by one rule (`_csv_rows`). Instance, schedule and config
+JSON mirror a dataclass field for field (`ProblemInstance`, `Schedule`,
+`cli.RunConfig`).
 `from_json` reads them by one strict rule: unknown keys and values of the
 wrong JSON type are rejected, naming the file and key; an ``int`` field takes
 only a JSON integer and a ``float`` field an integer or a float; nothing is
@@ -62,23 +63,43 @@ class TraceFormatError(ValueError):
 _scan = json.JSONDecoder().scan_once
 
 
-def _check_utf8(path, lineno: int, line: str) -> None:
-    """Raise a TraceFormatError naming the first byte of `line` that is not
-    UTF-8; read with errors="surrogateescape", such a byte is a lone surrogate."""
-    try:
-        line.encode()
-    except UnicodeEncodeError as exc:
-        byte = ord(line[exc.start]) - 0xDC00
-        raise TraceFormatError(f"{path}:{lineno}: invalid UTF-8 byte 0x{byte:02x}") from None
-
-
 def _utf8_lines(path: Path):
-    """The lines of a UTF-8 file, line endings as written, each checked."""
+    """The lines of a UTF-8 file, line endings as written. Read with
+    errors="surrogateescape", a byte that is not UTF-8 is a lone surrogate,
+    named with its line."""
     with path.open(encoding="utf-8", errors="surrogateescape", newline="") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.isascii():
-                _check_utf8(path, lineno, line)
+                try:
+                    line.encode()
+                except UnicodeEncodeError as exc:
+                    byte = ord(line[exc.start]) - 0xDC00
+                    raise TraceFormatError(
+                        f"{path}:{lineno}: invalid UTF-8 byte 0x{byte:02x}"
+                    ) from None
             yield line
+
+
+def _csv_rows(path, header: list[str] | None = None):
+    """The rows of a UTF-8 CSV file as `(line, cells)`, `line` being the first
+    line of the record. A row with no cells or one blank cell is skipped. With
+    `header`, the first row must hold those names (spaces around them aside);
+    it is not yielded. Errors name `path` as given."""
+    reader = csv.reader(_utf8_lines(Path(path)))
+    line = 1
+    try:
+        first = next(reader, None) if header else None
+        if header and [h.strip() for h in first or ()] != header:
+            raise TraceFormatError(
+                f"{path}:1: expected the header {','.join(header)!r}, got {first!r}"
+            )
+        line = reader.line_num + 1
+        for row in reader:
+            if row and (len(row) > 1 or row[0].strip()):
+                yield line, row
+            line = reader.line_num + 1
+    except csv.Error as exc:  # a field past the csv module's size limit
+        raise TraceFormatError(f"{path}:{line}: {exc}") from None
 
 
 def _loads(text: str, where, **kwargs):
@@ -107,42 +128,39 @@ def load_trace(path, tz_offset_minutes: int = 0) -> ActivityTrace:
     path = Path(path)
     users, stamps, kinds, targets = [], [], [], []
     intern = {}.setdefault
-    with path.open(encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if not line.isascii():
-                _check_utf8(path, lineno, line)
+    for lineno, line in enumerate(_utf8_lines(path), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj, end = _scan(line, 0)
+        except (StopIteration, ValueError, RecursionError):
+            end = -1
+        # The fast check: as strict as `Event` or stricter, never looser, so a
+        # line it refuses costs a second decode, never a different verdict.
+        if not (
+            end == len(line)
+            and type(obj) is dict
+            and type(user := obj.get("user")) is str
+            and type(ts := obj.get("ts")) is int
+            and -(2**63) <= ts < 2**63
+            and (kind := obj.get("kind")) in EVENT_KINDS
+            and ((target := obj.get("target_author")) is None) == (kind == "post")
+            and (target is None or type(target) is str and target != "")
+        ):
+            where = f"{path}:{lineno}"
+            obj = _loads(line, where)
+            if not isinstance(obj, dict):
+                raise TraceFormatError(f"{where}: expected a JSON object")
             try:
-                obj, end = _scan(line, 0)
-            except (StopIteration, ValueError, RecursionError):
-                end = -1
-            # The fast check: as strict as `Event` or stricter, never looser, so a
-            # line it refuses costs a second decode, never a different verdict.
-            if not (
-                end == len(line)
-                and type(obj) is dict
-                and type(user := obj.get("user")) is str
-                and type(ts := obj.get("ts")) is int
-                and -(2**63) <= ts < 2**63
-                and (kind := obj.get("kind")) in EVENT_KINDS
-                and ((target := obj.get("target_author")) is None) == (kind == "post")
-                and (target is None or type(target) is str and target != "")
-            ):
-                where = f"{path}:{lineno}"
-                obj = _loads(line, where)
-                if not isinstance(obj, dict):
-                    raise TraceFormatError(f"{where}: expected a JSON object")
-                try:
-                    event = Event(obj["user"], obj["ts"], obj["kind"], obj.get("target_author"))
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise TraceFormatError(f"{where}: {exc}") from exc
-                user, ts, kind, target = event.user, event.ts, event.kind, event.target_author
-            users.append(intern(user, user))
-            stamps.append(ts)
-            kinds.append(intern(kind, kind))
-            targets.append(intern(target, target))
+                event = Event(obj["user"], obj["ts"], obj["kind"], obj.get("target_author"))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise TraceFormatError(f"{where}: {exc}") from exc
+            user, ts, kind, target = event.user, event.ts, event.kind, event.target_author
+        users.append(intern(user, user))
+        stamps.append(ts)
+        kinds.append(intern(kind, kind))
+        targets.append(intern(target, target))
     if not users:
         raise TraceFormatError(f"{path}:1: the trace file contains no events")
     return ActivityTrace.from_columns(users, stamps, kinds, targets, tz_offset_minutes)
@@ -151,19 +169,9 @@ def load_trace(path, tz_offset_minutes: int = 0) -> ActivityTrace:
 def load_graph(path) -> FollowGraph:
     path = Path(path)
     edges = []
-    reader = csv.reader(_utf8_lines(path))
-    header = next(reader, None)
-    if header is None or [h.strip() for h in header] != ["follower", "followee"]:
-        raise TraceFormatError(
-            f"{path}:1: expected the header 'follower,followee', got {header!r}"
-        )
-    for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
+    for line, row in _csv_rows(path, ["follower", "followee"]):
         if len(row) != 2 or not row[0].strip() or not row[1].strip():
-            raise TraceFormatError(
-                f"{path}:{lineno}: expected two non-empty columns, got {row!r}"
-            )
+            raise TraceFormatError(f"{path}:{line}: expected two non-empty columns, got {row!r}")
         edges.append((row[0].strip(), row[1].strip()))
     return FollowGraph(edges)
 
@@ -174,15 +182,7 @@ def load_counts(path) -> dict[int, tuple[int, int]]:
     total >= 1."""
     buckets = {bucket_name(b): b for b in range(1, OVERFLOW_BUCKET + 1)}
     counts: dict[int, tuple[int, int]] = {}
-    reader = csv.reader(_utf8_lines(Path(path)))
-    header = next(reader, None)
-    if header is None or [h.strip() for h in header] != ["size", "reactions", "total"]:
-        raise TraceFormatError(
-            f"{path}:1: expected the header 'size,reactions,total', got {header!r}"
-        )
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
+    for line, row in _csv_rows(path, ["size", "reactions", "total"]):
         try:
             if len(row) != 3:
                 raise ValueError(f"expected three columns, got {row!r}")
@@ -199,7 +199,7 @@ def load_counts(path) -> dict[int, tuple[int, int]]:
                 )
             counts[bucket] = (reactions, total)
         except ValueError as exc:
-            raise TraceFormatError(f"{path}:{lineno}: {exc}") from exc
+            raise TraceFormatError(f"{path}:{line}: {exc}") from exc
     if not counts:
         raise TraceFormatError(f"{path}:1: the counts table is empty")
     return counts
@@ -207,10 +207,9 @@ def load_counts(path) -> dict[int, tuple[int, int]]:
 
 def load_activity(path, slots: int) -> list[float]:
     """Read `slots` per-slot activity weights, finite and >= 0, laid out over
-    any number of comma-separated rows."""
+    any number of comma-separated rows; blank cells are skipped."""
     values: list[float] = []
-    reader = csv.reader(_utf8_lines(Path(path)))
-    for row in reader:
+    for line, row in _csv_rows(path):
         for cell in filter(None, map(str.strip, row)):
             try:
                 value = float(cell)
@@ -218,14 +217,11 @@ def load_activity(path, slots: int) -> list[float]:
                 value = math.nan
             if not (math.isfinite(value) and value >= 0):
                 raise TraceFormatError(
-                    f"{path}:{reader.line_num}: activity weights must be finite "
-                    f"numbers >= 0, got {cell!r}"
+                    f"{path}:{line}: activity weights must be finite numbers >= 0, got {cell!r}"
                 )
             values.append(value)
     if len(values) != slots:
-        raise ValueError(
-            f"{path}: expected {slots} activity weights, found {len(values)}"
-        )
+        raise ValueError(f"{path}: expected {slots} activity weights, found {len(values)}")
     return values
 
 

@@ -155,11 +155,26 @@ class FollowerProfile:
             raise ValueError(f"delta must lie in [0, 1], got {self.delta}")
         if not 0.0 <= self.gamma < math.inf:
             raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
+        if any(isinstance(c, (str, bytes)) for c in self.competitor_load):
+            raise TypeError("competitor_load must hold numbers, not text")
         load = tuple(float(c) for c in self.competitor_load)
         bad = [c for c in load if not 0.0 <= c < math.inf]
         if bad:
             raise ValueError(f"competitor_load entries must be finite and >= 0, got {bad[0]}")
         object.__setattr__(self, "competitor_load", load)
+
+
+def _column(name: str, values, dtype) -> np.ndarray:
+    """`values` as an array of `dtype`, with no value changed on the way: text
+    is refused, not parsed, and so is a sigma that is not a whole number."""
+    a = np.asarray(values)
+    if a.dtype.kind in "OSU" and any(isinstance(v, (str, bytes)) for v in a.flat):
+        raise TypeError(f"{name} must hold numbers, not text")
+    if dtype is np.intp and a.dtype.kind not in "biu":
+        bad = [v for v in a.tolist() if not (math.isfinite(v) and v == int(v))]
+        if bad:
+            raise ValueError(f"{name} must be a non-negative slot index, got {bad[0]!r}")
+    return a.astype(dtype, copy=False)
 
 
 def _frozen(*arrays) -> None:
@@ -193,14 +208,16 @@ class Followers(_Columns):
     `ids` (a tuple of str), `sigma` (intp), `rho`, `delta` and `gamma`
     (float64), and the (followers x slots) float64 `competitor_load`. Items
     are `FollowerProfile`s built on access; `len` builds none. The arrays
-    given are kept as they are (shared, not copied) and made read-only."""
+    given are kept as they are (shared, not copied) and made read-only; see
+    `_column` for what is refused."""
 
     def __init__(self, ids, sigma, rho, delta, gamma, competitor_load):
         self.ids = tuple(ids)
-        self.sigma = np.asarray(sigma, dtype=np.intp)
-        self.rho, self.delta, self.gamma, self.competitor_load = (
-            np.asarray(c, dtype=float) for c in (rho, delta, gamma, competitor_load)
-        )
+        self.sigma = _column("sigma", sigma, np.intp)
+        self.rho = _column("rho", rho, float)
+        self.delta = _column("delta", delta, float)
+        self.gamma = _column("gamma", gamma, float)
+        self.competitor_load = _column("competitor_load", competitor_load, float)
         _frozen(self.sigma, self.rho, self.delta, self.gamma, self.competitor_load)
 
     @classmethod

@@ -499,6 +499,83 @@ class TestInputFiles:
         assert main(["evaluate", str(instance_path), str(bad)]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("which", ["instance", "config"])
+    def test_a_top_level_list_exits_2(self, tmp_path, hand_files, capsys, which):
+        instance_path, schedule_path = hand_files
+        bad = tmp_path / "list.json"
+        bad.write_text("[1, 2]\n")
+        argv = {
+            "instance": ["evaluate", str(bad), str(schedule_path)],
+            "config": [
+                "optimize", str(instance_path), "-o", str(tmp_path / "s.json"),
+                "--method", "marginal", "--config", str(bad),
+            ],
+        }[which]
+        assert main(argv) == 2
+        assert f"{bad}: expected a JSON object at the top level" in capsys.readouterr().err
+
+
+class TestCsvReaders:
+    """The graph, counts and activity files are read by one CSV rule: the
+    header where the format has one, rows with no cells or one blank cell
+    skipped, and an error naming the first line of its record."""
+
+    GRAPH, COUNTS = "follower,followee\n", "size,reactions,total\n"
+
+    @pytest.mark.parametrize(
+        "read, text, expected",
+        [
+            (lambda p: load_graph(p).followees_of("a"), GRAPH + "  \na,b\n\t\n", ("b",)),
+            (load_counts, COUNTS + "  \n1,2,10\n\t\n", {1: (2, 10)}),
+            (lambda p: load_activity(p, 2), "  \n0.5\n\t\n1\n", [0.5, 1.0]),
+        ],
+        ids=["graph", "counts", "activity"],
+    )
+    def test_a_whitespace_only_row_is_skipped(self, tmp_path, read, text, expected):
+        path = tmp_path / "input.csv"
+        path.write_text(text)
+        assert read(path) == expected
+
+    @pytest.mark.parametrize(
+        "read, text, line, message",
+        [
+            (load_graph, "src,dst\na,b\n", 1,
+             "expected the header 'follower,followee', got ['src', 'dst']"),
+            (load_graph, GRAPH + "a,b\nc\n", 3, "expected two non-empty columns, got ['c']"),
+            (load_graph, GRAPH + ",b\n", 2, "expected two non-empty columns, got ['', 'b']"),
+            (load_counts, "size,total\n1,2\n", 1,
+             "expected the header 'size,reactions,total', got ['size', 'total']"),
+            (load_counts, "", 1, "expected the header 'size,reactions,total', got None"),
+            (load_counts, COUNTS + "\n \n", 1, "the counts table is empty"),
+            # Records that span lines: an error names the line its record starts on.
+            (load_graph, GRAPH + '"a\nb",c\nd\n', 4, "expected two non-empty columns, got ['d']"),
+            (load_graph, GRAPH + 'a,b\n"x\ny"\n', 3,
+             "expected two non-empty columns, got ['x\\ny']"),
+            (load_counts, COUNTS + '"1\n",2,10\n2,1\n', 4,
+             "expected three columns, got ['2', '1']"),
+            (lambda p: load_activity(p, 3), '1\n"2\n",y\n', 2,
+             "activity weights must be finite numbers >= 0, got 'y'"),
+        ],
+        ids=["graph-header", "graph-row", "graph-empty-cell", "counts-header", "counts-no-header",
+             "counts-empty", "graph-after-record", "graph-record", "counts-after-record",
+             "activity-record"],
+    )
+    def test_a_bad_file_names_its_line(self, tmp_path, read, text, line, message):
+        path = tmp_path / "input.csv"
+        path.write_text(text)
+        with pytest.raises(TraceFormatError) as got:
+            read(path)
+        assert str(got.value) == f"{path}:{line}: {message}"
+
+    def test_a_field_past_the_csv_size_limit_names_its_line(self, tmp_path, data_dir, capsys):
+        path = tmp_path / "graph.csv"
+        path.write_text("follower,followee\na,b\nc," + "d" * 200_000 + "\n")
+        with pytest.raises(TraceFormatError, match=f"{path}:3: field larger than field limit"):
+            load_graph(path)
+        argv = ["analyze", str(data_dir / "pop_small.trace.jsonl"), str(path), "--all"]
+        assert main(argv + ["-o", str(tmp_path / "out")]) == 2
+        assert f"{path}:3: field larger" in capsys.readouterr().err
+
 
 class TestEvaluateCommand:
     def test_prints_hand_total(self, hand_files, capsys):
@@ -656,8 +733,8 @@ class TestEvaluateCommand:
         rng = np.random.default_rng(5)
         family = family_instance(rng, "weibull", "loglogistic", True)
         assert any(c != int(c) for f in family.followers for c in f.competitor_load)
-        # Ids that csv.writer quotes, and one that it writes as it is.
-        names = ["a,b", 'say "hi"', "two\nlines", "émile", "plain"]
+        # Ids that csv.writer quotes, and ones that it writes as they are.
+        names = ["a,b", 'say "hi"', "two\nlines", "x\ry", "émile", "a\x00b", "plain"]
         quoted = ProblemInstance(
             slots=3,
             budget=3,
@@ -848,6 +925,32 @@ class TestOptimizeCommand:
         assert rc == 0
         assert load_json(out)["posts"] == [1] * 24
 
+    @pytest.fixture
+    def four_slots(self, tmp_path):
+        follower = FollowerProfile(
+            id="a", sigma=0, rho=0.5, delta=0.5, gamma=1.0, competitor_load=(0.0,) * 4
+        )
+        path = tmp_path / "four.json"
+        dump_json(instance_to_dict(ProblemInstance(slots=4, budget=4, followers=(follower,))), path)
+        return path
+
+    def test_peak_heuristic_follows_the_activity_file(self, tmp_path, four_slots):
+        activity = tmp_path / "activity.csv"
+        activity.write_text("0,3\n1,0\n")
+        out = tmp_path / "sched.json"
+        argv = ["optimize", str(four_slots), "-o", str(out), "--heuristic", "peak"]
+        assert main(argv + ["--activity", str(activity)]) == 0
+        assert load_json(out)["posts"] == [0, 3, 1, 0]
+
+    def test_peak_heuristic_with_too_few_weights_exits_2(self, tmp_path, four_slots, capsys):
+        activity = tmp_path / "activity.csv"
+        activity.write_text("1,2,3\n")
+        out = tmp_path / "sched.json"
+        argv = ["optimize", str(four_slots), "-o", str(out), "--heuristic", "peak"]
+        assert main(argv + ["--activity", str(activity)]) == 2
+        assert f"{activity}: expected 4 activity weights, found 3" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_brute_over_cap_exits_4(self, tmp_path, small_files, capsys):
         rc = main(
             [
@@ -958,6 +1061,20 @@ class TestSimulateCommand:
         instance_path, schedule_path = hand_files
         rc = main(["simulate", str(instance_path), str(schedule_path), "--days", "0"])
         assert rc == 2
+
+    def test_a_z_score_without_spread_is_null(self, hand_files, capsys):
+        # One day has no standard error; its total differs from the analytic one.
+        argv = ["simulate", *map(str, hand_files), "--days", "1"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.endswith("z-score: n/a\n")
+        assert main(argv + ["--json"]) == 0
+
+        def refuse(name):
+            raise AssertionError(f"{name} is not JSON")
+
+        report = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert report["standard_error"] == 0.0 and report["z_score"] is None
+        assert report["empirical_total"] != report["analytic_total_rounded"]
 
     def test_negative_seed_exits_2(self, hand_files, capsys):
         instance_path, schedule_path = hand_files
@@ -1146,6 +1263,12 @@ class TestAnalyzeCommand:
 
     def test_requires_counts_or_trace(self, tmp_path):
         assert main(["analyze", "-o", str(tmp_path)]) == 2
+
+    def test_user_and_all_together_exit_2(self, tmp_path, data_dir, capsys):
+        inputs = [str(data_dir / "pop_small.trace.jsonl"), str(data_dir / "pop_small.graph.csv")]
+        argv = ["analyze", *inputs, "--user", "prod", "--all", "-o", str(tmp_path)]
+        assert main(argv) == 2
+        assert "exactly one of --user or --all is required" in capsys.readouterr().err
 
     def test_json_report(self, tmp_path, data_dir, capsys):
         rc = main(
@@ -1390,6 +1513,7 @@ class TestConfigFile:
             ({"gap_hours": 8, "cluster_survival_shifted": False}, "estimate", None),
             ({"night_hours": [22, 5], "seed": 3, "enumeration_cap": 10}, "smart", None),
             ({"lunch_hours": [12, 99]}, "smart", "lunch_hours"),
+            ({"gamma_mode": "median"}, "estimate", "unknown gamma_mode 'median'"),
             ({"night_hours": [-1, 6]}, "smart", "night_hours"),
             ({"night_hours": [23, 24]}, "smart", "night_hours"),
             ({"lunch_hours": [0, 23], "night_hours": [23, 0]}, "smart", None),

@@ -1,6 +1,7 @@
 """Every name a feedsched module imports is used in that module, unless the
 benchmark's tracer rebinds it there (`perfbench/tracing.py` `SPANNED` and
-`COUNTED`)."""
+`COUNTED`); every module-level function and class is in its module's
+`__all__` or used somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -40,3 +41,51 @@ def test_the_check_sees_an_unused_import():
     tree = ast.parse("import operator\nfrom json import loads as parse, dumps\ndumps(1)\n")
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert imported_names(tree) - used == {"operator", "parse"}
+
+
+def referenced_names(tree: ast.Module) -> set[str]:
+    """Every name `tree` reads, as a bare name or as an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def unreferenced_definitions(trees: dict[str, ast.Module]) -> set[str]:
+    """The module-level functions and classes of `trees` that their module's
+    `__all__` does not name and no module of `trees` refers to."""
+    referenced = set().union(*map(referenced_names, trees.values()))
+    dead = set()
+    for stem, tree in trees.items():
+        exported = set()
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                exported.update(ast.literal_eval(node.value))
+        dead.update(
+            f"{stem}.{node.name}"
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name not in exported | referenced
+        )
+    return dead
+
+
+def test_every_definition_is_exported_or_used():
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")}
+    dead = unreferenced_definitions(trees)
+    assert not dead, f"defined at module level but neither in __all__ nor used: {sorted(dead)}"
+
+
+def test_the_check_sees_a_dead_definition():
+    trees = {
+        "a": ast.parse("__all__ = ['public']\ndef public(): _used()\ndef _used(): pass\n"
+                       "def _dead(): pass\nclass _Dead: pass\n"),
+        "b": ast.parse("import a\na._helper()\n"),
+        "c": ast.parse("def _helper(): pass\n"),
+    }
+    assert unreferenced_definitions(trees) == {"a._dead", "a._Dead"}

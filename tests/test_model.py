@@ -278,6 +278,21 @@ class TestDomainTypes:
         with pytest.raises(ValueError, match="family"):
             ProblemInstance(slots=1, budget=1, followers=(follower,), follower_survival_family="zeta")
 
+    def test_follower_negative_sigma_rejected(self):
+        with pytest.raises(ValueError, match="sigma must be a non-negative slot index, got -1"):
+            make_follower(sigma=-1)
+
+    @pytest.mark.parametrize(
+        "slots, budget, message",
+        [
+            (0, 1, "slots must be a positive integer, got 0"),
+            (1, -1, "budget must be a non-negative integer, got -1"),
+        ],
+    )
+    def test_instance_rejects_bad_slots_and_budget(self, slots, budget, message):
+        with pytest.raises(ValueError, match=message):
+            ProblemInstance(slots=slots, budget=budget, followers=())
+
     def test_families_registry(self):
         assert FAMILIES == ("exponential", "geometric", "weibull", "loglogistic", "rayleigh")
 
@@ -334,3 +349,28 @@ class TestFollowerColumns:
         columns = Followers(["u"], [0], [0.5], [0.5], [1.0], [[0.0, 0.0, 0.0]])
         with pytest.raises(ValueError, match="competitor load of length 3, expected 2"):
             ProblemInstance(slots=2, budget=1, followers=columns)
+
+    def test_a_fractional_sigma_is_refused_by_both_paths(self):
+        # The same follower as a profile and as columns: neither rounds sigma.
+        message = "sigma must be a non-negative slot index, got 1.5"
+        with pytest.raises(ValueError, match=message):
+            FollowerProfile("a", 1.5, 0.5, 0.5, 1.0, (0.0, 1.0))
+        with pytest.raises(ValueError, match=message):
+            ProblemInstance(2, 1, Followers(["a"], [1.5], [0.5], [0.5], [1.0], [[0, 1]]))
+
+    @pytest.mark.parametrize("column", ["sigma", "rho", "delta", "gamma", "competitor_load"])
+    def test_text_is_refused_by_both_paths(self, column):
+        columns = {
+            "ids": ["a"], "sigma": [1], "rho": [0.5], "delta": [0.5], "gamma": [1.0],
+            "competitor_load": [[0.0, 1.0]],
+        }
+        columns[column] = [["0", "1"]] if column == "competitor_load" else ["1"]
+        profile = {k: v[0] for k, v in columns.items() if k != "ids"}
+        with pytest.raises((TypeError, ValueError)):
+            FollowerProfile("a", **profile)
+        with pytest.raises(TypeError, match=f"{column} must hold numbers, not text"):
+            Followers(**columns)
+
+    def test_whole_float_sigmas_are_taken_as_slots(self):
+        f = Followers(["a"], [1.0], [0.5], [0.5], [1.0], [[0.0, 1.0]])
+        assert f.sigma.dtype == np.intp and f.sigma.tolist() == [1]
