@@ -10,6 +10,7 @@ statistics with randomization tests.
 from .analyze import (
     ClusterMember,
     ClusterRecord,
+    ClusterTally,
     TestResult,
     TimelinePost,
     difference_statistic,
@@ -113,6 +114,7 @@ __all__ = [
     "TimelinePost",
     "ClusterMember",
     "ClusterRecord",
+    "ClusterTally",
     "TestResult",
     "reconstruct_timeline",
     "extract_clusters",

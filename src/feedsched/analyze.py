@@ -9,9 +9,12 @@ tweet at or before the reaction time). Reaction-probability tables bucket
 cluster sizes into 1..10 and ">10".
 
 Timelines and clusters are kept as columns: one `lexsort` orders a timeline,
-clusters start where the author code changes, and every (size bucket,
-position) count comes from one `bincount`. `TimelinePost` and `ClusterRecord`
-objects are only built when a caller reads an item.
+clusters start where the author code changes, and the (size bucket, position)
+counts of a timeline's clusters come from one `bincount`. A `ClusterTally`
+adds those counts up one timeline at a time into one integer table, so a
+caller pooling every user's timeline keeps no user's clusters.
+`TimelinePost` and `ClusterRecord` objects are only built when a caller reads
+an item.
 
 The randomization test shuffles reaction labels across the tweets of two size
 buckets. The permuted count of reactions landing in the first bucket under a
@@ -38,6 +41,7 @@ __all__ = [
     "ClusterRecord",
     "Timeline",
     "Clusters",
+    "ClusterTally",
     "TestResult",
     "bucket_name",
     "reconstruct_timeline",
@@ -196,8 +200,9 @@ def _columns(records):
 _BUCKET_KEYS = np.array([b * (b - 1) // 2 for b in range(1, OVERFLOW_BUCKET + 1)])
 
 
-def _tally(records) -> dict[tuple[int, int], tuple[int, int]]:
-    """Per (size bucket, cluster position): (reacted tweets, total tweets)."""
+def _tally(records) -> np.ndarray:
+    """Row `key` of the result holds (unreacted, reacted) posts at that tally
+    key, over `Clusters`, a list of them, or a list of `ClusterRecord`s."""
     sizes, reacted = _columns(records)
     if len(sizes) and sizes.min() < 1:
         raise ValueError(f"cluster sizes start at 1, got {sizes.min()}")
@@ -205,7 +210,29 @@ def _tally(records) -> dict[tuple[int, int], tuple[int, int]]:
     key = np.repeat(_BUCKET_KEYS[np.minimum(sizes, OVERFLOW_BUCKET) - 1], sizes) + rank
     # Bin 2·key counts unreacted posts and bin 2·key + 1 reacted ones.
     bins = np.bincount(2 * key + reacted, minlength=2 * (key.max(initial=-1) + 1))
-    table = bins.reshape(-1, 2)
+    return bins.reshape(-1, 2)
+
+
+class ClusterTally:
+    """(reacted, total) posts per (size bucket, cluster position), added up
+    over every `Clusters` (or list of `ClusterRecord`s) passed to `add`. It
+    holds one integer table, not the clusters, and is read wherever cluster
+    records are: `reaction_counts(tally)` equals `reaction_counts` of every
+    added cluster together."""
+
+    def __init__(self) -> None:
+        self.table = np.zeros((0, 2), np.int64)
+
+    def add(self, records) -> None:
+        table = _tally(records)
+        if len(table) > len(self.table):
+            self.table = np.pad(self.table, ((0, len(table) - len(self.table)), (0, 0)))
+        self.table[: len(table)] += table
+
+
+def _keyed(records) -> dict[tuple[int, int], tuple[int, int]]:
+    """Per (size bucket, cluster position): (reacted tweets, total tweets)."""
+    table = records.table if isinstance(records, ClusterTally) else _tally(records)
     totals = table.sum(axis=1)
     keys = np.flatnonzero(totals)
     bucket = np.searchsorted(_BUCKET_KEYS, keys, "right")
@@ -219,9 +246,10 @@ def _tally(records) -> dict[tuple[int, int], tuple[int, int]]:
 
 
 def reaction_counts(records) -> dict[int, tuple[int, int]]:
-    """Per size bucket: (reacted tweets, total tweets)."""
+    """Per size bucket: (reacted tweets, total tweets), of cluster records or
+    a `ClusterTally`."""
     counts: dict[int, tuple[int, int]] = {}
-    for (bucket, _), (r, t) in _tally(records).items():
+    for (bucket, _), (r, t) in _keyed(records).items():
         r0, t0 = counts.get(bucket, (0, 0))
         counts[bucket] = (r0 + r, t0 + t)
     return counts
@@ -240,8 +268,9 @@ def reaction_prob_by_size(data) -> dict[int, float]:
 
 
 def reaction_prob_by_size_position(records) -> dict[tuple[int, int], float]:
-    """Empirical reaction probability per (size bucket, cluster position)."""
-    return {key: r / t for key, (r, t) in sorted(_tally(records).items())}
+    """Empirical reaction probability per (size bucket, cluster position), of
+    cluster records or a `ClusterTally`."""
+    return {key: r / t for key, (r, t) in sorted(_keyed(records).items())}
 
 
 def _bucket_pair(counts, i: int, j: int):

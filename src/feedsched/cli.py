@@ -25,6 +25,7 @@ from . import __version__
 # perfbench/tracing.py rebinds names imported below by getattr; keep them even if unused.
 from .analyze import (
     OVERFLOW_BUCKET,
+    ClusterTally,
     bucket_name,
     extract_clusters,
     interevent_times,
@@ -373,7 +374,7 @@ def cmd_analyze(args) -> int:
 
     if args.counts:
         counts = load_counts(args.counts)
-        clusters = None
+        tally = None
         report.lap("load")
     else:
         if not args.trace or not args.graph:
@@ -383,9 +384,11 @@ def cmd_analyze(args) -> int:
         trace = load_trace(args.trace, tz_offset_minutes=cfg.tz_offset_minutes)
         graph = load_graph(args.graph)
         report.lap("load")
-        users = [args.user] if args.user else list(graph.users())
-        clusters = [extract_clusters(reconstruct_timeline(u, graph, trace)) for u in users]
-        counts = reaction_counts(clusters)
+        # Each user's clusters are added to the tally and dropped at once.
+        tally = ClusterTally()
+        for user in [args.user] if args.user else graph.users():
+            tally.add(extract_clusters(reconstruct_timeline(user, graph, trace)))
+        counts = reaction_counts(tally)
         report.lap("clusters")
 
     probs = reaction_prob_by_size(counts)
@@ -406,8 +409,8 @@ def cmd_analyze(args) -> int:
             name, {f"{bucket_name(i)},{bucket_name(j)}": v for (i, j), v in sorted(values.items())}
         )
 
-    if clusters is not None:
-        by_pos = reaction_prob_by_size_position(clusters)
+    if tally is not None:
+        by_pos = reaction_prob_by_size_position(tally)
         write(
             "reaction_by_size_position.csv",
             ["size", "position", "probability"],

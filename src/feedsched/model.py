@@ -146,6 +146,9 @@ class FollowerProfile:
     competitor_load: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
+        for name in ("sigma", "rho", "delta", "gamma"):
+            _numbers(name, (getattr(self, name),))
+        _numbers("competitor_load", self.competitor_load)
         if int(self.sigma) != self.sigma or self.sigma < 0:
             raise ValueError(f"sigma must be a non-negative slot index, got {self.sigma!r}")
         object.__setattr__(self, "sigma", int(self.sigma))
@@ -155,8 +158,6 @@ class FollowerProfile:
             raise ValueError(f"delta must lie in [0, 1], got {self.delta}")
         if not 0.0 <= self.gamma < math.inf:
             raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
-        if any(isinstance(c, (str, bytes)) for c in self.competitor_load):
-            raise TypeError("competitor_load must hold numbers, not text")
         load = tuple(float(c) for c in self.competitor_load)
         bad = [c for c in load if not 0.0 <= c < math.inf]
         if bad:
@@ -164,12 +165,23 @@ class FollowerProfile:
         object.__setattr__(self, "competitor_load", load)
 
 
+def _numbers(name: str, values) -> None:
+    """Refuse text and None among `values`, which would otherwise be parsed or
+    read as NaN, or fail a comparison with a message that does not name them."""
+    for v in values:
+        if isinstance(v, (str, bytes)):
+            raise TypeError(f"{name} must hold numbers, not text")
+        if v is None:
+            raise TypeError(f"{name} must hold numbers, not None")
+
+
 def _column(name: str, values, dtype) -> np.ndarray:
     """`values` as an array of `dtype`, with no value changed on the way: text
-    is refused, not parsed, and so is a sigma that is not a whole number."""
+    and None are refused, not parsed, and so is a sigma that is not a whole
+    number."""
     a = np.asarray(values)
-    if a.dtype.kind in "OSU" and any(isinstance(v, (str, bytes)) for v in a.flat):
-        raise TypeError(f"{name} must hold numbers, not text")
+    if a.dtype.kind in "OSU":
+        _numbers(name, a.flat)
     if dtype is np.intp and a.dtype.kind not in "biu":
         bad = [v for v in a.tolist() if not (math.isfinite(v) and v == int(v))]
         if bad:

@@ -20,10 +20,13 @@ cells. Per follower, a block builds the generators, in the order of a replay
 one follower at a time, and fills the follower's row of uniforms; it also
 evaluates `keep` for a follower with a group larger than the shift, and
 draws the skip block of a follower with an uncertain cluster. All else runs
-once per block. Scroll depths come from a guide table (`_scroll_depths`): one
-table lookup and a short walk per draw instead of a binary search, deciding
-by the same float comparisons, so the depths are those of `searchsorted` bit
-for bit.
+once per block. A follower whose days alone exceed `_BLOCK_CELLS` replays
+them in tiles of that many days from the same generators, and its integer
+sums add up over the tiles, so working memory does not grow with the days
+beyond the (days) totals. Scroll depths come from a guide table
+(`_scroll_depths`): one table lookup and a short walk per draw instead of a
+binary search, deciding by the same float comparisons, so the depths are
+those of `searchsorted` bit for bit.
 
 A cluster kept with probability exactly 0 or 1 (a singleton under the shifted
 cluster survival, for one) draws no skip variate: clusters whose fate is
@@ -37,6 +40,7 @@ per-day and per-cluster sum adds small integers, which are exact in any order.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -61,8 +65,9 @@ __all__ = [
 ]
 
 # A replay block holds at most this many (follower x day) cells and as many
-# (follower x guide bucket) cells, or else one follower. Larger blocks save
-# little time and raise peak memory.
+# (follower x guide bucket) cells, or else one follower, whose days are then
+# replayed in tiles of this many. Larger blocks save little time and raise
+# peak memory.
 _BLOCK_CELLS = 1 << 15
 # Steps a scroll-depth draw walks from its guide bucket before it bisects.
 _WALK_STEPS = 4
@@ -160,12 +165,15 @@ def _replay_block(
     seed: int,
     merged: bool,
     per_cluster: np.ndarray,
+    tile: int,
     scratch: tuple[np.ndarray, ...],
-) -> np.ndarray:
+) -> Iterator[tuple[int, np.ndarray]]:
     """Replay followers first, first + 1, ... whose timeline posts and depth
-    offsets are the rows of x and z. Writes their per-cluster means into the
-    columns of `per_cluster` and returns the (followers x days) posts seen.
-    The skip draws of a follower reuse the buffers in `scratch`."""
+    offsets are the rows of x and z, `tile` days at a time. Yields each
+    tile's first day and its (followers x days) posts seen, and once the last
+    tile is read holds the followers' per-cluster means in the columns of
+    `per_cluster`, which must start at zero. The skip draws of a follower reuse the (tile x clusters)
+    buffers in `scratch`."""
     rows = len(x)
     length = z[:, -1] + x[:, -1]
     longest = int(length.max())
@@ -196,10 +204,12 @@ def _replay_block(
     drawing = np.zeros(rows, dtype=bool)
     drawing[row[drawn]] = True
 
-    u = np.empty((rows, days))
-    skip_rngs = {}
+    # Each follower's generators are built once, in the order of a replay one
+    # follower at a time; every tile reads on from where the last one stopped,
+    # so the streams are those of drawing all days at once.
+    quit_rngs, skip_rngs = [], {}
     for r in range(rows):
-        np.random.default_rng([seed, first + r, 0]).random(out=u[r])
+        quit_rngs.append(np.random.default_rng([seed, first + r, 0]))
         if drawing[r]:
             skip_rngs[r] = np.random.default_rng([seed, first + r, 1])
 
@@ -214,48 +224,62 @@ def _replay_block(
     )
     curve[np.arange(longest + 1) >= length[:, None]] = -1.0
     np.minimum.accumulate(curve, axis=1, out=curve)
-    depth = _scroll_depths(curve, u)
-    # (followers x days) arrays dominate the block's memory: each is freed
-    # as soon as it is read for the last time.
-    del u
 
-    # Sure clusters, summed by scroll depth over (followers x depths 0..longest
-    # + 1) tables: reached[r, d] adds up the days that reach each of the
-    # depths 1..d, and sure_seen[r, d] counts the sure posts at depths 1..d.
-    cells = depth + np.arange(rows)[:, None] * (longest + 2)
-    hist = np.bincount(cells.ravel(), minlength=rows * (longest + 2)).reshape(rows, -1)
-    reached = np.cumsum(np.cumsum(hist[:, ::-1], axis=1)[:, ::-1], axis=1)
+    # Sure clusters are summed by scroll depth over (followers x depths 0..
+    # longest + 1) tables: hist[r, d] counts the days follower r stops at
+    # depth d, and sure_seen[r, d] counts the sure posts at depths 1..d.
     on, top, end = row[sure], starts[sure], starts[sure] + counts[sure]
-    per_cluster[pos[sure], on] = (reached[on, end] - reached[on, top]) / days
     bounds = np.zeros((rows, longest + 2))
     bounds[on, top + 1] += 1.0
     bounds[on, end + 1] -= 1.0
-    sure_seen = np.cumsum(np.cumsum(bounds, axis=1), axis=1)
-    day_sum = sure_seen.ravel()[cells]
-    del cells
+    sure_seen = np.cumsum(np.cumsum(bounds, axis=1), axis=1).ravel()
+    hist = np.zeros(rows * (longest + 2), np.intp)
+    cluster_first = np.searchsorted(row, np.arange(rows + 1))
 
     draws, seen, kept_buf, ones = scratch
-    cluster_first = np.searchsorted(row, np.arange(rows + 1))
-    for r, skip_rng in skip_rngs.items():
-        c = slice(cluster_first[r], cluster_first[r + 1])
-        grp = group[c] - group[c.start]
-        mine = np.flatnonzero(drawn[c])
-        # The whole (days x groups) block is drawn, so the stream is the same
-        # whichever clusters read it. Every index is in range, and
-        # mode="clip" spares `take` the check that buffers its output.
-        m, g = len(mine), int(grp[-1]) + 1
-        u_skip = skip_rng.random(out=draws[: days * g].reshape(days, g))
-        seen_m = seen[: days * m].reshape(days, m)
-        kept = kept_buf[: days * m].reshape(days, m)
-        np.take(u_skip, grp[mine], axis=1, out=seen_m, mode="clip")
-        np.less(seen_m, keep[c][mine], out=kept)
-        reach = np.arange(length[r] + 1.0)[:, None] - starts[c][mine]
-        reach = np.minimum(np.maximum(reach, 0), counts[c][mine])
-        np.take(reach, depth[r], axis=0, out=seen_m, mode="clip")
-        seen_m *= kept
-        per_cluster[pos[c][mine], r] = ones[:days] @ seen_m / days
-        day_sum[r] += seen_m @ ones[:m]
-    return day_sum
+    for t0 in range(0, days, tile):
+        t_days = min(tile, days - t0)
+        u = np.empty((rows, t_days))
+        for r, quit_rng in enumerate(quit_rngs):
+            quit_rng.random(out=u[r])
+        depth = _scroll_depths(curve, u)
+        # (followers x days) arrays dominate the tile's memory: each is freed
+        # as soon as it is read for the last time.
+        del u
+        cells = depth + np.arange(rows)[:, None] * (longest + 2)
+        hist += np.bincount(cells.ravel(), minlength=len(hist))
+        day_sum = sure_seen[cells]
+        del cells
+
+        for r, skip_rng in skip_rngs.items():
+            c = slice(cluster_first[r], cluster_first[r + 1])
+            grp = group[c] - group[c.start]
+            mine = np.flatnonzero(drawn[c])
+            # The whole (tile x groups) block is drawn, so the stream is the
+            # same whichever clusters read it. Every index is in range, and
+            # mode="clip" spares `take` the check that buffers its output.
+            m, g = len(mine), int(grp[-1]) + 1
+            u_skip = skip_rng.random(out=draws[: t_days * g].reshape(t_days, g))
+            seen_m = seen[: t_days * m].reshape(t_days, m)
+            kept = kept_buf[: t_days * m].reshape(t_days, m)
+            np.take(u_skip, grp[mine], axis=1, out=seen_m, mode="clip")
+            np.less(seen_m, keep[c][mine], out=kept)
+            reach = np.arange(length[r] + 1.0)[:, None] - starts[c][mine]
+            reach = np.minimum(np.maximum(reach, 0), counts[c][mine])
+            np.take(reach, depth[r], axis=0, out=seen_m, mode="clip")
+            seen_m *= kept
+            # Posts seen of each drawn cluster add up over the tiles in its
+            # cell of `per_cluster`: small integers, exact in any order, so
+            # the tiles sum to what one pass over all days would.
+            per_cluster[pos[c][mine], r] += ones[:t_days] @ seen_m
+            day_sum[r] += seen_m @ ones[:m]
+        yield t0, day_sum
+
+    # reached[r, d] adds up the days that reach each of the depths 1..d.
+    hist = hist.reshape(rows, -1)
+    reached = np.cumsum(np.cumsum(hist[:, ::-1], axis=1)[:, ::-1], axis=1)
+    per_cluster[pos[sure], on] = (reached[on, end] - reached[on, top]) / days
+    per_cluster[pos[drawn], row[drawn]] /= days
 
 
 def simulate(
@@ -284,26 +308,30 @@ def simulate(
     n = len(instance.followers)
     per_cluster = np.zeros((instance.slots, n))
     day_totals = np.zeros(days)
-    # Every timeline holds the schedule's k non-empty slots as k clusters, so
-    # these (days x k) scratch buffers serve every follower.
-    k = np.count_nonzero(schedule.posts)
-    scratch = (
-        np.empty(days * k), np.empty(days * k), np.empty(days * k, dtype=bool), np.ones(max(days, k))
-    )
     # Blocks of `step` followers keep both their (followers x days) draws and
-    # their (followers x guide buckets) table within _BLOCK_CELLS cells.
+    # their (followers x guide buckets) table within _BLOCK_CELLS cells; a
+    # follower whose days alone exceed it replays them in tiles of that many.
     longest = int((offsets[:, -1] + posts[:, -1]).max())
     step = max(1, _BLOCK_CELLS // max(days, _guide_size(longest)))
+    tile = min(days, _BLOCK_CELLS)
+    # Every timeline holds the schedule's k non-empty slots as k clusters, so
+    # these (tile x k) scratch buffers serve every follower.
+    k = np.count_nonzero(schedule.posts)
+    scratch = (
+        np.empty(tile * k), np.empty(tile * k), np.empty(tile * k, dtype=bool), np.ones(max(tile, k))
+    )
     for first in range(0, n, step):
         block = slice(first, first + step)
-        day_sum = _replay_block(
+        for t0, day_sum in _replay_block(
             layout, first, posts[block], offsets[block], days, seed, merged,
-            per_cluster[:, block], scratch,
-        )
-        # Weighted day sums add up in follower order, as one follower at a time
-        # adds them, so the totals keep their bits.
-        for weighted in layout.gamma[block, None] * day_sum:
-            day_totals += weighted
+            per_cluster[:, block], tile, scratch,
+        ):
+            # Weighted day sums add up in follower order, as one follower at a
+            # time adds them, so the totals keep their bits.
+            for weighted in layout.gamma[block, None] * day_sum:
+                day_totals[t0 : t0 + len(weighted)] += weighted
+    # Freed before `std` allocates its (days) temporary.
+    del scratch
 
     empirical_total = float(day_totals.mean())
     if days > 1:

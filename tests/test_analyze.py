@@ -11,6 +11,7 @@ from feedsched import (
     ActivityTrace,
     ClusterMember,
     ClusterRecord,
+    ClusterTally,
     Event,
     FollowGraph,
     TimelinePost,
@@ -24,6 +25,7 @@ from feedsched import (
     reaction_prob_by_size_position,
     reconstruct_timeline,
 )
+from feedsched.analyze import OVERFLOW_BUCKET, Clusters, _keyed, _tally
 
 
 def record(author, flags):
@@ -257,6 +259,71 @@ class TestColumnarAgainstObjectReference:
             "empty", "posts", "reacted", "min ts", "max ts", "overflow",
             "tie across authors", "non-followee reaction", "reaction before any target event",
         }
+
+
+def random_clusters(rng, count, largest):
+    """`count` clusters of sizes 1..largest with random reacted flags."""
+    sizes = rng.integers(1, largest + 1, size=count)
+    code = rng.integers(0, 3, size=count)
+    reacted = rng.random(int(sizes.sum())) < 0.3
+    return Clusters(("a", "b", "c"), code, sizes, reacted)
+
+
+class TestClusterTally:
+    """Counts added up one user at a time equal those of every user's clusters
+    taken together, key by key."""
+
+    @staticmethod
+    def assert_folds(users):
+        tally = ClusterTally()
+        for clusters in users:
+            tally.add(clusters)
+        pooled = _tally(users)
+        assert np.array_equal(tally.table, pooled)
+        assert _keyed(tally) == _keyed(users)
+        assert reaction_counts(tally) == reaction_counts(users)
+        assert reaction_prob_by_size_position(tally) == reaction_prob_by_size_position(users)
+        assert all(type(v) is int for rt in reaction_counts(tally).values() for v in rt)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_clusters(self, seed):
+        rng = np.random.default_rng(seed)
+        users = [random_clusters(rng, int(rng.integers(0, 30)), 8) for _ in range(6)]
+        self.assert_folds(users)
+
+    def test_clusters_past_the_overflow_bucket(self):
+        rng = np.random.default_rng(3)
+        # The longest cluster comes last, so the table grows after it is made.
+        users = [random_clusters(rng, 20, 4), random_clusters(rng, 5, 3 * OVERFLOW_BUCKET)]
+        users.append(Clusters(("a",), np.zeros(1, int), np.array([44]), np.ones(44, bool)))
+        self.assert_folds(users)
+        assert max(k for _, k in _keyed(users)) == 4 * OVERFLOW_BUCKET
+
+    def test_users_with_empty_timelines(self):
+        rng = np.random.default_rng(4)
+        users = [extract_clusters(()), random_clusters(rng, 10, 12), extract_clusters(())]
+        self.assert_folds(users)
+        self.assert_folds(users[:1])
+        assert reaction_counts(ClusterTally()) == {}
+
+    def test_one_user(self):
+        self.assert_folds([random_clusters(np.random.default_rng(5), 40, 14)])
+
+    def test_a_list_of_cluster_records(self):
+        rng = np.random.default_rng(6)
+        records = [record("a", rng.random(int(rng.integers(1, 15))) < 0.4) for _ in range(30)]
+        tally = ClusterTally()
+        tally.add(records[:12])
+        tally.add(records[12:])
+        assert _keyed(tally) == reference_tally(records) == _keyed(records)
+        assert reaction_counts(tally) == reaction_counts(records)
+        assert reaction_prob_by_size_position(tally) == reaction_prob_by_size_position(records)
+        assert reaction_prob_by_size(tally) == reaction_prob_by_size(records)
+
+    def test_users_of_a_trace(self):
+        trace, graph = random_trace(np.random.default_rng(7))
+        users = [extract_clusters(reconstruct_timeline(u, graph, trace)) for u in graph.users()]
+        self.assert_folds(users)
 
 
 class TestColumnarSequences:

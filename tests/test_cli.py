@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ import pytest
 import reference_trace
 
 from feedsched import (
+    ActivityTrace,
     Event,
     FollowerProfile,
     FollowGraph,
@@ -1284,6 +1286,28 @@ class TestAnalyzeCommand:
         assert rc == 0
         report = json.loads(capsys.readouterr().out)
         assert report["t_obs"]["1,2"] == pytest.approx(0.0004, abs=5e-5)
+
+    def test_peak_memory_does_not_grow_with_the_users(self, tmp_path, monkeypatch):
+        """`--all` keeps one integer tally, not every user's clusters: with the
+        trace and graph already loaded, 111 users instead of 31 (with as many
+        timeline posts each) leave the traced peak within 0.25 MB."""
+        peaks = []
+        # The first run makes every lazy import and cache the others reuse.
+        for followers in (90, 10, 90):
+            events, edges = generators.trace_and_graph(
+                0, followers=followers, competitors=20, days=5
+            )
+            trace = ActivityTrace([Event(**e) for e in events])
+            graph = FollowGraph(edges)
+            monkeypatch.setattr(cli, "load_trace", lambda *args, **kwargs: trace)
+            monkeypatch.setattr(cli, "load_graph", lambda *args, **kwargs: graph)
+            tracemalloc.start()
+            try:
+                assert main(["analyze", "t", "g", "--all", "-o", str(tmp_path)]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[2] - peaks[1] < 2**18
 
 
 class TestRoundTripAndMisc:

@@ -360,15 +360,24 @@ class TestFollowerColumns:
 
     @pytest.mark.parametrize("column", ["sigma", "rho", "delta", "gamma", "competitor_load"])
     def test_text_is_refused_by_both_paths(self, column):
+        self._assert_refused_by_both_paths(column, "1", "text")
+
+    @pytest.mark.parametrize("column", ["sigma", "rho", "delta", "gamma", "competitor_load"])
+    def test_none_is_refused_by_both_paths(self, column):
+        self._assert_refused_by_both_paths(column, None, "None")
+
+    @staticmethod
+    def _assert_refused_by_both_paths(column, value, named):
         columns = {
             "ids": ["a"], "sigma": [1], "rho": [0.5], "delta": [0.5], "gamma": [1.0],
             "competitor_load": [[0.0, 1.0]],
         }
-        columns[column] = [["0", "1"]] if column == "competitor_load" else ["1"]
+        columns[column] = [[0.0, value]] if column == "competitor_load" else [value]
         profile = {k: v[0] for k, v in columns.items() if k != "ids"}
-        with pytest.raises((TypeError, ValueError)):
+        message = f"{column} must hold numbers, not {named}"
+        with pytest.raises(TypeError, match=message):
             FollowerProfile("a", **profile)
-        with pytest.raises(TypeError, match=f"{column} must hold numbers, not text"):
+        with pytest.raises(TypeError, match=message):
             Followers(**columns)
 
     def test_whole_float_sigmas_are_taken_as_slots(self):

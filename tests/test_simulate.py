@@ -663,6 +663,56 @@ class TestReplayBlocks:
         assert generator_keys == [[3, j, part] for j in range(4) for part in (0, 1)]
 
 
+class TestDayTiles:
+    """A follower whose days exceed `_BLOCK_CELLS` replays them in tiles of
+    that many days, reading on from the same generators, and matches the
+    reference loop bit for bit wherever the tiles end."""
+
+    @pytest.mark.parametrize("follower_family", ["geometric", "weibull"])
+    @pytest.mark.parametrize(
+        "block_cells,days",
+        # A last tile of 7 days, tiles that end with the days, and one tile.
+        [(10, 37), (10, 30), (64, 64)],
+        ids=["ragged", "whole", "single"],
+    )
+    def test_matches_the_reference_loop(self, monkeypatch, follower_family, block_cells, days):
+        monkeypatch.setattr(SIMULATE, "_BLOCK_CELLS", block_cells)
+        rng = np.random.default_rng([FAMILIES.index(follower_family), block_cells, days])
+        for cluster_family, shifted in (("geometric", True), ("loglogistic", False)):
+            instance = _many_followers(rng, 3, follower_family, cluster_family, shifted)
+            schedule = random_feasible_schedule(rng, instance)
+            for merged in (False, True):
+                result = simulate(schedule, instance, days, 5, merged=merged)
+                total, standard_error, per_cluster = _reference_simulate(
+                    schedule, instance, days, 5, merged
+                )
+                assert result.empirical_total == total
+                assert result.standard_error == standard_error
+                assert np.array_equal(result.per_cluster, per_cluster)
+
+    def test_generators_are_built_once_per_follower(self, monkeypatch, generator_keys):
+        # 50 days in tiles of 8: seven tiles per follower, one key of each kind.
+        monkeypatch.setattr(SIMULATE, "_BLOCK_CELLS", 8)
+        instance = _edge_instance(0.5)
+        simulate(Schedule((2, 0, 1, 1)), instance, days=50, seed=3)
+        assert generator_keys == [[3, j, part] for j in range(4) for part in (0, 1)]
+        _assert_matches_reference(Schedule((2, 0, 1, 1)), instance, merged=False)
+
+    def test_peak_memory_at_a_long_horizon(self):
+        """Past one tile, the traced peak grows by the (days) totals and the
+        temporary of their standard deviation, 16 bytes a day: the constant
+        covers one tile's draws and skip buffers."""
+        days = 300_000
+        instance = instance_from_dict(generators.instance_dict(0, followers=2, slots=6))
+        tracemalloc.start()
+        try:
+            simulate(Schedule((1, 1, 2, 2, 2, 2)), instance, days=days, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * days + 8 * 2**20
+
+
 @pytest.mark.parametrize(
     "schedule", [(1,) * 24, (3, 0, 0, 2, 0, 1) * 4], ids=["singletons", "uncertain"]
 )
