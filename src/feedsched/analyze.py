@@ -160,8 +160,10 @@ def reconstruct_timeline(user: str, graph: FollowGraph, trace: ActivityTrace) ->
     index = np.arange(len(rows)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
     reacted = np.zeros(len(rows), bool)
     reacted[np.searchsorted(rows, trace.attachments(user, authors)[1])] = True
-    # ~ts, not -ts: it reverses the order without overflow at ts = -2**63.
-    order = np.lexsort((index, code, ~ts))
+    # The rows come in (author code, index) order, which a stable sort keeps
+    # for equal timestamps. ~ts, not -ts: it reverses the order without
+    # overflow at ts = -2**63.
+    order = np.argsort(~ts, kind="stable")
     kind = trace.kind_code[rows[order]]
     return Timeline(authors, ts[order], code[order], index[order], kind, reacted[order])
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FollowerProfile, ProblemInstance, _frozen
+from .model import Followers, ProblemInstance, _frozen
 
 __all__ = [
     "EVENT_KINDS",
@@ -150,8 +150,7 @@ class ActivityTrace:
         spans = [self.user_slice(u) for u in users]
         starts = np.array([s.start for s in spans], np.int64)
         counts = np.array([s.stop - s.start for s in spans], np.int64)
-        shift = np.repeat(starts - (np.cumsum(counts) - counts), counts)
-        return np.arange(len(shift)) + shift, counts
+        return _spans(starts, counts), counts
 
     @functools.cached_property
     def _row_events(self) -> tuple[Event, ...]:
@@ -183,21 +182,36 @@ class ActivityTrace:
             return self.ts[self.user_slice(users[0])]
         return self.ts[self.rows(users)[0]]
 
+    def _rank_key(self) -> np.ndarray:
+        """Per row, user code * (rows + 1) + the rank of its timestamp among the
+        trace's distinct timestamps. It ascends with the rows, and ranks stand in
+        for timestamps, so the key cannot overflow at the int64 ends."""
+        order = np.argsort(self.ts)
+        ranked = self.ts[order]
+        changed = ranked[1:] != ranked[:-1]
+        ranked[:1] = 0  # the sorted timestamps are spent: their buffer takes the ranks
+        np.cumsum(changed, out=ranked[1:])
+        key = np.empty_like(ranked)
+        key[order] = ranked
+        del order, ranked, changed
+        key += self.user_code * (len(self.ts) + 1)
+        return key
+
+    def _attach(self, rows: np.ndarray, key: np.ndarray) -> np.ndarray:
+        """Per given reaction row, the row of its target's latest event at or
+        before it, or -1 where the target has none; `key` is `_rank_key()`."""
+        target = self.target_code[rows]
+        shift = (target - self.user_code[rows]) * (len(self.ts) + 1)
+        row = np.searchsorted(key, key[rows] + shift, "right") - 1
+        return np.where(row >= self._offsets[target], row, -1)
+
     @functools.cached_property
     def _attached_row(self) -> np.ndarray:
         """Per row, the row of the event a reaction attaches to, its target's
-        latest event at or before it; -1 for posts and unattached reactions.
-        One `searchsorted` on the (user code, ts rank) key of every row; ranks
-        stand in for timestamps, so the key cannot overflow at the int64 ends."""
-        _, rank = np.unique(self.ts, return_inverse=True)
-        stride = len(self.ts) + 1
-        key = self.user_code * stride + rank
+        latest event at or before it; -1 for posts and unattached reactions."""
         reaction = np.flatnonzero(self.target_code >= 0)
-        target = self.target_code[reaction]
-        row = np.searchsorted(key, target * stride + rank[reaction], "right") - 1
-        found = row >= self._offsets[target]
         attached = np.full(len(self.ts), -1, np.int64)
-        attached[reaction[found]] = row[found]
+        attached[reaction] = self._attach(reaction, self._rank_key())
         _frozen(attached)
         return attached
 
@@ -205,9 +219,12 @@ class ActivityTrace:
         """Of each reaction by `user` to one of `authors` that attaches to an
         event: its position in the user's events and the attached event's row."""
         span = self.user_slice(user)
-        codes = [self.codes[a] for a in authors if a in self.codes]
+        wanted = np.zeros(len(self.names), bool)
+        wanted[[self.codes[a] for a in authors if a in self.codes]] = True
         rows = self._attached_row[span]
-        position = np.flatnonzero((rows >= 0) & np.isin(self.target_code[span], codes))
+        # Only attached rows are looked up, so a post's target code of -1 never is.
+        position = np.flatnonzero(rows >= 0)
+        position = position[wanted[self.target_code[span][position]]]
         return position, rows[position]
 
     def attached_reactions(self, user: str, authors) -> list[tuple[int, str, int]]:
@@ -284,29 +301,48 @@ def _slot_counts(trace: ActivityTrace, users, slots: int) -> np.ndarray:
     return np.bincount(slot_of(ts, slots, trace.tz_offset_minutes), minlength=slots)
 
 
-def _session_starts(ts, gap_hours: float) -> np.ndarray:
-    """Indices of the timestamps that start a session: the first, and each one
-    more than `gap_hours` (finite and positive) after its predecessor.
+def _spans(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The ranges `start, start + 1, ..., start + count - 1` of each (start,
+    count) pair, one after another, as one int64 array."""
+    shift = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    shift += np.arange(len(shift))
+    return shift
+
+
+def _gap_limit(gap_hours: float) -> np.uint64:
+    """The whole seconds of a session gap of `gap_hours`, which must be finite
+    and positive: a timestamp step above it starts a session."""
+    if not (math.isfinite(gap_hours) and gap_hours > 0):
+        raise ValueError(f"gap_hours must be finite and > 0, got {gap_hours}")
+    gap = gap_hours * 3600.0
+    return np.uint64(math.floor(gap) if gap < 2.0**64 else 2**64 - 1)
+
+
+def _session_starts(ts, limit: np.uint64, owner=None) -> np.ndarray:
+    """Indices of the timestamps that start a session: the first, each one more
+    than `limit` seconds (see `_gap_limit`) after its predecessor and, when
+    `owner` gives each timestamp's user, each one whose user differs from its
+    predecessor's.
 
     Gaps compare exactly as Python ints would. Differences are taken mod 2**64,
     exact wherever a timestamp does not precede its predecessor (the only place
     a gap can start a session), and compared with the gap's whole seconds.
     """
-    if not (math.isfinite(gap_hours) and gap_hours > 0):
-        raise ValueError(f"gap_hours must be finite and > 0, got {gap_hours}")
-    gap = gap_hours * 3600.0
-    limit = np.uint64(math.floor(gap) if gap < 2.0**64 else 2**64 - 1)
     ts = np.asarray(ts, np.int64)
     prev, cur = ts[:-1], ts[1:]
     step = cur.view(np.uint64) - prev.view(np.uint64)
-    return np.flatnonzero(np.concatenate(([len(ts) > 0], (cur >= prev) & (step > limit))))
+    new = (cur >= prev) & (step > limit)
+    if owner is not None:
+        new |= owner[1:] != owner[:-1]
+    return np.flatnonzero(np.concatenate(([len(ts) > 0], new)))
 
 
 def split_sessions(events, gap_hours: float = 8.0) -> list[list[Event]]:
     """Split a user's events into sessions separated by gaps over `gap_hours`,
     which must be finite and positive."""
     events = list(events)
-    bounds = _session_starts([ev.ts for ev in events], gap_hours).tolist() + [len(events)]
+    starts = _session_starts([ev.ts for ev in events], _gap_limit(gap_hours))
+    bounds = starts.tolist() + [len(events)]
     return [events[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
@@ -317,7 +353,7 @@ def estimate_login_slot(
     `gap_hours` (the user's first event always counts). Even counts take the
     lower median. `events` may also be the user's timestamps as an int64 array."""
     ts = events if isinstance(events, np.ndarray) else np.array([ev.ts for ev in events], np.int64)
-    starts = _session_starts(ts, gap_hours)
+    starts = _session_starts(ts, _gap_limit(gap_hours))
     if not len(starts):
         raise ValueError("at least one event is required to estimate a login slot")
     start_slots = np.sort(slot_of(ts[starts], slots, tz_offset_minutes))
@@ -350,7 +386,7 @@ def consumption_depth_mu(
     """
     followees = graph.followees_of(follower)
     own = trace.timestamps(follower)
-    starts = _session_starts(own, gap_hours)
+    starts = _session_starts(own, _gap_limit(gap_hours))
     position, attached = trace.attachments(follower, followees)
     feed_ts = np.sort(trace.timestamps(*followees))
     above = np.searchsorted(feed_ts, own[position], "right")
@@ -429,10 +465,9 @@ def activity_histogram(
     return grid
 
 
-def _reaction_rate(kind_codes: np.ndarray) -> float:
-    if not len(kind_codes):
-        return 0.0
-    return int(np.count_nonzero(kind_codes != EVENT_KINDS.index("post"))) / len(kind_codes)
+# Work units of one follower block in `build_instance`: its scratch arrays
+# hold about this many entries each.
+_BLOCK = 1 << 14
 
 
 def build_instance(
@@ -455,44 +490,130 @@ def build_instance(
     reaction samples get the population-median consumption depth; when no
     follower has samples at all, everyone gets `rho_default`. A producer with
     no posts in the window yields `delta_default` for everyone.
+
+    Each estimate equals the one of `estimate_login_slot`,
+    `consumption_depth_mu`, `tie_strength`, `estimate_deltas` and
+    `aggregate_competitors`, bit for bit, but all followers are estimated
+    together from the trace columns. Followers are taken in blocks of less
+    than `_BLOCK` work units plus the work of the block's last follower (a
+    unit is one event, one (reaction, followee) pair or one (followee, slot)
+    cell), so scratch memory is bounded by the block, beyond one int64
+    timestamp-rank key per trace row and a (name x slot) table of event
+    counts.
     """
     if gamma_mode not in ("one", "reaction-rate"):
         raise ValueError(f"unknown gamma_mode {gamma_mode!r}")
     followers = graph.followers_of(producer)
     if not followers:
         raise EstimationError(f"producer {producer!r} has no followers in the graph")
+    limit = _gap_limit(gap_hours)
+    days = trace.window_days()
+    tz, n, names = trace.tz_offset_minutes, len(followers), len(trace.names)
 
-    tz = trace.tz_offset_minutes
-    raw_mu: dict[str, float | None] = {}
-    for f in followers:
-        try:
-            raw_mu[f] = consumption_depth_mu(f, graph, trace, gap_hours)
-        except EstimationError:
-            raw_mu[f] = None
-    observed = [m for m in raw_mu.values() if m is not None]
-    median_mu = statistics.median(observed) if observed else None
+    # Events per (name, slot); the producer's row is cleared, as competitor
+    # loads leave the producer out.
+    cell = trace.user_code * slots
+    cell += slot_of(trace.ts, slots, tz)
+    table = np.bincount(cell, minlength=names * slots).reshape(names, slots)
+    del cell
+    if producer in trace.codes:
+        table[trace.codes[producer]] = 0
 
-    if len(trace.timestamps(producer)):
-        deltas = estimate_deltas(followers, producer, trace, delta_default)
-    else:
-        deltas = {f: delta_default for f in followers}
+    # Per follower: its name code (-1 outside the trace, where per-name counts
+    # have a trailing zero), first row, events and reactions.
+    code = np.fromiter(map(trace.codes.get, followers, itertools.repeat(-1)), np.int64, n)
+    events = np.append(np.diff(trace._offsets), 0)[code]
+    first = trace._offsets[code]
+    reacting = trace.kind_code != EVENT_KINDS.index("post")
+    reactions = np.bincount(trace.user_code[reacting], minlength=names + 1)[code]
+    del reacting
 
-    profiles = []
-    for f in followers:
-        rows = trace.user_slice(f)
+    # Each follower's followees in the trace, by name code, follower after follower.
+    followees = list(map(graph.followees_of, followers))
+    listed = np.fromiter(map(len, followees), np.int64, n)
+    codes = itertools.chain.from_iterable(followees)
+    fe_code = np.fromiter(map(trace.codes.get, codes, itertools.repeat(-1)), np.int64)
+    kept = np.concatenate(([0], np.cumsum(fe_code >= 0)))  # kept before each entry
+    ends = np.cumsum(listed)
+    fe_first, fe_end = kept[ends - listed], kept[ends]
+    fe_len = fe_end - fe_first
+    fe_code = fe_code[fe_code >= 0]
+
+    key = trace._rank_key()
+    stride = len(trace) + 1
+    sigma = np.zeros(n, np.intp)
+    depth_sum = np.zeros(n, np.int64)
+    sampled = np.zeros(n, np.int64)
+    load = np.empty((n, slots), np.int64)
+    work = events + reactions * fe_len + fe_len * slots
+    cuts = (np.flatnonzero(np.diff((np.cumsum(work) - work) // _BLOCK)) + 1).tolist()
+    for lo, hi in zip([0, *cuts], [*cuts, n]):
+        part, local = slice(lo, hi), np.arange(hi - lo)
+        rows = _spans(first[part], events[part])
+        owner = np.repeat(local, events[part])
         ts = trace.ts[rows]
-        sigma = estimate_login_slot(ts, slots, gap_hours, tz) if len(ts) else 0
-        mu = raw_mu[f] if raw_mu[f] is not None else median_mu
-        rho = estimate_rho(mu) if mu is not None else rho_default
-        gamma = 1.0 if gamma_mode == "one" else _reaction_rate(trace.kind_code[rows])
-        profiles.append(
-            FollowerProfile(
-                id=f,
-                sigma=sigma,
-                rho=rho,
-                delta=deltas[f],
-                gamma=gamma,
-                competitor_load=aggregate_competitors(f, producer, graph, trace, slots),
-            )
-        )
-    return ProblemInstance(slots=slots, budget=budget, followers=tuple(profiles), **survival)
+        starts = _session_starts(ts, limit, owner)
+
+        # Login slot: the lower median of the follower's session-start slots.
+        start_owner = owner[starts]
+        n_starts = np.bincount(start_owner, minlength=hi - lo)
+        active = n_starts > 0
+        ranked = np.sort(start_owner * slots + slot_of(ts[starts], slots, tz))
+        middle = np.cumsum(n_starts) - n_starts + (n_starts - 1) // 2
+        sigma[part][active] = ranked[middle[active]] % slots
+
+        # Consumption depth: the reactions to a followee that attach to an event.
+        block_fe = fe_code[fe_first[lo] : fe_end[hi - 1]]
+        follows = np.repeat(local, fe_len[part]) * names + block_fe
+        target = trace.target_code[rows]
+        react = np.flatnonzero(target >= 0)
+        asked = owner[react] * names + target[react]
+        # `follows` ascends; a key past its end meets the -1 appended.
+        react = react[np.append(follows, -1)[np.searchsorted(follows, asked)] == asked]
+        attached = trace._attach(rows[react], key)
+        react, attached = react[attached >= 0], attached[attached >= 0]
+        # Depth: 1 + the events of the follower's followees newer than the
+        # attached event and not newer than the reaction, counted per followee
+        # as the keys between their two (followee code, ts rank) keys.
+        who = owner[react]
+        pairs = fe_len[part][who]
+        base = block_fe[_spans(fe_first[part][who] - fe_first[lo], pairs)] * stride
+        reacted_rank = key[rows[react]] - code[part][who] * stride
+        attached_rank = key[attached] - trace.user_code[attached] * stride
+        newer = np.searchsorted(key, base + np.repeat(reacted_rank, pairs), "right")
+        newer -= np.searchsorted(key, base + np.repeat(attached_rank, pairs), "right")
+        depth = np.add.reduceat(newer, np.cumsum(pairs) - pairs) + 1
+        # Each session's sample is its deepest reaction.
+        deepest = np.zeros(len(starts), np.int64)
+        np.maximum.at(deepest, np.searchsorted(starts, react, "right") - 1, depth)
+        sessions = np.flatnonzero(deepest)
+        np.add.at(depth_sum[part], start_owner[sessions], deepest[sessions])
+        sampled[part] = np.bincount(start_owner[sessions], minlength=hi - lo)
+
+        # Competitor load: the slot counts summed over the follower's followees.
+        summed = np.zeros((len(block_fe) + 1, slots), np.int64)
+        np.cumsum(table[block_fe], axis=0, out=summed[1:])
+        ends = fe_end[part] - fe_first[lo]
+        load[part] = summed[ends] - summed[ends - fe_len[part]]
+
+    has = sampled > 0
+    if has.any():
+        mu = depth_sum[has] / sampled[has]
+        rho = np.full(n, estimate_rho(statistics.median(mu.tolist())))
+        rho[has] = 1.0 / (1.0 + mu)
+    else:
+        rho = [rho_default] * n
+    delta = [delta_default] * n
+    produced = trace.user_slice(producer)
+    if produced.stop > produced.start:
+        tied = trace.user_code[trace.target_code == trace.codes[producer]]
+        strength = np.bincount(tied, minlength=names + 1)[code] / (produced.stop - produced.start)
+        top = strength.max()
+        if top != 0.0:
+            delta = strength / top
+    if gamma_mode == "one":
+        gamma = np.ones(n)
+    else:
+        gamma = np.divide(reactions, events, out=np.zeros(n), where=events > 0)
+    columns = Followers(followers, sigma, rho, delta, gamma, load / days)
+    return ProblemInstance(slots=slots, budget=budget, followers=columns, **survival)

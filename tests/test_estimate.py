@@ -1,12 +1,17 @@
 """Parameter estimation from traces: login slots, rho, mu, delta, loads."""
 
+import statistics
+import tracemalloc
+
 import numpy as np
 import pytest
+import reference_trace as ref
 
 from feedsched import (
     ActivityTrace,
     EstimationError,
     Event,
+    FollowerProfile,
     FollowGraph,
     activity_histogram,
     aggregate_competitors,
@@ -19,7 +24,9 @@ from feedsched import (
     reconstruct_timeline,
     slot_of,
 )
+from feedsched import estimate
 from feedsched.estimate import split_sessions
+from perfbench import generators
 
 DAY = 86400
 
@@ -359,3 +366,235 @@ class TestBuildInstance:
             assert 0.0 <= f.delta <= 1.0
             assert f.gamma >= 0.0
             assert all(c >= 0 for c in f.competitor_load)
+
+
+# ------------------------------------------- the one-pass estimator, checked
+
+
+MIN, MAX = -(2**63), 2**63 - 1
+
+
+def hand_events():
+    """Producer `p`; competitors `c1`-`c3`; followers `f1` (reactions of every
+    kind), `f2` (follows only the producer), `f3` (posts only), `f4` (no
+    events) and `c1` (a competitor that also follows). `f1` follows `ghost`,
+    who is absent from the trace."""
+    events = posts("p", [at(d, 12) for d in range(3)])
+    events += posts("c1", [at(0, 9), at(0, 9, 30), at(1, 9), at(2, 20)])
+    # c2@0 9:00 shares its timestamp with c1@0 9:00, and c2@1 9:00 with itself.
+    events += posts("c2", [at(0, 9), at(1, 9), at(1, 9), at(2, 20)])
+    events += posts("c3", [at(0, 3), at(1, 3)])
+    events += [
+        Event("f1", at(0, 8), "reply", "c1"),  # before any c1 event
+        Event("f1", at(0, 9), "retweet", "c2"),  # same timestamp as its target
+        Event("f1", at(0, 9, 45), "retweet", "c1"),
+        Event("f1", at(0, 13), "retweet", "p"),
+        Event("f1", at(0, 13, 5), "retweet", "c3"),  # a non-followee
+        Event("f1", at(1, 10), "post"),
+        Event("f1", at(1, 12, 30), "reply", "p"),
+        Event("f1", at(2, 21), "retweet", "c2"),
+        Event("f2", at(0, 14), "retweet", "p"),
+        Event("f2", at(2, 7), "post"),
+        Event("c1", at(1, 12, 5), "retweet", "p"),
+    ]
+    events += posts("f3", [at(0, 22), at(1, 23, 30), at(2, 6)])
+    return events
+
+
+HAND_EDGES = [
+    ("f1", "p"), ("f1", "c1"), ("f1", "c2"), ("f1", "ghost"),
+    ("f2", "p"),
+    ("f3", "p"), ("f3", "c1"),
+    ("f4", "p"), ("f4", "c1"),
+    ("c1", "p"), ("c1", "c2"),
+]
+
+
+def int64_end_events():
+    """Timestamps at both int64 ends; `g` starts its second session (at MAX)
+    in an earlier slot than its first."""
+    events = posts("a", [MIN, MIN + 5, 0, MAX, MAX]) + posts("b", [MIN, MAX])
+    events += posts("p", [MIN, MAX])
+    events += [
+        Event("f", MIN, "retweet", "a"),
+        Event("f", MAX, "reply", "b"),
+        Event("f", MAX, "retweet", "p"),
+        Event("f", 0, "post"),
+        Event("g", MIN + 10 * 3600, "post"),
+        Event("g", MAX, "retweet", "p"),
+    ]
+    return events
+
+
+INT64_EDGES = [("f", "a"), ("f", "b"), ("f", "p"), ("g", "p"), ("g", "a")]
+
+CASES = {
+    "hand": (hand_events(), HAND_EDGES),
+    # `p` is only a reaction target: every follower gets delta_default.
+    "producer-silent": ([ev for ev in hand_events() if ev.user != "p"], HAND_EDGES),
+    # Nobody reacts to `p`: all tie strengths are 0, so delta_default again.
+    "no-producer-reactions": (
+        [ev for ev in hand_events() if ev.target_author != "p"], HAND_EDGES
+    ),
+    # No follower has a depth sample: everyone gets rho_default.
+    "posts-only": ([ev for ev in hand_events() if not ev.is_reaction], HAND_EDGES),
+    "int64-ends": (int64_end_events(), INT64_EDGES),
+}
+
+# 8 h keeps a day's events in one session, 0.5 h and 0.004 h split them; the
+# last gap is 2**64 seconds, where a gap stored as int64 or float goes wrong.
+GAPS = (8.0, 0.5, 0.004, 2**64 / 3600)
+
+
+def per_follower_instance(producer, graph, trace, slots, gap_hours, gamma_mode):
+    """The instance from the public per-follower estimators, one follower at a
+    time, with the fallbacks `build_instance` documents."""
+    followers = graph.followers_of(producer)
+    mu = {}
+    for f in followers:
+        try:
+            mu[f] = consumption_depth_mu(f, graph, trace, gap_hours)
+        except EstimationError:
+            pass
+    median = statistics.median(mu.values()) if mu else None
+    if len(trace.timestamps(producer)):
+        deltas = estimate_deltas(followers, producer, trace, 0.5)
+    else:
+        deltas = dict.fromkeys(followers, 0.5)
+    profiles = []
+    for f in followers:
+        ts = trace.timestamps(f)
+        reactions = sum(ev.is_reaction for ev in trace.events_by_user(f))
+        depth = mu.get(f, median)
+        profiles.append(FollowerProfile(
+            id=f,
+            sigma=estimate_login_slot(ts, slots, gap_hours, trace.tz_offset_minutes)
+            if len(ts) else 0,
+            rho=estimate_rho(depth) if depth is not None else 0.5,
+            delta=deltas[f],
+            gamma=1.0 if gamma_mode == "one" else (reactions / len(ts) if len(ts) else 0.0),
+            competitor_load=aggregate_competitors(f, producer, graph, trace, slots),
+        ))
+    return profiles
+
+
+@pytest.mark.parametrize("tz", [0, 330, -300])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_one_pass_matches_the_per_follower_estimators(case, tz):
+    """Follower by follower and field by field, with `==`, against the public
+    per-follower estimators and against the pre-columnar reference."""
+    events, edges = CASES[case]
+    graph = FollowGraph(edges)
+    trace = ActivityTrace(events, tz)
+    producer = "p"
+    for slots in (24, 8):
+        for gap_hours in GAPS:
+            for gamma_mode in ("one", "reaction-rate"):
+                kwargs = dict(gap_hours=gap_hours, gamma_mode=gamma_mode)
+                got = build_instance(producer, graph, trace, slots, 6, **kwargs)
+                expected = per_follower_instance(producer, graph, trace, slots, **kwargs)
+                assert len(got.followers) == len(expected)
+                for g, e in zip(got.followers, expected):
+                    assert (g.id, g.sigma, g.rho, g.delta, g.gamma) == (
+                        e.id, e.sigma, e.rho, e.delta, e.gamma
+                    ), (slots, gap_hours, gamma_mode)
+                    assert g.competitor_load == e.competitor_load
+                old = ref.build_instance(
+                    producer, graph, ref.ActivityTrace(events, tz), slots, 6, **kwargs
+                )
+                assert got == old
+
+
+def test_hand_case_exercises_every_fallback():
+    """The hand cases reach the branches they are named for."""
+    graph = FollowGraph(HAND_EDGES)
+    by_id = {
+        name: {f.id: f for f in build_instance("p", graph, ActivityTrace(CASES[name][0]), 24, 6,
+                                               rho_default=0.25, delta_default=0.75).followers}
+        for name in CASES if name != "int64-ends"
+    }
+    hand = by_id["hand"]
+    assert hand["f4"].sigma == 0  # no events
+    assert hand["f3"].rho == hand["f4"].rho != 0.25  # the population-median depth
+    assert hand["f1"].delta == 1.0 and hand["f3"].delta == 0.0
+    assert all(f.delta == 0.75 for f in by_id["producer-silent"].values())
+    assert all(f.delta == 0.75 for f in by_id["no-producer-reactions"].values())
+    assert all(f.rho == 0.25 for f in by_id["posts-only"].values())
+    assert hand["f2"].competitor_load == (0.0,) * 24  # follows only the producer
+
+
+def test_blocks_do_not_change_the_estimates(monkeypatch):
+    """Blocks of a single work unit (each follower alone) and of a few units
+    give the bits of the default block size."""
+    raw, edges = generators.trace_and_graph(0, followers=30, competitors=8, followees=4, days=4)
+    trace = ActivityTrace([Event(**ev) for ev in raw])
+    graph = FollowGraph(edges)
+    expected = build_instance(generators.PRODUCER, graph, trace, 24, 6, gap_hours=0.5)
+    for block in (1, 50, 700):
+        monkeypatch.setattr(estimate, "_BLOCK", block)
+        got = build_instance(generators.PRODUCER, graph, trace, 24, 6, gap_hours=0.5)
+        assert got == expected
+
+
+@pytest.mark.parametrize("gap", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize(
+    "events", [[], posts("x", [at(0, 1)])], ids=["empty", "no-follower-events"]
+)
+def test_bad_gap_rejected_whatever_the_data(gap, events):
+    graph = FollowGraph([("f", "p")])
+    with pytest.raises(ValueError, match="gap_hours"):
+        build_instance("p", graph, ActivityTrace(events), 24, 5, gap_hours=gap)
+
+
+def test_empty_trace_rejected():
+    with pytest.raises(ValueError, match="empty"):
+        build_instance("p", FollowGraph([("f", "p")]), ActivityTrace([]), 24, 5)
+
+
+PER_FOLLOWER = (
+    "consumption_depth_mu", "estimate_login_slot", "tie_strength",
+    "estimate_deltas", "aggregate_competitors",
+)
+
+
+def test_build_instance_calls_no_per_follower_estimator(monkeypatch):
+    raw, edges = generators.trace_and_graph(1, followers=20, competitors=6, followees=3, days=4)
+    trace = ActivityTrace([Event(**ev) for ev in raw])
+    graph = FollowGraph(edges)
+    expected = build_instance(generators.PRODUCER, graph, trace, 24, 6, gamma_mode="reaction-rate")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a per-follower estimator was called")
+
+    for name in PER_FOLLOWER:
+        monkeypatch.setattr(estimate, name, refuse)
+    got = build_instance(generators.PRODUCER, graph, trace, 24, 6, gamma_mode="reaction-rate")
+    assert got == expected
+
+
+def test_peak_memory_at_pipeline_size():
+    """The traced peak of `build_instance` on a fresh trace of the benchmark's
+    `pipeline` size (seed 0: 250 followers, 26k events) stays under 1.5 MB:
+    the rank key and one block's arrays, not (reactions x followees) pairs.
+    A call on a small trace first keeps one-time allocations out."""
+    small, small_edges = generators.trace_and_graph(
+        0, followers=5, competitors=3, followees=2, days=2
+    )
+    build_instance(generators.PRODUCER, FollowGraph(small_edges),
+                   ActivityTrace([Event(**ev) for ev in small]), 24, 24)
+    raw, edges = generators.trace_and_graph(
+        0, followers=250, competitors=120, followees=12, days=30
+    )
+    graph = FollowGraph(edges)
+    trace = ActivityTrace.from_columns(
+        [ev["user"] for ev in raw], [ev["ts"] for ev in raw],
+        [ev["kind"] for ev in raw], [ev.get("target_author") for ev in raw],
+    )
+    tracemalloc.start()
+    try:
+        instance = build_instance(generators.PRODUCER, graph, trace, 24, 24)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(instance.followers) == 250
+    assert peak <= 1.5 * 2**20
