@@ -379,14 +379,14 @@ def cmd_analyze(args) -> int:
     else:
         if not args.trace or not args.graph:
             raise ValueError("either --counts or both a trace and a graph are required")
-        if bool(args.user) == bool(args.all):
+        if (args.user is not None) == bool(args.all):
             raise ValueError("exactly one of --user or --all is required")
         trace = load_trace(args.trace, tz_offset_minutes=cfg.tz_offset_minutes)
         graph = load_graph(args.graph)
         report.lap("load")
         # Each user's clusters are added to the tally and dropped at once.
         tally = ClusterTally()
-        for user in [args.user] if args.user else graph.users():
+        for user in [args.user] if args.user is not None else graph.users():
             tally.add(extract_clusters(reconstruct_timeline(user, graph, trace)))
         counts = reaction_counts(tally)
         report.lap("clusters")

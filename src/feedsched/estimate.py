@@ -227,19 +227,6 @@ class ActivityTrace:
         position = position[wanted[self.target_code[span][position]]]
         return position, rows[position]
 
-    def attached_reactions(self, user: str, authors) -> list[tuple[int, str, int]]:
-        """`(position in the user's events, target author, index in the target's
-        events)` of each reaction by `user` to one of `authors`, attached to the
-        target's latest event at or before it; reactions before any are left out."""
-        position, rows = self.attachments(user, authors)
-        target = self.user_code[rows]
-        index = rows - self._offsets[target]
-        names = self.names
-        return [
-            (k, names[t], i)
-            for k, t, i in zip(position.tolist(), target.tolist(), index.tolist())
-        ]
-
     def window_days(self) -> int:
         """Number of distinct local calendar days spanned by the trace."""
         if not len(self.ts):
@@ -295,12 +282,6 @@ def slot_of(ts, slots: int, tz_offset_minutes: int = 0):
     return slot if isinstance(slot, np.ndarray) else int(slot)
 
 
-def _slot_counts(trace: ActivityTrace, users, slots: int) -> np.ndarray:
-    """Events per local slot of the given users together."""
-    ts = trace.timestamps(*users)
-    return np.bincount(slot_of(ts, slots, trace.tz_offset_minutes), minlength=slots)
-
-
 def _spans(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """The ranges `start, start + 1, ..., start + count - 1` of each (start,
     count) pair, one after another, as one int64 array."""
@@ -346,204 +327,81 @@ def split_sessions(events, gap_hours: float = 8.0) -> list[list[Event]]:
     return [events[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
-def estimate_login_slot(
-    events, slots: int, gap_hours: float = 8.0, tz_offset_minutes: int = 0
-) -> int:
-    """Median start slot: a start event follows an inactive period over
-    `gap_hours` (the user's first event always counts). Even counts take the
-    lower median. `events` may also be the user's timestamps as an int64 array."""
-    ts = events if isinstance(events, np.ndarray) else np.array([ev.ts for ev in events], np.int64)
-    starts = _session_starts(ts, _gap_limit(gap_hours))
-    if not len(starts):
-        raise ValueError("at least one event is required to estimate a login slot")
-    start_slots = np.sort(slot_of(ts[starts], slots, tz_offset_minutes))
-    return int(start_slots[(len(start_slots) - 1) // 2])
+def _codes(trace: ActivityTrace, names) -> np.ndarray:
+    """Each name's code in the trace; -1, a trailing zero in per-name counts, outside it."""
+    return np.fromiter(map(trace.codes.get, names, itertools.repeat(-1)), np.int64)
 
 
-def estimate_rho(mu: float) -> float:
-    """Quit tendency from mean posts consumed per login: rho = 1 / (1 + mu)."""
-    if mu < 0:
-        raise ValueError(f"mean consumption depth must be >= 0, got {mu}")
-    return 1.0 / (1.0 + mu)
+def _slot_table(trace: ActivityTrace, slots: int) -> np.ndarray:
+    """Events per (name code, local slot), and a trailing zero row for other names."""
+    cell = trace.user_code * slots
+    cell += slot_of(trace.ts, slots, trace.tz_offset_minutes)
+    return np.bincount(cell, minlength=(len(trace.names) + 1) * slots).reshape(-1, slots)
 
 
-def consumption_depth_mu(
-    follower: str,
-    graph: FollowGraph,
-    trace: ActivityTrace,
-    gap_hours: float = 8.0,
-    fallback: float | None = None,
-) -> float:
-    """Mean consumption depth per login session.
-
-    Each session's sample is the depth of the deepest followee event the
-    follower reacted to in it; a reaction attaches to its target's latest event
-    at or before it. The depth is 1 plus the followee events newer than the
-    reacted one and not newer than the reaction: events sharing the reacted
-    event's timestamp never count, wherever the timeline lists them. Sessions
-    without resolvable reactions contribute nothing; a follower with no
-    samples gets `fallback`, or an EstimationError when none is configured.
-    """
-    followees = graph.followees_of(follower)
-    own = trace.timestamps(follower)
-    starts = _session_starts(own, _gap_limit(gap_hours))
-    position, attached = trace.attachments(follower, followees)
-    feed_ts = np.sort(trace.timestamps(*followees))
-    above = np.searchsorted(feed_ts, own[position], "right")
-    above -= np.searchsorted(feed_ts, trace.ts[attached], "right")
-    session_of = np.searchsorted(starts, position, "right") - 1
-    deepest = np.zeros(len(starts), dtype=np.int64)
-    np.maximum.at(deepest, session_of, above + 1)
-    samples = deepest[deepest > 0]
-    if not len(samples):
-        if fallback is not None:
-            return float(fallback)
-        raise EstimationError(
-            f"follower {follower!r} has no reaction-based consumption samples "
-            "and no fallback was configured"
-        )
-    return float(samples.sum()) / len(samples)
+def _login_slots(start_owner, start_ts, owners: int, slots: int, tz: int) -> np.ndarray:
+    """Per owner 0..owners-1, the lower median slot of its starts (owners ascending); 0 if none."""
+    n_starts = np.bincount(start_owner, minlength=owners)
+    active = n_starts > 0
+    ranked = np.sort(start_owner * slots + slot_of(start_ts, slots, tz))
+    middle = np.cumsum(n_starts) - n_starts + (n_starts - 1) // 2
+    sigma = np.zeros(owners, np.intp)
+    sigma[active] = ranked[middle[active]] % slots
+    return sigma
 
 
-def tie_strength(follower: str, producer: str, trace: ActivityTrace) -> float:
-    """Reactions by the follower targeting the producer, per producer post."""
-    producer_posts = len(trace.timestamps(producer))
-    if producer_posts == 0:
+def _tie_strengths(followers, producer: str, trace: ActivityTrace) -> np.ndarray:
+    """Reactions by each follower targeting the producer, per producer post."""
+    posts = len(trace.timestamps(producer))
+    if posts == 0:
         raise ValueError(f"producer {producer!r} has no posts in the trace window")
-    targets = trace.target_code[trace.user_slice(follower)]
-    return int(np.count_nonzero(targets == trace.codes[producer])) / producer_posts
+    tied = trace.user_code[trace.target_code == trace.codes[producer]]
+    return np.bincount(tied, minlength=len(trace.names) + 1)[_codes(trace, followers)] / posts
 
 
-def estimate_deltas(
-    followers, producer: str, trace: ActivityTrace, default: float = 0.5
-) -> dict[str, float]:
-    """Monotony tolerance per follower: tie strengths scaled by the population
-    maximum. When nobody ever reacted to the producer, everyone receives the
-    configured default."""
-    strengths = {f: tie_strength(f, producer, trace) for f in followers}
-    top = max(strengths.values(), default=0.0)
-    if top == 0.0:
-        return {f: default for f in strengths}
-    return {f: s / top for f, s in strengths.items()}
+def _deltas(followers, producer: str, trace: ActivityTrace, default: float) -> np.ndarray:
+    """Tie strengths over their maximum; `default` for all when it is 0."""
+    strength = _tie_strengths(followers, producer, trace)
+    top = strength.max(initial=0.0)
+    return strength / top if top != 0.0 else np.full(len(strength), default)
 
 
-def estimate_delta(
-    follower: str,
-    producer: str,
-    trace: ActivityTrace,
-    population,
-    default: float = 0.5,
-) -> float:
-    deltas = estimate_deltas(population, producer, trace, default)
-    if follower not in deltas:
-        raise ValueError(f"follower {follower!r} is not part of the given population")
-    return deltas[follower]
+_BLOCK = 1 << 14  # work units of one follower block in `_follower_columns`
 
 
-def aggregate_competitors(
-    follower: str,
-    producer: str,
-    graph: FollowGraph,
-    trace: ActivityTrace,
-    slots: int,
-) -> tuple[float, ...]:
-    """Mean daily posts per slot by the follower's followees other than the
-    producer, averaged over the days spanned by the trace window."""
-    days = trace.window_days()
-    others = [a for a in graph.followees_of(follower) if a != producer]
-    return tuple((_slot_counts(trace, others, slots) / days).tolist())
-
-
-def activity_histogram(
-    users, trace: ActivityTrace, slots: int, mean_center: bool = False
-) -> np.ndarray:
-    """(user x slot) event counts, optionally mean-centered along each row."""
-    rows = [_slot_counts(trace, [u], slots) for u in users]
-    grid = np.array(rows, dtype=float).reshape(len(rows), slots)
-    if mean_center:
-        grid = grid - grid.mean(axis=1, keepdims=True)
-    return grid
-
-
-# Work units of one follower block in `build_instance`: its scratch arrays
-# hold about this many entries each.
-_BLOCK = 1 << 14
-
-
-def build_instance(
-    producer: str,
-    graph: FollowGraph,
-    trace: ActivityTrace,
-    slots: int,
-    budget: int,
-    *,
-    gap_hours: float = 8.0,
-    rho_default: float = 0.5,
-    delta_default: float = 0.5,
-    gamma_mode: str = "one",
-    **survival,
-) -> ProblemInstance:
-    """Assemble a problem instance for the producer's followers; `survival`
-    passes the survival families and their settings to `ProblemInstance`.
-
-    Fallbacks: followers without events get sigma = 0; followers without
-    reaction samples get the population-median consumption depth; when no
-    follower has samples at all, everyone gets `rho_default`. A producer with
-    no posts in the window yields `delta_default` for everyone.
-
-    Each estimate equals the one of `estimate_login_slot`,
-    `consumption_depth_mu`, `tie_strength`, `estimate_deltas` and
-    `aggregate_competitors`, bit for bit, but all followers are estimated
-    together from the trace columns. Followers are taken in blocks of less
-    than `_BLOCK` work units plus the work of the block's last follower (a
-    unit is one event, one (reaction, followee) pair or one (followee, slot)
-    cell), so scratch memory is bounded by the block, beyond one int64
-    timestamp-rank key per trace row and a (name x slot) table of event
-    counts.
-    """
-    if gamma_mode not in ("one", "reaction-rate"):
-        raise ValueError(f"unknown gamma_mode {gamma_mode!r}")
-    followers = graph.followers_of(producer)
-    if not followers:
-        raise EstimationError(f"producer {producer!r} has no followers in the graph")
-    limit = _gap_limit(gap_hours)
-    days = trace.window_days()
+def _follower_columns(followers, producer, graph: FollowGraph, trace: ActivityTrace,
+                      slots: int, limit: np.uint64):
+    """Per follower, in one pass over the trace columns: login slot (0 without
+    events), summed session depth, sampled sessions, events, reactions and the
+    slot counts of its followees but `producer`; `limit` is `_gap_limit`'s.
+    Blocks of followers hold under `_BLOCK` work units (an event, a (reaction,
+    followee) pair or a (followee, slot) cell) plus their last follower's, so
+    scratch is a block's, an int64 rank key per row and a (name x slot) table."""
     tz, n, names = trace.tz_offset_minutes, len(followers), len(trace.names)
 
-    # Events per (name, slot); the producer's row is cleared, as competitor
-    # loads leave the producer out.
-    cell = trace.user_code * slots
-    cell += slot_of(trace.ts, slots, tz)
-    table = np.bincount(cell, minlength=names * slots).reshape(names, slots)
-    del cell
+    # Events per (name, slot), the producer's cleared: competitor loads leave it out.
+    table = _slot_table(trace, slots)
     if producer in trace.codes:
         table[trace.codes[producer]] = 0
 
-    # Per follower: its name code (-1 outside the trace, where per-name counts
-    # have a trailing zero), first row, events and reactions.
-    code = np.fromiter(map(trace.codes.get, followers, itertools.repeat(-1)), np.int64, n)
+    # Per follower: its name code, first row, events and reactions.
+    code = _codes(trace, followers)
     events = np.append(np.diff(trace._offsets), 0)[code]
     first = trace._offsets[code]
-    reacting = trace.kind_code != EVENT_KINDS.index("post")
-    reactions = np.bincount(trace.user_code[reacting], minlength=names + 1)[code]
-    del reacting
+    reactions = np.bincount(trace.user_code[trace.target_code >= 0], minlength=names + 1)[code]
 
     # Each follower's followees in the trace, by name code, follower after follower.
     followees = list(map(graph.followees_of, followers))
     listed = np.fromiter(map(len, followees), np.int64, n)
-    codes = itertools.chain.from_iterable(followees)
-    fe_code = np.fromiter(map(trace.codes.get, codes, itertools.repeat(-1)), np.int64)
+    fe_code = _codes(trace, itertools.chain.from_iterable(followees))
     kept = np.concatenate(([0], np.cumsum(fe_code >= 0)))  # kept before each entry
     ends = np.cumsum(listed)
     fe_first, fe_end = kept[ends - listed], kept[ends]
     fe_len = fe_end - fe_first
     fe_code = fe_code[fe_code >= 0]
 
-    key = trace._rank_key()
-    stride = len(trace) + 1
-    sigma = np.zeros(n, np.intp)
-    depth_sum = np.zeros(n, np.int64)
-    sampled = np.zeros(n, np.int64)
+    key, stride = trace._rank_key(), len(trace) + 1
+    sigma, (depth_sum, sampled) = np.zeros(n, np.intp), np.zeros((2, n), np.int64)
     load = np.empty((n, slots), np.int64)
     work = events + reactions * fe_len + fe_len * slots
     cuts = (np.flatnonzero(np.diff((np.cumsum(work) - work) // _BLOCK)) + 1).tolist()
@@ -553,14 +411,8 @@ def build_instance(
         owner = np.repeat(local, events[part])
         ts = trace.ts[rows]
         starts = _session_starts(ts, limit, owner)
-
-        # Login slot: the lower median of the follower's session-start slots.
         start_owner = owner[starts]
-        n_starts = np.bincount(start_owner, minlength=hi - lo)
-        active = n_starts > 0
-        ranked = np.sort(start_owner * slots + slot_of(ts[starts], slots, tz))
-        middle = np.cumsum(n_starts) - n_starts + (n_starts - 1) // 2
-        sigma[part][active] = ranked[middle[active]] % slots
+        sigma[part] = _login_slots(start_owner, ts[starts], hi - lo, slots, tz)
 
         # Consumption depth: the reactions to a followee that attach to an event.
         block_fe = fe_code[fe_first[lo] : fe_end[hi - 1]]
@@ -595,7 +447,147 @@ def build_instance(
         np.cumsum(table[block_fe], axis=0, out=summed[1:])
         ends = fe_end[part] - fe_first[lo]
         load[part] = summed[ends] - summed[ends - fe_len[part]]
+    return sigma, depth_sum, sampled, events, reactions, load
 
+
+def estimate_login_slot(
+    events, slots: int, gap_hours: float = 8.0, tz_offset_minutes: int = 0
+) -> int:
+    """Median start slot: a start event follows an inactive period over
+    `gap_hours` (the user's first event always counts). Even counts take the
+    lower median. `events` may also be the user's timestamps as an int64 array."""
+    ts = events if isinstance(events, np.ndarray) else np.array([ev.ts for ev in events], np.int64)
+    starts = _session_starts(ts, _gap_limit(gap_hours))
+    if not len(starts):
+        raise ValueError("at least one event is required to estimate a login slot")
+    return int(_login_slots(np.zeros_like(starts), ts[starts], 1, slots, tz_offset_minutes)[0])
+
+
+def estimate_rho(mu: float) -> float:
+    """Quit tendency from mean posts consumed per login: rho = 1 / (1 + mu)."""
+    if mu < 0:
+        raise ValueError(f"mean consumption depth must be >= 0, got {mu}")
+    return 1.0 / (1.0 + mu)
+
+
+def consumption_depth_mu(
+    follower: str,
+    graph: FollowGraph,
+    trace: ActivityTrace,
+    gap_hours: float = 8.0,
+    fallback: float | None = None,
+) -> float:
+    """Mean consumption depth per login session.
+
+    Each session's sample is the depth of the deepest followee event the
+    follower reacted to in it; a reaction attaches to its target's latest event
+    at or before it. The depth is 1 plus the followee events newer than the
+    reacted one and not newer than the reaction: events sharing the reacted
+    event's timestamp never count, wherever the timeline lists them. Sessions
+    without resolvable reactions contribute nothing; a follower with no
+    samples gets `fallback`, or an EstimationError when none is configured.
+    """
+    # One slot will do: only the depth columns are read.
+    columns = _follower_columns((follower,), None, graph, trace, 1, _gap_limit(gap_hours))
+    depth_sum, sampled = columns[1][0], columns[2][0]
+    if not sampled:
+        if fallback is not None:
+            return float(fallback)
+        raise EstimationError(
+            f"follower {follower!r} has no reaction-based consumption samples "
+            "and no fallback was configured"
+        )
+    return float(depth_sum) / int(sampled)
+
+
+def tie_strength(follower: str, producer: str, trace: ActivityTrace) -> float:
+    """Reactions by the follower targeting the producer, per producer post."""
+    return float(_tie_strengths((follower,), producer, trace)[0])
+
+
+def estimate_deltas(
+    followers, producer: str, trace: ActivityTrace, default: float = 0.5
+) -> dict[str, float]:
+    """Monotony tolerance per follower: tie strengths scaled by the population
+    maximum. When nobody ever reacted to the producer, everyone receives the
+    configured default."""
+    followers = tuple(followers)
+    deltas = _deltas(followers, producer, trace, default).tolist() if followers else []
+    return dict(zip(followers, deltas))
+
+
+def estimate_delta(
+    follower: str,
+    producer: str,
+    trace: ActivityTrace,
+    population,
+    default: float = 0.5,
+) -> float:
+    deltas = estimate_deltas(population, producer, trace, default)
+    if follower not in deltas:
+        raise ValueError(f"follower {follower!r} is not part of the given population")
+    return deltas[follower]
+
+
+def aggregate_competitors(
+    follower: str,
+    producer: str,
+    graph: FollowGraph,
+    trace: ActivityTrace,
+    slots: int,
+) -> tuple[float, ...]:
+    """Mean daily posts per slot by the follower's followees other than the
+    producer, averaged over the days spanned by the trace window."""
+    days = trace.window_days()
+    # Any gap will do: only the load column is read.
+    *_, (load,) = _follower_columns((follower,), producer, graph, trace, slots, _gap_limit(8.0))
+    return tuple((load / days).tolist())
+
+
+def activity_histogram(
+    users, trace: ActivityTrace, slots: int, mean_center: bool = False
+) -> np.ndarray:
+    """(user x slot) event counts, optionally mean-centered along each row."""
+    grid = _slot_table(trace, slots)[_codes(trace, users)].astype(float)
+    if mean_center:
+        grid = grid - grid.mean(axis=1, keepdims=True)
+    return grid
+
+
+def build_instance(
+    producer: str,
+    graph: FollowGraph,
+    trace: ActivityTrace,
+    slots: int,
+    budget: int,
+    *,
+    gap_hours: float = 8.0,
+    rho_default: float = 0.5,
+    delta_default: float = 0.5,
+    gamma_mode: str = "one",
+    **survival,
+) -> ProblemInstance:
+    """Assemble a problem instance for the producer's followers; `survival`
+    passes the survival families and their settings to `ProblemInstance`.
+
+    Fallbacks: followers without events get sigma = 0; followers without
+    reaction samples get the population-median consumption depth; when no
+    follower has samples at all, everyone gets `rho_default`. A producer with
+    no posts in the window yields `delta_default` for everyone.
+
+    All followers are estimated in one pass over the trace columns; the
+    per-follower estimators are that pass, or its rule helpers, on one follower.
+    """
+    if gamma_mode not in ("one", "reaction-rate"):
+        raise ValueError(f"unknown gamma_mode {gamma_mode!r}")
+    followers = graph.followers_of(producer)
+    if not followers:
+        raise EstimationError(f"producer {producer!r} has no followers in the graph")
+    limit = _gap_limit(gap_hours)
+    days, n = trace.window_days(), len(followers)
+    sigma, depth_sum, sampled, events, reactions, load = _follower_columns(
+        followers, producer, graph, trace, slots, limit
+    )
     has = sampled > 0
     if has.any():
         mu = depth_sum[has] / sampled[has]
@@ -604,13 +596,8 @@ def build_instance(
     else:
         rho = [rho_default] * n
     delta = [delta_default] * n
-    produced = trace.user_slice(producer)
-    if produced.stop > produced.start:
-        tied = trace.user_code[trace.target_code == trace.codes[producer]]
-        strength = np.bincount(tied, minlength=names + 1)[code] / (produced.stop - produced.start)
-        top = strength.max()
-        if top != 0.0:
-            delta = strength / top
+    if len(trace.timestamps(producer)):
+        delta = _deltas(followers, producer, trace, delta_default)
     if gamma_mode == "one":
         gamma = np.ones(n)
     else:

@@ -217,8 +217,11 @@ def heuristic(
             raise ValueError("activity weights must be finite")
         if any(w < 0 for w in weights):
             raise ValueError("activity weights must be >= 0")
-        if n > 0 and sum(weights) <= 0:
+        total = sum(weights)
+        if n > 0 and total <= 0:
             raise ValueError("activity weights must not all be zero")
+        if not math.isfinite(n * total):
+            raise ValueError(f"activity weights are too large: {n} times their sum overflows")
         return _apportion(n, weights, range(slots))
     if kind == "uniform":
         window = range(slots)

@@ -1,8 +1,13 @@
 """The trace reader and trace consumers as they were before the trace became
 columnar: one frozen `Event` per line, per-user `Event` tuples, and one
 `searchsorted` per reaction. Kept verbatim as the oracle of
-`test_trace_oracle.py`; only the imports are new. Functions whose code did not
-change (`slot_of`, `aggregate_competitors`, `estimate_rho`) are imported.
+`test_trace_oracle.py` and `test_estimate.py`; only the imports are new.
+`slot_of` and `estimate_rho`, whose code did not change, are imported; no
+estimator is. `_slot_counts`, `aggregate_competitors` and `activity_histogram`
+are the per-follower code of the columnar trace, kept verbatim from before it
+became one-follower calls of `build_instance`'s pass. `attached_reactions`
+puts a columnar trace's `attachments` in the form of
+`ActivityTrace.attached_reactions` below.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ from feedsched.estimate import (
     EstimationError,
     Event,
     FollowGraph,
-    aggregate_competitors,
     estimate_rho,
     slot_of,
 )
@@ -194,6 +198,50 @@ def estimate_deltas(
     if top == 0.0:
         return {f: default for f in strengths}
     return {f: s / top for f, s in strengths.items()}
+
+
+def _slot_counts(trace: ActivityTrace, users, slots: int) -> np.ndarray:
+    """Events per local slot of the given users together."""
+    ts = trace.timestamps(*users)
+    return np.bincount(slot_of(ts, slots, trace.tz_offset_minutes), minlength=slots)
+
+
+def aggregate_competitors(
+    follower: str,
+    producer: str,
+    graph: FollowGraph,
+    trace: ActivityTrace,
+    slots: int,
+) -> tuple[float, ...]:
+    """Mean daily posts per slot by the follower's followees other than the
+    producer, averaged over the days spanned by the trace window."""
+    days = trace.window_days()
+    others = [a for a in graph.followees_of(follower) if a != producer]
+    return tuple((_slot_counts(trace, others, slots) / days).tolist())
+
+
+def activity_histogram(
+    users, trace: ActivityTrace, slots: int, mean_center: bool = False
+) -> np.ndarray:
+    """(user x slot) event counts, optionally mean-centered along each row."""
+    rows = [_slot_counts(trace, [u], slots) for u in users]
+    grid = np.array(rows, dtype=float).reshape(len(rows), slots)
+    if mean_center:
+        grid = grid - grid.mean(axis=1, keepdims=True)
+    return grid
+
+
+def attached_reactions(trace, user: str, authors) -> list[tuple[int, str, int]]:
+    """`ActivityTrace.attached_reactions` of a columnar `feedsched` trace, read
+    off its `attachments`."""
+    position, rows = trace.attachments(user, authors)
+    target = trace.user_code[rows]
+    index = rows - trace._offsets[target]
+    names = trace.names
+    return [
+        (k, names[t], i)
+        for k, t, i in zip(position.tolist(), target.tolist(), index.tolist())
+    ]
 
 
 def _reaction_rate(events) -> float:

@@ -1003,6 +1003,23 @@ class TestOptimizeCommand:
         assert "activity weights must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "weights", [["1e308"] * 24, ["1.7e308"] + ["0"] * 23], ids=["sum", "one-weight"]
+    )
+    def test_overflowing_activity_weights_exit_2(self, tmp_path, data_dir, weights, capsys):
+        activity = tmp_path / "activity.csv"
+        activity.write_text(",".join(weights) + "\n")
+        out = tmp_path / "s.json"
+        argv = [
+            "optimize", str(data_dir / "pop_small.instance.json"), "-o", str(out),
+            "--heuristic", "peak", "--activity", str(activity),
+        ]
+        assert main(argv) == 2
+        assert "activity weights are too large: 6 times their sum overflows" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "rows, line, cell",
         [("1,1,1,1,1,1,1,1\n1,2,abc\n", 2, "'abc'"), ("1\n\n2,-0.5\n", 3, "'-0.5'")],
     )
@@ -1271,6 +1288,17 @@ class TestAnalyzeCommand:
         argv = ["analyze", *inputs, "--user", "prod", "--all", "-o", str(tmp_path)]
         assert main(argv) == 2
         assert "exactly one of --user or --all is required" in capsys.readouterr().err
+
+    def test_empty_user_with_all_exits_2(self, tmp_path, data_dir, capsys):
+        inputs = [str(data_dir / "pop_small.trace.jsonl"), str(data_dir / "pop_small.graph.csv")]
+        argv = ["analyze", *inputs, "--user", "", "--all", "-o", str(tmp_path)]
+        assert main(argv) == 2
+        assert "exactly one of --user or --all is required" in capsys.readouterr().err
+
+    def test_empty_user_is_an_unknown_user(self, tmp_path, data_dir, capsys):
+        inputs = [str(data_dir / "pop_small.trace.jsonl"), str(data_dir / "pop_small.graph.csv")]
+        assert main(["analyze", *inputs, "--user", "", "-o", str(tmp_path)]) == 2
+        assert "unknown user ''" in capsys.readouterr().err
 
     def test_json_report(self, tmp_path, data_dir, capsys):
         rc = main(

@@ -298,7 +298,7 @@ class TestGraphAndTrace:
                 Event("u", 60, "retweet", "z"),  # not among the authors
             ]
         )
-        assert trace.attached_reactions("u", ["a", "b"]) == [(1, "a", 2), (2, "b", 0)]
+        assert ref.attached_reactions(trace, "u", ["a", "b"]) == [(1, "a", 2), (2, "b", 0)]
         assert trace.timestamps("a").tolist() == [10, 30, 30]
         assert trace.timestamps("ghost").tolist() == []
 
@@ -447,33 +447,34 @@ GAPS = (8.0, 0.5, 0.004, 2**64 / 3600)
 
 
 def per_follower_instance(producer, graph, trace, slots, gap_hours, gamma_mode):
-    """The instance from the public per-follower estimators, one follower at a
-    time, with the fallbacks `build_instance` documents."""
+    """The instance from the reference per-follower estimators on a reference
+    trace, one follower at a time, with the fallbacks `build_instance`
+    documents."""
     followers = graph.followers_of(producer)
     mu = {}
     for f in followers:
         try:
-            mu[f] = consumption_depth_mu(f, graph, trace, gap_hours)
+            mu[f] = ref.consumption_depth_mu(f, graph, trace, gap_hours)
         except EstimationError:
             pass
     median = statistics.median(mu.values()) if mu else None
     if len(trace.timestamps(producer)):
-        deltas = estimate_deltas(followers, producer, trace, 0.5)
+        deltas = ref.estimate_deltas(followers, producer, trace, 0.5)
     else:
         deltas = dict.fromkeys(followers, 0.5)
     profiles = []
     for f in followers:
-        ts = trace.timestamps(f)
-        reactions = sum(ev.is_reaction for ev in trace.events_by_user(f))
+        events = trace.events_by_user(f)
+        reactions = sum(ev.is_reaction for ev in events)
         depth = mu.get(f, median)
         profiles.append(FollowerProfile(
             id=f,
-            sigma=estimate_login_slot(ts, slots, gap_hours, trace.tz_offset_minutes)
-            if len(ts) else 0,
+            sigma=ref.estimate_login_slot(events, slots, gap_hours, trace.tz_offset_minutes)
+            if events else 0,
             rho=estimate_rho(depth) if depth is not None else 0.5,
             delta=deltas[f],
-            gamma=1.0 if gamma_mode == "one" else (reactions / len(ts) if len(ts) else 0.0),
-            competitor_load=aggregate_competitors(f, producer, graph, trace, slots),
+            gamma=1.0 if gamma_mode == "one" else (reactions / len(events) if events else 0.0),
+            competitor_load=ref.aggregate_competitors(f, producer, graph, trace, slots),
         ))
     return profiles
 
@@ -481,28 +482,84 @@ def per_follower_instance(producer, graph, trace, slots, gap_hours, gamma_mode):
 @pytest.mark.parametrize("tz", [0, 330, -300])
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_one_pass_matches_the_per_follower_estimators(case, tz):
-    """Follower by follower and field by field, with `==`, against the public
-    per-follower estimators and against the pre-columnar reference."""
+    """Follower by follower and field by field, with `==`, against the
+    reference per-follower estimators and against the reference
+    `build_instance`."""
     events, edges = CASES[case]
     graph = FollowGraph(edges)
-    trace = ActivityTrace(events, tz)
+    trace, old_trace = ActivityTrace(events, tz), ref.ActivityTrace(events, tz)
     producer = "p"
     for slots in (24, 8):
         for gap_hours in GAPS:
             for gamma_mode in ("one", "reaction-rate"):
                 kwargs = dict(gap_hours=gap_hours, gamma_mode=gamma_mode)
                 got = build_instance(producer, graph, trace, slots, 6, **kwargs)
-                expected = per_follower_instance(producer, graph, trace, slots, **kwargs)
+                expected = per_follower_instance(producer, graph, old_trace, slots, **kwargs)
                 assert len(got.followers) == len(expected)
                 for g, e in zip(got.followers, expected):
                     assert (g.id, g.sigma, g.rho, g.delta, g.gamma) == (
                         e.id, e.sigma, e.rho, e.delta, e.gamma
                     ), (slots, gap_hours, gamma_mode)
                     assert g.competitor_load == e.competitor_load
-                old = ref.build_instance(
-                    producer, graph, ref.ActivityTrace(events, tz), slots, 6, **kwargs
+                assert got == ref.build_instance(producer, graph, old_trace, slots, 6, **kwargs)
+
+
+def outcome(call, *args, **kwargs):
+    """A call's result with its type (arrays with their dtype and shape), or
+    the type and message of what it raised."""
+    try:
+        result = call(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+    if isinstance(result, np.ndarray):
+        return result.dtype, result.shape, result.tolist()
+    return type(result), result
+
+
+TRACE = object()  # stands for each side's trace in `agree` below
+
+
+@pytest.mark.parametrize("tz", [0, 330, -300])
+@pytest.mark.parametrize("case", sorted(CASES) + ["empty"])
+def test_public_estimators_match_the_reference(case, tz):
+    """Every public per-follower estimator, a one-follower call of
+    `build_instance`'s pass or of its rule helpers, equals its reference copy
+    with `==` for each user of the graph. Where the reference raises (no depth
+    samples, a producer without posts, an empty trace), it raises the same
+    exception type with the same message."""
+    events, edges = ([], HAND_EDGES) if case == "empty" else CASES[case]
+    graph = FollowGraph(edges)
+    new, old = ActivityTrace(events, tz), ref.ActivityTrace(events, tz)
+
+    def agree(name, *args, **kwargs):
+        got = outcome(getattr(estimate, name), *[new if a is TRACE else a for a in args], **kwargs)
+        expected = outcome(getattr(ref, name), *[old if a is TRACE else a for a in args], **kwargs)
+        assert got == expected, (name, args, kwargs)
+        return got
+
+    users = graph.users()
+    deltas = agree("estimate_deltas", graph.followers_of("p"), "p", TRACE)
+    for slots in (24, 8):
+        agree("activity_histogram", users + ("nobody",), TRACE, slots)
+        agree("activity_histogram", users, TRACE, slots, mean_center=True)
+    for user in users:
+        strength = agree("tie_strength", user, "p", TRACE)
+        loads = [agree("aggregate_competitors", user, "p", graph, TRACE, s) for s in (24, 8)]
+        for gap_hours in GAPS:
+            depth = agree("consumption_depth_mu", user, graph, TRACE, gap_hours)
+            agree("consumption_depth_mu", user, graph, TRACE, gap_hours, fallback=3.5)
+            for slots in (24, 8):
+                expected = outcome(
+                    ref.estimate_login_slot, old.events_by_user(user), slots, gap_hours, tz
                 )
-                assert got == old
+                for own in (new.events_by_user(user), new.timestamps(user)):
+                    assert outcome(estimate_login_slot, own, slots, gap_hours, tz) == expected
+        if case == "posts-only":
+            assert depth[0] is EstimationError
+        if case in ("producer-silent", "empty"):
+            assert strength[0] is deltas[0] is ValueError
+        if case == "empty":
+            assert loads[0][0] is ValueError and expected[0] is ValueError
 
 
 def test_hand_case_exercises_every_fallback():

@@ -1,16 +1,20 @@
 """Every name a feedsched module imports is used in that module, unless the
 benchmark's tracer rebinds it there (`perfbench/tracing.py` `SPANNED` and
 `COUNTED`); every module-level function and class is in its module's
-`__all__` or used somewhere in the package."""
+`__all__` or used somewhere in the package; and every function, class or
+method that the command line cannot reach is named in README's "Library API"
+list."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 from perfbench.tracing import COUNTED, SPANNED
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "feedsched"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "feedsched"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 REBOUND = {(module, attr) for module, attr, *_ in SPANNED + COUNTED}
 
@@ -89,3 +93,90 @@ def test_the_check_sees_a_dead_definition():
         "c": ast.parse("def _helper(): pass\n"),
     }
     assert unreferenced_definitions(trees) == {"a._dead", "a._Dead"}
+
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def definitions(trees: dict[str, ast.Module]) -> dict[str, ast.AST]:
+    """Each module-level function and class of `trees`, and each method of
+    those classes, by dotted name (`module.name`, `module.Class.method`)."""
+    found = {}
+    for stem, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+                found[f"{stem}.{node.name}"] = node
+                if isinstance(node, ast.ClassDef):
+                    for item in node.body:
+                        if isinstance(item, FUNCTIONS):
+                            found[f"{stem}.{node.name}.{item.name}"] = item
+    return found
+
+
+def unreached_definitions(trees: dict[str, ast.Module], root: str) -> set[str]:
+    """The definitions of `trees` that no chain of names leads to from `root`.
+
+    The pass is by name: reached code reaches every definition whose name it
+    reads, as a bare name or as an attribute, in any module. Module-level code
+    outside definitions is reached, as it runs on import. A reached class
+    reaches its decorators, bases and body statements other than methods, and
+    its dunder methods, which Python calls without naming them.
+    """
+    found = definitions(trees)
+    by_name: dict[str, list[str]] = {}
+    for dotted in found:
+        by_name.setdefault(dotted.rpartition(".")[2], []).append(dotted)
+
+    def read_by(nodes) -> list[str]:
+        names = set().union(*map(referenced_names, nodes))
+        return [d for name in names for d in by_name.get(name, ())]
+
+    kinds = (*FUNCTIONS, ast.ClassDef)
+    module_code = [n for tree in trees.values() for n in tree.body if not isinstance(n, kinds)]
+    todo = [root, *read_by(module_code)]
+    reached = set()
+    while todo:
+        dotted = todo.pop()
+        if dotted in reached:
+            continue
+        reached.add(dotted)
+        node = found[dotted]
+        if not isinstance(node, ast.ClassDef):
+            todo += read_by([node])
+            continue
+        methods = [item for item in node.body if isinstance(item, FUNCTIONS)]
+        todo += [f"{dotted}.{m.name}" for m in methods if m.name[:2] == m.name[-2:] == "__"]
+        body = [item for item in node.body if item not in methods]
+        todo += read_by([*node.decorator_list, *node.bases, *node.keywords, *body])
+    return set(found) - reached
+
+
+def library_api() -> set[str]:
+    """The dotted names in README's "Library API" section."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n### Library API\n", 1)[1].split("\n#", 1)[0]
+    return set(re.findall(r"`(\w+(?:\.\w+)+)`", section))
+
+
+def test_every_definition_the_cli_cannot_reach_is_library_api():
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")}
+    listed = library_api()
+    unlisted = unreached_definitions(trees, "cli.main") - listed
+    assert not unlisted, f"not reached from cli.main nor listed in README: {sorted(unlisted)}"
+    stale = listed - set(definitions(trees))
+    assert not stale, f"README's Library API lists names that are not defined: {sorted(stale)}"
+
+
+def test_the_reachability_pass_sees_an_unreached_definition():
+    trees = {
+        "cli": ast.parse("from b import helper\ndef main(): helper(); Box().size\n"
+                         "if __name__ == '__main__': main()\n"),
+        "b": ast.parse("LIMIT = lower()\ndef lower(): pass\ndef helper(): pass\n"
+                       "def orphan(): helper()\n"
+                       "class Box(Base):\n    def __init__(self): pass\n"
+                       "    @property\n    def size(self): return 1\n    def unused(self): pass\n"
+                       "class Base: pass\nclass Lost:\n    def __len__(self): return 0\n"),
+    }
+    assert unreached_definitions(trees, "cli.main") == {
+        "b.orphan", "b.Box.unused", "b.Lost", "b.Lost.__len__"
+    }

@@ -193,6 +193,20 @@ class TestHeuristics:
         with pytest.raises(ValueError, match="activity weights must be finite"):
             heuristic("peak", instance, 4, activity=[1.0, bad, 1.0, 1.0])
 
+    @pytest.mark.parametrize(
+        "weights, n", [([1e308] * 4, 4), ([1.7e308, 0.0, 0.0, 0.0], 6), ([1e308] * 4, 0)]
+    )
+    def test_peak_rejects_weights_whose_sum_overflows(self, weights, n):
+        instance = self.make_instance(slots=4, budget=10)
+        with pytest.raises(ValueError, match="activity weights are too large"):
+            heuristic("peak", instance, n, activity=weights)
+
+    def test_peak_large_weights_apportion_as_their_ratios(self):
+        instance = self.make_instance(slots=4, budget=10)
+        scaled = heuristic("peak", instance, 6, activity=[1e306, 2e306, 1e306, 0.0])
+        assert scaled == heuristic("peak", instance, 6, activity=[1.0, 2.0, 1.0, 0.0])
+        assert scaled.posts == (2, 3, 1, 0)
+
     def test_peak_requires_activity(self):
         with pytest.raises(ValueError, match="activity"):
             heuristic("peak", self.make_instance(), 5)

@@ -70,7 +70,9 @@ def assert_same_trace(new, old, graph) -> None:
         assert new.timestamps(user).dtype == np.int64
         assert new.timestamps(user).tolist() == old.timestamps(user).tolist()
         for authors in (graph.followees_of(user), sorted(names), ["ghost"]):
-            assert new.attached_reactions(user, authors) == old.attached_reactions(user, authors)
+            assert ref.attached_reactions(new, user, authors) == old.attached_reactions(
+                user, authors
+            )
         if len(old.events_by_user(user)) >= 2:
             assert interevent_times(new.timestamps(user)) == ref.interevent_times(
                 old.events_by_user(user)
@@ -143,7 +145,7 @@ def test_empty_trace_agrees():
     assert new.users() == old.users() == ()
     assert len(new) == len(old) == 0
     assert new.timestamps("a").tolist() == new.timestamps().tolist() == []
-    assert new.attached_reactions("a", ["b"]) == []
+    assert ref.attached_reactions(new, "a", ["b"]) == []
     with pytest.raises(ValueError, match="empty"):
         new.window_days()
 
@@ -179,7 +181,7 @@ def test_int64_ends_agree(tmp_path):
     assert_same_trace(new, old, graph)
     assert_same_consumers(new, old, graph, "p")
     attached = [(0, "a0", 1), (2, "a1", 4), (3, "p", 1)]
-    assert new.attached_reactions("f", graph.followees_of("f")) == attached
+    assert ref.attached_reactions(new, "f", graph.followees_of("f")) == attached
     sigma = {p.id: p.sigma for p in build_instance("p", graph, new, 24, 6).followers}
     assert sigma == {"f": 8, "g": 15}
 
