@@ -36,7 +36,8 @@ from .analyze import (
     reaction_prob_by_size_position,
     reconstruct_timeline,
 )
-from .estimate import SECONDS_PER_DAY, EstimationError, build_instance
+from .estimate import DEFAULT_GAP_HOURS, GAMMA_MODES, SECONDS_PER_DAY
+from .estimate import EstimationError, build_instance
 from .formats import (
     dump_json,
     from_json,
@@ -77,7 +78,7 @@ class RunConfig:
     slots: int = 24
     budget: int | None = None
     tz_offset_minutes: int = 0
-    gap_hours: float = 8.0
+    gap_hours: float = DEFAULT_GAP_HOURS
     follower_survival_family: str = "geometric"
     cluster_survival_family: str = "geometric"
     follower_survival_p: float = 1.0
@@ -85,7 +86,7 @@ class RunConfig:
     cluster_survival_shifted: bool = True
     rho_default: float = 0.5
     delta_default: float = 0.5
-    gamma_mode: str = "one"
+    gamma_mode: str = GAMMA_MODES[0]
     night_hours: tuple[int, int] = DEFAULT_NIGHT_HOURS
     lunch_hours: tuple[int, int] = DEFAULT_LUNCH_HOURS
     seed: int = 0
@@ -112,8 +113,10 @@ class RunConfig:
                 raise ValueError(f"{key} must be finite and in [0, 1], got {value}")
         if cfg.seed < 0:
             raise ValueError(f"seed (--seed) must be >= 0, got {cfg.seed}")
-        if cfg.enumeration_cap < 1:
-            raise ValueError(f"enumeration_cap (--cap) must be >= 1, got {cfg.enumeration_cap}")
+        for key, flag in (("enumeration_cap", "--cap"), ("permutations", "--permutations")):
+            value = getattr(cfg, key)
+            if value < 1:
+                raise ValueError(f"{key} ({flag}) must be >= 1, got {value}")
         for key, flag, low, high in (
             ("matrix_max_size", "--max-size", 2, OVERFLOW_BUCKET),
             ("tz_offset_minutes", "--tz-offset-minutes", -720, 840),  # UTC-12 to UTC+14
@@ -373,6 +376,10 @@ def cmd_analyze(args) -> int:
         report.text(f"wrote {out_dir / name}")
 
     if args.counts:
+        extra = (("a trace", args.trace), ("a graph", args.graph), ("--user", args.user))
+        given = [name for name, value in extra if value is not None] + ["--all"] * args.all
+        if given:
+            raise ValueError(f"--counts cannot be given with {', '.join(given)}")
         counts = load_counts(args.counts)
         tally = None
         report.lap("load")
@@ -480,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--tz-offset-minutes", type=int, default=None)
     p.add_argument("--gap-hours", type=float, default=None)
-    p.add_argument("--gamma-mode", choices=("one", "reaction-rate"), default=None)
+    p.add_argument("--gamma-mode", choices=GAMMA_MODES, default=None)
     p.add_argument("--json", action="store_true", help="machine-readable report")
     p.set_defaults(func=cmd_estimate)
 

@@ -49,6 +49,10 @@ __all__ = [
 EVENT_KINDS = ("post", "retweet", "reply")
 
 SECONDS_PER_DAY = 86400
+# A step of more than this many hours between a user's events starts a session.
+DEFAULT_GAP_HOURS = 8.0
+# `build_instance`'s gamma, the default first: 1, or each follower's reactions per event.
+GAMMA_MODES = ("one", "reaction-rate")
 
 
 class EstimationError(RuntimeError):
@@ -318,7 +322,7 @@ def _session_starts(ts, limit: np.uint64, owner=None) -> np.ndarray:
     return np.flatnonzero(np.concatenate(([len(ts) > 0], new)))
 
 
-def split_sessions(events, gap_hours: float = 8.0) -> list[list[Event]]:
+def split_sessions(events, gap_hours: float = DEFAULT_GAP_HOURS) -> list[list[Event]]:
     """Split a user's events into sessions separated by gaps over `gap_hours`,
     which must be finite and positive."""
     events = list(events)
@@ -451,7 +455,7 @@ def _follower_columns(followers, producer, graph: FollowGraph, trace: ActivityTr
 
 
 def estimate_login_slot(
-    events, slots: int, gap_hours: float = 8.0, tz_offset_minutes: int = 0
+    events, slots: int, gap_hours: float = DEFAULT_GAP_HOURS, tz_offset_minutes: int = 0
 ) -> int:
     """Median start slot: a start event follows an inactive period over
     `gap_hours` (the user's first event always counts). Even counts take the
@@ -474,7 +478,7 @@ def consumption_depth_mu(
     follower: str,
     graph: FollowGraph,
     trace: ActivityTrace,
-    gap_hours: float = 8.0,
+    gap_hours: float = DEFAULT_GAP_HOURS,
     fallback: float | None = None,
 ) -> float:
     """Mean consumption depth per login session.
@@ -540,7 +544,8 @@ def aggregate_competitors(
     producer, averaged over the days spanned by the trace window."""
     days = trace.window_days()
     # Any gap will do: only the load column is read.
-    *_, (load,) = _follower_columns((follower,), producer, graph, trace, slots, _gap_limit(8.0))
+    limit = _gap_limit(DEFAULT_GAP_HOURS)
+    *_, (load,) = _follower_columns((follower,), producer, graph, trace, slots, limit)
     return tuple((load / days).tolist())
 
 
@@ -561,10 +566,10 @@ def build_instance(
     slots: int,
     budget: int,
     *,
-    gap_hours: float = 8.0,
+    gap_hours: float = DEFAULT_GAP_HOURS,
     rho_default: float = 0.5,
     delta_default: float = 0.5,
-    gamma_mode: str = "one",
+    gamma_mode: str = GAMMA_MODES[0],
     **survival,
 ) -> ProblemInstance:
     """Assemble a problem instance for the producer's followers; `survival`
@@ -578,7 +583,7 @@ def build_instance(
     All followers are estimated in one pass over the trace columns; the
     per-follower estimators are that pass, or its rule helpers, on one follower.
     """
-    if gamma_mode not in ("one", "reaction-rate"):
+    if gamma_mode not in GAMMA_MODES:
         raise ValueError(f"unknown gamma_mode {gamma_mode!r}")
     followers = graph.followers_of(producer)
     if not followers:

@@ -1283,6 +1283,46 @@ class TestAnalyzeCommand:
     def test_requires_counts_or_trace(self, tmp_path):
         assert main(["analyze", "-o", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "extra, given",
+        [
+            (["{trace}"], "a trace"),
+            (["{trace}", "{graph}"], "a trace, a graph"),
+            (["--user", "nobody"], "--user"),
+            (["--all"], "--all"),
+            (["--user", "nobody", "--all"], "--user, --all"),
+        ],
+        ids=["trace", "trace-graph", "user", "all", "user-all"],
+    )
+    def test_counts_with_trace_inputs_exits_2(self, tmp_path, data_dir, extra, given, capsys):
+        trace, graph = data_dir / "pop_small.trace.jsonl", data_dir / "pop_small.graph.csv"
+        inputs = [a.format(trace=trace, graph=graph) for a in extra]
+        counts = str(data_dir / "cluster_reaction_counts.csv")
+        out = tmp_path / "out"
+        argv = ["analyze", *inputs, "--counts", counts, "-o", str(out)]
+        assert main(argv) == 2
+        assert f"--counts cannot be given with {given}" in capsys.readouterr().err
+        assert not (out / "cluster_stats.csv").exists()
+
+    @pytest.mark.parametrize("value", [0, -5])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_permutations_below_one_exit_2(self, tmp_path, source, value, capsys):
+        """Refused before any file is read, even for a one-bucket table,
+        which runs no test."""
+        counts = tmp_path / "counts.csv"
+        counts.write_text("size,reactions,total\n1,3,10\n")
+        out = tmp_path / "out"
+        argv = ["analyze", "--counts", str(counts), "-o", str(out)]
+        if source == "flag":
+            argv += ["--permutations", str(value)]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(f'{{"permutations": {value}}}')
+            argv += ["--config", str(config)]
+        assert main(argv) == 2
+        assert f"permutations (--permutations) must be >= 1, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_user_and_all_together_exit_2(self, tmp_path, data_dir, capsys):
         inputs = [str(data_dir / "pop_small.trace.jsonl"), str(data_dir / "pop_small.graph.csv")]
         argv = ["analyze", *inputs, "--user", "prod", "--all", "-o", str(tmp_path)]

@@ -3,9 +3,10 @@ benchmark's tracer rebinds it there (`perfbench/tracing.py` `SPANNED` and
 `COUNTED`); every module-level function and class is in its module's
 `__all__` or used somewhere in the package; and every function, class or
 method that the command line cannot reach is named in README's "Library API"
-list."""
+list; and the package exports each library module's `__all__`, once."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -180,3 +181,19 @@ def test_the_reachability_pass_sees_an_unreached_definition():
     assert unreached_definitions(trees, "cli.main") == {
         "b.orphan", "b.Box.unused", "b.Lost", "b.Lost.__len__"
     }
+
+
+LIBRARY = ("model", "objective", "optimize", "estimate", "simulate", "analyze")
+
+
+def test_the_package_exports_each_library_module_all_once():
+    package = importlib.import_module("feedsched")
+    # By import_module: the package binds `simulate` to the function.
+    modules = {stem: importlib.import_module(f"feedsched.{stem}") for stem in LIBRARY}
+    declared = ["__version__"] + [name for m in modules.values() for name in m.__all__]
+    twice = sorted({name for name in declared if declared.count(name) > 1})
+    assert not twice, f"exported by more than one library module: {twice}"
+    assert sorted(package.__all__) == sorted(declared)
+    for stem, module in modules.items():
+        unbound = [n for n in module.__all__ if getattr(package, n, None) is not getattr(module, n)]
+        assert not unbound, f"feedsched does not bind {stem}'s {unbound}"
