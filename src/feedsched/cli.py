@@ -36,7 +36,7 @@ from .analyze import (
     reaction_prob_by_size_position,
     reconstruct_timeline,
 )
-from .estimate import DEFAULT_GAP_HOURS, GAMMA_MODES, SECONDS_PER_DAY
+from .estimate import DEFAULT_FALLBACK, DEFAULT_GAP_HOURS, GAMMA_MODES, SECONDS_PER_DAY
 from .estimate import EstimationError, build_instance
 from .formats import (
     dump_json,
@@ -67,6 +67,10 @@ from .simulate import rounded_instance, simulate
 
 __all__ = ["RunConfig", "build_parser", "main", "entrypoint"]
 
+# Greedy runs of `optimize --method multistart` without `--restarts`.
+DEFAULT_RESTARTS = 4
+
+
 @dataclass
 class RunConfig:
     """Run-wide defaults; a JSON config file may override any field and
@@ -84,8 +88,8 @@ class RunConfig:
     follower_survival_p: float = 1.0
     cluster_survival_p: float = 1.0
     cluster_survival_shifted: bool = True
-    rho_default: float = 0.5
-    delta_default: float = 0.5
+    rho_default: float = DEFAULT_FALLBACK
+    delta_default: float = DEFAULT_FALLBACK
     gamma_mode: str = GAMMA_MODES[0]
     night_hours: tuple[int, int] = DEFAULT_NIGHT_HOURS
     lunch_hours: tuple[int, int] = DEFAULT_LUNCH_HOURS
@@ -167,6 +171,15 @@ class Report:
         return 0
 
 
+def _refuse_unread(*rules) -> None:
+    """Refuse flags that the chosen mode never reads, before any file is read.
+    Each rule is a flag, whether it was given, whether the mode reads it and
+    what it needs; the message names every flag refused."""
+    unread = [f"{flag} needs {need}" for flag, given, read, need in rules if given and not read]
+    if unread:
+        raise ValueError("; ".join(unread))
+
+
 def _write_csv(path, header, rows) -> None:
     """A CSV file as `csv.writer` writes it; a float is written as its repr."""
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
@@ -220,6 +233,7 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    _refuse_unread(("--mean-center", args.mean_center, bool(args.heatmap), "--heatmap"))
     report = Report()
     instance = instance_from_dict(load_json(args.instance), args.instance)
     schedule = schedule_from_dict(load_json(args.schedule), args.schedule)
@@ -277,6 +291,14 @@ def _write_breakdown(path, instance, schedule, per_cluster) -> None:
 
 
 def cmd_optimize(args) -> int:
+    mode = args.method or args.heuristic
+    _refuse_unread(
+        ("--spend", args.spend is not None, args.heuristic is not None, "--heuristic"),
+        ("--activity", args.activity is not None, mode == "peak", "--heuristic peak"),
+        ("--initial", args.initial is not None, mode == "marginal", "--method marginal"),
+        ("--restarts", args.restarts is not None, mode == "multistart", "--method multistart"),
+        ("--trace", args.trace is not None, args.method is not None, "--method"),
+    )
     report = Report()
     cfg = RunConfig.from_sources(args)
     instance = instance_from_dict(load_json(args.instance), args.instance)
@@ -305,7 +327,8 @@ def cmd_optimize(args) -> int:
         elif args.method == "brute":
             result = brute_force(instance, cap=cfg.enumeration_cap)
         else:
-            result = multistart(instance, args.restarts, cfg.seed)
+            restarts = args.restarts if args.restarts is not None else DEFAULT_RESTARTS
+            result = multistart(instance, restarts, cfg.seed)
         schedule, total = result.schedule, result.total
         report.add("method", args.method, "method: {}")
     report.lap("optimize")
@@ -369,9 +392,10 @@ def cmd_analyze(args) -> int:
     report = Report()
     cfg = RunConfig.from_sources(args)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     def write(name, header, rows):
+        # Made at the first write, so that no refused run leaves a directory behind.
+        out_dir.mkdir(parents=True, exist_ok=True)
         _write_csv(out_dir / name, header, rows)
         report.text(f"wrote {out_dir / name}")
 
@@ -509,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spend", type=int, default=None, help="posts for --heuristic")
     p.add_argument("--activity", default=None, help="per-slot weights CSV for peak")
     p.add_argument("--initial", default=None, help="initial schedule JSON for marginal")
-    p.add_argument("--restarts", type=int, default=4)
+    p.add_argument("--restarts", type=int, default=None, help=f"default {DEFAULT_RESTARTS}")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--cap", dest="enumeration_cap", type=int, help="enumeration cap for brute")
     p.add_argument("--trace", default=None, help="write the greedy trajectory CSV here")

@@ -51,6 +51,8 @@ EVENT_KINDS = ("post", "retweet", "reply")
 SECONDS_PER_DAY = 86400
 # A step of more than this many hours between a user's events starts a session.
 DEFAULT_GAP_HOURS = 8.0
+# `build_instance`'s rho and delta where the trace gives no estimate at all.
+DEFAULT_FALLBACK = 0.5
 # `build_instance`'s gamma, the default first: 1, or each follower's reactions per event.
 GAMMA_MODES = ("one", "reaction-rate")
 
@@ -149,12 +151,11 @@ class ActivityTrace:
         return slice(0, 0) if k is None else slice(*self._offsets[k : k + 2].tolist())
 
     def rows(self, users) -> tuple[np.ndarray, np.ndarray]:
-        """The rows of the given users' events, user after user, and each
-        user's event count. Users in name order give ascending rows."""
-        spans = [self.user_slice(u) for u in users]
-        starts = np.array([s.start for s in spans], np.int64)
-        counts = np.array([s.stop - s.start for s in spans], np.int64)
-        return _spans(starts, counts), counts
+        """The rows of the given users' events, user after user, and each user's
+        event count, 0 for a name without events. Users in name order give ascending rows."""
+        code = _codes(self, users)
+        counts = np.append(np.diff(self._offsets), 0)[code]
+        return _spans(self._offsets[code], counts), counts
 
     @functools.cached_property
     def _row_events(self) -> tuple[Event, ...]:
@@ -186,36 +187,29 @@ class ActivityTrace:
             return self.ts[self.user_slice(users[0])]
         return self.ts[self.rows(users)[0]]
 
-    def _rank_key(self) -> np.ndarray:
-        """Per row, user code * (rows + 1) + the rank of its timestamp among the
-        trace's distinct timestamps. It ascends with the rows, and ranks stand in
-        for timestamps, so the key cannot overflow at the int64 ends."""
-        order = np.argsort(self.ts)
-        ranked = self.ts[order]
-        changed = ranked[1:] != ranked[:-1]
-        ranked[:1] = 0  # the sorted timestamps are spent: their buffer takes the ranks
-        np.cumsum(changed, out=ranked[1:])
-        key = np.empty_like(ranked)
-        key[order] = ranked
-        del order, ranked, changed
-        key += self.user_code * (len(self.ts) + 1)
-        return key
+    @functools.cached_property
+    def _rank(self) -> np.ndarray:
+        """Per row, the dense rank of its timestamp among the trace's timestamps."""
+        rank = np.unique(self.ts, return_inverse=True)[1]
+        _frozen(rank)
+        return rank
 
-    def _attach(self, rows: np.ndarray, key: np.ndarray) -> np.ndarray:
-        """Per given reaction row, the row of its target's latest event at or
-        before it, or -1 where the target has none; `key` is `_rank_key()`."""
-        target = self.target_code[rows]
-        shift = (target - self.user_code[rows]) * (len(self.ts) + 1)
-        row = np.searchsorted(key, key[rows] + shift, "right") - 1
-        return np.where(row >= self._offsets[target], row, -1)
+    @functools.cached_property
+    def _key(self) -> np.ndarray:
+        """Per row, user code * (rows + 1) + `_rank`. It ascends with the rows, and
+        ranks stand in for timestamps, so it cannot overflow at the int64 ends."""
+        key = self._rank + self.user_code * (len(self.ts) + 1)
+        _frozen(key)
+        return key
 
     @functools.cached_property
     def _attached_row(self) -> np.ndarray:
         """Per row, the row of the event a reaction attaches to, its target's
-        latest event at or before it; -1 for posts and unattached reactions."""
-        reaction = np.flatnonzero(self.target_code >= 0)
-        attached = np.full(len(self.ts), -1, np.int64)
-        attached[reaction] = self._attach(reaction, self._rank_key())
+        latest event at or before it; -1 for posts and unattached reactions. A
+        post's target code, -1, reads the last offset, which no row reaches."""
+        target = self.target_code
+        row = np.searchsorted(self._key, self._rank + target * (len(target) + 1), "right") - 1
+        attached = np.where(row >= self._offsets[target], row, -1)
         _frozen(attached)
         return attached
 
@@ -380,7 +374,8 @@ def _follower_columns(followers, producer, graph: FollowGraph, trace: ActivityTr
     slot counts of its followees but `producer`; `limit` is `_gap_limit`'s.
     Blocks of followers hold under `_BLOCK` work units (an event, a (reaction,
     followee) pair or a (followee, slot) cell) plus their last follower's, so
-    scratch is a block's, an int64 rank key per row and a (name x slot) table."""
+    scratch is a block's, the followers' event rows and a (name x slot) table;
+    the trace keeps its rank, key and attached rows for the next call."""
     tz, n, names = trace.tz_offset_minutes, len(followers), len(trace.names)
 
     # Events per (name, slot), the producer's cleared: competitor loads leave it out.
@@ -388,11 +383,11 @@ def _follower_columns(followers, producer, graph: FollowGraph, trace: ActivityTr
     if producer in trace.codes:
         table[trace.codes[producer]] = 0
 
-    # Per follower: its name code, first row, events and reactions.
-    code = _codes(trace, followers)
-    events = np.append(np.diff(trace._offsets), 0)[code]
-    first = trace._offsets[code]
-    reactions = np.bincount(trace.user_code[trace.target_code >= 0], minlength=names + 1)[code]
+    # The followers' rows, follower j's at all_rows[at[j] : at[j + 1]], events and reactions.
+    all_rows, events = trace.rows(followers)
+    at = np.concatenate(([0], np.cumsum(events)))
+    reactions = np.bincount(trace.user_code[trace.target_code >= 0], minlength=names + 1)
+    reactions = reactions[_codes(trace, followers)]
 
     # Each follower's followees in the trace, by name code, follower after follower.
     followees = list(map(graph.followees_of, followers))
@@ -404,14 +399,14 @@ def _follower_columns(followers, producer, graph: FollowGraph, trace: ActivityTr
     fe_len = fe_end - fe_first
     fe_code = fe_code[fe_code >= 0]
 
-    key, stride = trace._rank_key(), len(trace) + 1
+    rank, key, stride = trace._rank, trace._key, len(trace) + 1
     sigma, (depth_sum, sampled) = np.zeros(n, np.intp), np.zeros((2, n), np.int64)
     load = np.empty((n, slots), np.int64)
     work = events + reactions * fe_len + fe_len * slots
     cuts = (np.flatnonzero(np.diff((np.cumsum(work) - work) // _BLOCK)) + 1).tolist()
     for lo, hi in zip([0, *cuts], [*cuts, n]):
         part, local = slice(lo, hi), np.arange(hi - lo)
-        rows = _spans(first[part], events[part])
+        rows = all_rows[at[lo] : at[hi]]
         owner = np.repeat(local, events[part])
         ts = trace.ts[rows]
         starts = _session_starts(ts, limit, owner)
@@ -426,7 +421,7 @@ def _follower_columns(followers, producer, graph: FollowGraph, trace: ActivityTr
         asked = owner[react] * names + target[react]
         # `follows` ascends; a key past its end meets the -1 appended.
         react = react[np.append(follows, -1)[np.searchsorted(follows, asked)] == asked]
-        attached = trace._attach(rows[react], key)
+        attached = trace._attached_row[rows[react]]
         react, attached = react[attached >= 0], attached[attached >= 0]
         # Depth: 1 + the events of the follower's followees newer than the
         # attached event and not newer than the reaction, counted per followee
@@ -434,10 +429,8 @@ def _follower_columns(followers, producer, graph: FollowGraph, trace: ActivityTr
         who = owner[react]
         pairs = fe_len[part][who]
         base = block_fe[_spans(fe_first[part][who] - fe_first[lo], pairs)] * stride
-        reacted_rank = key[rows[react]] - code[part][who] * stride
-        attached_rank = key[attached] - trace.user_code[attached] * stride
-        newer = np.searchsorted(key, base + np.repeat(reacted_rank, pairs), "right")
-        newer -= np.searchsorted(key, base + np.repeat(attached_rank, pairs), "right")
+        newer = np.searchsorted(key, base + np.repeat(rank[rows[react]], pairs), "right")
+        newer -= np.searchsorted(key, base + np.repeat(rank[attached], pairs), "right")
         depth = np.add.reduceat(newer, np.cumsum(pairs) - pairs) + 1
         # Each session's sample is its deepest reaction.
         deepest = np.zeros(len(starts), np.int64)
@@ -510,7 +503,7 @@ def tie_strength(follower: str, producer: str, trace: ActivityTrace) -> float:
 
 
 def estimate_deltas(
-    followers, producer: str, trace: ActivityTrace, default: float = 0.5
+    followers, producer: str, trace: ActivityTrace, default: float = DEFAULT_FALLBACK
 ) -> dict[str, float]:
     """Monotony tolerance per follower: tie strengths scaled by the population
     maximum. When nobody ever reacted to the producer, everyone receives the
@@ -520,13 +513,8 @@ def estimate_deltas(
     return dict(zip(followers, deltas))
 
 
-def estimate_delta(
-    follower: str,
-    producer: str,
-    trace: ActivityTrace,
-    population,
-    default: float = 0.5,
-) -> float:
+def estimate_delta(follower: str, producer: str, trace: ActivityTrace, population,
+                   default: float = DEFAULT_FALLBACK) -> float:
     deltas = estimate_deltas(population, producer, trace, default)
     if follower not in deltas:
         raise ValueError(f"follower {follower!r} is not part of the given population")
@@ -567,8 +555,8 @@ def build_instance(
     budget: int,
     *,
     gap_hours: float = DEFAULT_GAP_HOURS,
-    rho_default: float = 0.5,
-    delta_default: float = 0.5,
+    rho_default: float = DEFAULT_FALLBACK,
+    delta_default: float = DEFAULT_FALLBACK,
     gamma_mode: str = GAMMA_MODES[0],
     **survival,
 ) -> ProblemInstance:

@@ -24,6 +24,7 @@ from feedsched import (
     Schedule,
     build_instance,
     cluster_attention,
+    multistart,
     reconstruct_timeline,
     timeline_view,
 )
@@ -773,6 +774,13 @@ class TestEvaluateCommand:
         for row in read_csv(heat)[1:]:
             assert abs(sum(float(v) for v in row[1:])) < 1e-9
 
+    @pytest.mark.parametrize("extra", [[], ["--breakdown", "b.csv"]], ids=["alone", "breakdown"])
+    def test_mean_center_without_heatmap_exits_2(self, tmp_path, extra, capsys):
+        """Refused before any file is read: neither input exists."""
+        missing = [str(tmp_path / "i.json"), str(tmp_path / "s.json")]
+        assert main(["evaluate", *missing, "--mean-center", *extra]) == 2
+        assert capsys.readouterr().err == "error: --mean-center needs --heatmap\n"
+
     def test_json_report(self, hand_files, capsys):
         instance_path, schedule_path = hand_files
         rc = main(["evaluate", str(instance_path), str(schedule_path), "--json"])
@@ -1074,6 +1082,39 @@ class TestOptimizeCommand:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "mode, extra, message",
+        [
+            (["--method", "marginal"], ["--spend", "3"], "--spend needs --heuristic"),
+            (["--heuristic", "smart"], ["--activity", "w"], "--activity needs --heuristic peak"),
+            (["--heuristic", "peak"], ["--initial", "x.json"], "--initial needs --method marginal"),
+            (["--method", "brute"], ["--restarts", "2"], "--restarts needs --method multistart"),
+            (["--heuristic", "smart"], ["--trace", "t.csv"], "--trace needs --method"),
+            (
+                ["--method", "marginal"],
+                ["--spend", "3", "--activity", "a.csv", "--restarts", "0"],
+                "--spend needs --heuristic; --activity needs --heuristic peak; "
+                "--restarts needs --method multistart",
+            ),
+        ],
+        ids=["spend", "activity", "initial", "restarts", "trace", "all-named"],
+    )
+    def test_flag_the_mode_never_reads_exits_2(self, tmp_path, mode, extra, message, capsys):
+        """Refused before any file is read: the instance does not exist."""
+        out = tmp_path / "s.json"
+        argv = ["optimize", str(tmp_path / "missing.json"), "-o", str(out), *mode, *extra]
+        assert main(argv) == 2
+        assert f"error: {message}\n" == capsys.readouterr().err
+        assert not out.exists()
+
+    def test_multistart_without_restarts_runs_four(self, tmp_path, data_dir, capsys):
+        path = data_dir / "pop_small.instance.json"
+        argv = ["optimize", str(path), "-o", str(tmp_path / "s.json"), "--method", "multistart"]
+        assert main(argv + ["--json"]) == 0
+        # Each restart count gives this instance its own evaluation count.
+        expected = multistart(instance_from_dict(load_json(path)), 4, 0).evaluations
+        assert json.loads(capsys.readouterr().out)["evaluations"] == expected
+
 
 class TestSimulateCommand:
     def test_zero_days_exits_2(self, hand_files):
@@ -1303,6 +1344,32 @@ class TestAnalyzeCommand:
         assert main(argv) == 2
         assert f"--counts cannot be given with {given}" in capsys.readouterr().err
         assert not (out / "cluster_stats.csv").exists()
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["{trace}", "{graph}", "--all", "--counts", "{counts}"],
+            ["--all", "--counts", "{counts}"],
+            ["{trace}", "{graph}"],
+            ["{trace}", "{graph}", "--user", "prod", "--all"],
+            ["{tmp}/missing.jsonl", "{graph}", "--all"],
+            ["{trace}", "{graph}", "--user", "nobody"],
+            ["--counts", "{tmp}/missing.csv"],
+        ],
+        ids=["counts-trace", "counts-all", "neither", "both", "no-trace", "no-user", "no-counts"],
+    )
+    def test_refusal_leaves_no_output_directory(self, tmp_path, data_dir, extra, capsys):
+        paths = {
+            "trace": data_dir / "pop_small.trace.jsonl",
+            "graph": data_dir / "pop_small.graph.csv",
+            "counts": data_dir / "cluster_reaction_counts.csv",
+            "tmp": tmp_path,
+        }
+        out = tmp_path / "newdir"
+        argv = ["analyze", *(a.format(**paths) for a in extra), "-o", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", [0, -5])
     @pytest.mark.parametrize("source", ["flag", "config"])

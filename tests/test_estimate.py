@@ -655,3 +655,64 @@ def test_peak_memory_at_pipeline_size():
         tracemalloc.stop()
     assert len(instance.followers) == 250
     assert peak <= 1.5 * 2**20
+
+
+class TestTraceColumns:
+    """The columns a trace derives once and keeps: `rows`, `_rank`, `_key`
+    and `_attached_row`."""
+
+    # Names in code order: a, b, c, x (a reaction target only), z (the last, with events).
+    TRACE = ActivityTrace(
+        posts("b", [5, 1]) + posts("z", [9, 9]) + posts("a", [3])
+        + [Event("c", 2, "post"), Event("c", 4, "reply", "x")]
+    )
+
+    @pytest.mark.parametrize(
+        "users",
+        [[], ["a"], ["nobody"], ["x", "nobody", "b"], ["c", "a", "c"], ["z", "c", "b", "a"]],
+        ids=["empty", "one", "absent", "absent-mixed", "repeated", "unsorted"],
+    )
+    def test_rows_follow_the_user_slices(self, users):
+        rows, counts = self.TRACE.rows(users)
+        spans = [self.TRACE.user_slice(u) for u in users]
+        assert rows.tolist() == [row for s in spans for row in range(s.start, s.stop)]
+        assert counts.tolist() == [s.stop - s.start for s in spans]
+        assert rows.dtype == counts.dtype == np.int64
+
+    def test_rank_is_the_dense_rank_of_the_timestamps(self):
+        low, high = -(2**63), 2**63 - 1
+        stamps = [high, 0, low, 0, high, -1, low, 7]
+        trace = ActivityTrace([Event(u, t, "post") for u, t in zip("abcabcab", stamps)])
+        distinct = sorted(set(stamps))
+        ranks = [distinct.index(t) for t in trace.ts.tolist()]
+        assert trace._rank.tolist() == ranks
+        stride = len(trace) + 1
+        assert trace._key.tolist() == [r + c * stride for r, c in zip(ranks, trace.user_code)]
+        assert (np.diff(trace._key) >= 0).all()
+
+    def test_columns_are_read_only(self):
+        for column in (self.TRACE._rank, self.TRACE._key, self.TRACE._attached_row):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 1
+
+
+def test_a_trace_is_ranked_once(monkeypatch):
+    """`build_instance`, every user's timeline and per-follower estimator
+    calls on one trace rank its timestamps once between them."""
+    raw, edges = generators.trace_and_graph(2, followers=12, competitors=5, followees=3, days=3)
+    trace = ActivityTrace([Event(**ev) for ev in raw])
+    graph = FollowGraph(edges)
+    unique, ranked = np.unique, []
+
+    def counted(values, *args, **kwargs):
+        ranked.append(values is trace.ts)
+        return unique(values, *args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counted)
+    build_instance(generators.PRODUCER, graph, trace, 24, 6)
+    for user in graph.users():
+        reconstruct_timeline(user, graph, trace)
+    for follower in graph.followers_of(generators.PRODUCER)[:3]:
+        consumption_depth_mu(follower, graph, trace, fallback=1.0)
+        aggregate_competitors(follower, generators.PRODUCER, graph, trace, 24)
+    assert ranked.count(True) == 1
