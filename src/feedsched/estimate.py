@@ -189,8 +189,12 @@ class ActivityTrace:
 
     @functools.cached_property
     def _rank(self) -> np.ndarray:
-        """Per row, the dense rank of its timestamp among the trace's timestamps."""
-        rank = np.unique(self.ts, return_inverse=True)[1]
+        """Per row, the dense rank of its timestamp among the trace's timestamps.
+        The sorted distinct timestamps, then one binary search per row: about
+        33 bytes of scratch per row, where `return_inverse` takes about 49.
+        `return_counts` keeps `np.unique` sorting: for the values alone, numpy
+        2.4 builds a hash table instead, about six times slower here."""
+        rank = np.searchsorted(np.unique(self.ts, return_counts=True)[0], self.ts)
         _frozen(rank)
         return rank
 

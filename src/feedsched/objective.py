@@ -19,6 +19,7 @@ non-empty cells one by one in Python floats for the reported totals.
 from __future__ import annotations
 
 import math
+from collections.abc import Generator
 from dataclasses import dataclass
 from itertools import chain
 
@@ -155,6 +156,13 @@ def _survival(family: str, lam: np.ndarray, p: float, x: np.ndarray) -> np.ndarr
     if family == "geometric":
         return _pow(1.0 - lam, x)
     return _elementwise(lambda lam_j, x_j: survival_array(family, lam_j, p, x_j), lam, x)
+
+
+def _below(push: np.ndarray) -> np.ndarray:
+    """Per cell, the sum of `push` over the cells after it along the last axis."""
+    deeper = np.zeros_like(push)
+    deeper[..., :-1] = np.cumsum(push[..., :0:-1], axis=-1)[..., ::-1]
+    return deeper
 
 
 def _bincount(keys: np.ndarray, weights: np.ndarray, length: int) -> np.ndarray:
@@ -367,9 +375,54 @@ class TimelineLayout:
             push = base * -self.rho
         else:
             push = self.term(x, z + 1) - base
-        deeper = np.zeros_like(push)
-        deeper[:, :-1] = np.cumsum(push[:, :0:-1], axis=1)[:, ::-1]
-        return _bincount(self.order, (grow + deeper) * self.gamma[:, None], self.slots)
+        return _bincount(self.order, (grow + _below(push)) * self.gamma[:, None], self.slots)
+
+    def greedy_gains(self, posts) -> Generator[np.ndarray, int, None]:
+        """Generator of `slot_gains` for each scan of a greedy run from `posts`,
+        sent each accepted slot. Under a geometric follower family it carries
+        gamma * grow and -gamma * rho * base per cell (base = T(x, z), grow =
+        T(x+1, z) - base), summed per login slot and timeline position in each
+        scan. A post at slot s sits at position p_j = (sigma_j - s) mod S;
+        every deeper cell gets z + 1, which multiplies it by q = 1 - rho, and
+        only the cell at p_j is evaluated again. A scan whose top two gains, or
+        top gain and 0, lie within 1e-12 of the top slot's sum of gamma *
+        (|grow| + |deeper|) is scored by `slot_gains`, as carried values can
+        cancel: every decision is the exact scorer's."""
+        posts = np.array(posts, dtype=np.int64)
+        if self.follower_family != "geometric":
+            while True:
+                posts[(yield self.slot_gains(posts))] += 1
+        slots, rows, sigma = self.slots, np.arange(len(self.gamma)), self.order[:, 0]
+        x = self.timeline_posts(posts)
+        z = self.depths(x)
+        base = self.term(x, z)
+        weight = np.stack((self.gamma, -(self.rho[:, 0] * self.gamma)))
+        cells = np.stack((self.term(x + 1, z) - base, base)) * weight[..., None]
+        del x, z, base
+        loads = np.cumsum(self.loads, axis=1)
+        login = np.arange(slots)
+        key = np.arange(2)[:, None, None] * slots * slots + sigma[:, None] * slots + login
+        rotation = np.subtract.outer(login, login) % slots
+        # scale[j, S - 1 - p] is 1 down to position p and q_j = 1 - rho_j below it
+        ramp = np.repeat(np.hstack((np.ones_like(self.rho), 1.0 - self.rho)), slots, axis=1)
+        scale = np.lib.stride_tricks.sliding_window_view(ramp, slots, axis=1)
+        while True:
+            grow, push = _bincount(key, cells, 2 * slots * slots).reshape(2, slots, slots)
+            deeper = _below(push)
+            gains = _bincount(rotation, grow + deeper, slots)
+            best = int(np.argmax(gains))
+            gross = np.abs(cells[0, rows, (sigma - best) % slots]).sum()
+            margin = 1e-12 * (gross + np.abs(deeper[login, (login - best) % slots]).sum())
+            if np.count_nonzero(gains >= gains[best] - margin) > 1 or abs(gains[best]) <= margin:
+                gains = self.slot_gains(posts)
+            s = yield gains
+            posts[s] += 1
+            p = (sigma - s) % slots
+            cells *= scale[rows, slots - 1 - p]
+            above = np.cumsum(posts)
+            z = loads[rows, p] + (above[sigma] - above[s] + (sigma < s) * above[-1])
+            cell = self.term(np.array([posts[s], posts[s] + 1]), z[:, None])
+            cells[:, rows, p] = np.stack((cell[:, 1] - cell[:, 0], cell[:, 0])) * weight
 
 
 def attention_potential(schedule: Schedule, instance: ProblemInstance) -> AttentionBreakdown:

@@ -62,9 +62,9 @@ def marginal_allocation(
 
     Ties in the argmax break toward the lowest slot index. Only strictly
     positive gains are accepted. Each scan takes all slot gains at once from
-    `TimelineLayout.slot_gains` and counts as one evaluation per slot, after
-    one for the starting point; the reported total is a full evaluation of
-    the final schedule.
+    `TimelineLayout.greedy_gains`, which decides as `slot_gains` scores, and
+    counts as one evaluation per slot, after one for the starting point; the
+    reported total is a full evaluation of the final schedule.
     """
     slots, budget = instance.slots, instance.budget
     current = initial if initial is not None else Schedule.zeros(slots)
@@ -76,15 +76,16 @@ def marginal_allocation(
         raise ValueError(
             f"initial schedule spends {current.spend}, exceeding the budget {budget}"
         )
-    layout = TimelineLayout.of(instance)
+    scans = TimelineLayout.of(instance).greedy_gains(current.posts)
     posts = np.array(current.posts, dtype=np.int64)
     evaluations = 1
     trajectory: list[tuple[int, float]] = []
+    best = None
     while True:
         if posts.sum() >= budget:
             terminated_by = "budget"
             break
-        gains = layout.slot_gains(posts)
+        gains = scans.send(best)
         evaluations += slots
         best = int(np.argmax(gains))
         if not gains[best] > 0.0:
@@ -92,6 +93,7 @@ def marginal_allocation(
             break
         posts[best] += 1
         trajectory.append((best, float(gains[best])))
+    scans.close()  # frees the carried arrays before the final evaluation
     current = Schedule(tuple(posts.tolist()))
     return OptimizationReport(
         current,
