@@ -33,8 +33,12 @@ cluster survival, for one) draws no skip variate: clusters whose fate is
 certain are summed by scroll depth over the whole block, and a follower's skip
 generator is built only when some cluster's keep lies strictly between. That
 follower then draws its whole (days x groups) block as if every cluster were
-drawn, so the results are bit-identical to drawing for every cluster. Every
-per-day and per-cluster sum adds small integers, which are exact in any order.
+drawn, so the results are bit-identical to drawing for every cluster. The
+block is drawn whole but read only on the days whose scroll depth passes the
+top of the follower's shallowest drawn cluster: on any other day every drawn
+cluster adds 0 posts seen, so leaving those days out changes no sum, and the
+stream does not depend on which days are read. Every per-day and per-cluster
+sum adds small integers, which are exact in any order.
 """
 
 from __future__ import annotations
@@ -256,23 +260,41 @@ def _replay_block(
             grp = group[c] - group[c.start]
             mine = np.flatnonzero(drawn[c])
             # The whole (tile x groups) block is drawn, so the stream is the
-            # same whichever clusters read it. Every index is in range, and
-            # mode="clip" spares `take` the check that buffers its output.
+            # same whichever clusters and days read it, even none. Every index
+            # is in range, and mode="clip" spares `take` the check that
+            # buffers its output.
             m, g = len(mine), int(grp[-1]) + 1
             u_skip = skip_rng.random(out=draws[: t_days * g].reshape(t_days, g))
-            seen_m = seen[: t_days * m].reshape(t_days, m)
-            kept = kept_buf[: t_days * m].reshape(t_days, m)
+            # Only a day that scrolls past the top of the shallowest drawn
+            # cluster, the first in timeline order, can see a drawn post. When
+            # most days reach, all are read through a view; else the reaching
+            # days' draws are copied after the seen_m rows in `seen`, which
+            # holds both since n <= t_days / 2 and m <= g <= k.
+            at = depth[r]
+            reaching = at > starts[c.start + mine[0]]
+            n = np.count_nonzero(reaching)
+            if n == 0:
+                continue
+            if 2 * n > t_days:
+                read, n = slice(None), t_days
+            else:
+                read = np.flatnonzero(reaching)
+                picked = seen[n * m : n * (m + g)].reshape(n, g)
+                u_skip = np.take(u_skip, read, axis=0, out=picked, mode="clip")
+                at = at[read]
+            seen_m = seen[: n * m].reshape(n, m)
+            kept = kept_buf[: n * m].reshape(n, m)
             np.take(u_skip, grp[mine], axis=1, out=seen_m, mode="clip")
             np.less(seen_m, keep[c][mine], out=kept)
             reach = np.arange(length[r] + 1.0)[:, None] - starts[c][mine]
             reach = np.minimum(np.maximum(reach, 0), counts[c][mine])
-            np.take(reach, depth[r], axis=0, out=seen_m, mode="clip")
+            np.take(reach, at, axis=0, out=seen_m, mode="clip")
             seen_m *= kept
             # Posts seen of each drawn cluster add up over the tiles in its
             # cell of `per_cluster`: small integers, exact in any order, so
             # the tiles sum to what one pass over all days would.
-            per_cluster[pos[c][mine], r] += ones[:t_days] @ seen_m
-            day_sum[r] += seen_m @ ones[:m]
+            per_cluster[pos[c][mine], r] += ones[:n] @ seen_m
+            day_sum[r, read] += seen_m @ ones[:m]
         yield t0, day_sum
 
     # reached[r, d] adds up the days that reach each of the depths 1..d.

@@ -702,13 +702,14 @@ def test_a_trace_is_ranked_once(monkeypatch):
     raw, edges = generators.trace_and_graph(2, followers=12, competitors=5, followees=3, days=3)
     trace = ActivityTrace([Event(**ev) for ev in raw])
     graph = FollowGraph(edges)
-    unique, ranked = np.unique, []
+    rank = ActivityTrace.__dict__["_rank"]
+    compute, ranked = rank.func, []
 
-    def counted(values, *args, **kwargs):
-        ranked.append(values is trace.ts)
-        return unique(values, *args, **kwargs)
+    def counted(self):
+        ranked.append(self is trace)
+        return compute(self)
 
-    monkeypatch.setattr(np, "unique", counted)
+    monkeypatch.setattr(rank, "func", counted)
     build_instance(generators.PRODUCER, graph, trace, 24, 6)
     for user in graph.users():
         reconstruct_timeline(user, graph, trace)

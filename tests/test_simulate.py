@@ -1,7 +1,8 @@
 """Monte Carlo replay: agreement with the analytic objective, determinism,
 merged-cluster mode, standard-error scaling, bit-for-bit agreement with the
-per-follower reference loop across replay blocks, the guide-table scroll
-depths against `searchsorted`, and peak memory."""
+per-follower reference loop across replay blocks and across the days whose
+skip draws are read, the guide-table scroll depths against `searchsorted`,
+and peak memory."""
 
 import importlib
 import math
@@ -425,11 +426,11 @@ def generator_keys(monkeypatch):
     return keys
 
 
-def _assert_matches_reference(schedule, instance, merged):
-    for days in (1, 2, 37):
-        result = simulate(schedule, instance, days, 17, merged=merged)
+def _assert_matches_reference(schedule, instance, merged, days=(1, 2, 37), seed=17):
+    for days in days:
+        result = simulate(schedule, instance, days, seed, merged=merged)
         total, standard_error, per_cluster = _reference_simulate(
-            schedule, instance, days, 17, merged
+            schedule, instance, days, seed, merged
         )
         assert result.empirical_total == total
         assert result.standard_error == standard_error
@@ -711,6 +712,139 @@ class TestDayTiles:
         finally:
             tracemalloc.stop()
         assert peak < 16 * days + 8 * 2**20
+
+
+def _reaching_days(instance, schedule, days, seed, merged):
+    """By the reference loop's rules, per follower with a drawn skip group, the
+    (days) mask of the days whose scroll depth passes the top of its shallowest
+    drawn cluster: the only days on which a skip draw can add a post seen."""
+    layout = TimelineLayout(rounded_instance(instance))
+    posts = layout.timeline_posts(schedule.posts)
+    offsets = layout.depths(posts).astype(np.int64)
+    masks = {}
+    for j in range(len(instance.followers)):
+        x, z = posts[j], offsets[j]
+        length = int(z[-1] + x[-1])
+        curve = survival_array(
+            layout.follower_family, layout.rho[j], layout.follower_p, np.arange(1, length + 1)
+        )
+        u = np.random.default_rng([seed, j, 0]).random(days)
+        depth = length - np.searchsorted(curve[::-1], u, side="right")
+        positions = np.flatnonzero(x)
+        starts, counts = z[positions], x[positions]
+        joins = np.zeros(len(positions), dtype=bool)
+        if merged:
+            joins[1:] = starts[1:] == starts[:-1] + counts[:-1]
+        group = np.cumsum(~joins) - 1
+        keep = layout.keep(np.bincount(group, weights=counts), layout.delta[j])[group]
+        drawn = (keep > 0.0) & (keep < 1.0)
+        if drawn.any():
+            masks[j] = depth > starts[drawn].min()
+    return masks
+
+
+def _with_rho(instance, rho, which=None):
+    """The instance with rho set for the followers `which` (default all)."""
+    followers = tuple(
+        replace(f, rho=rho) if which is None or j in which else f
+        for j, f in enumerate(instance.followers)
+    )
+    return replace(instance, followers=followers)
+
+
+class TestSkipRowsReadWhereReached:
+    """A follower's skip block is drawn whole but read only on the days whose
+    scroll depth passes its shallowest drawn cluster: through a view of all
+    the tile's days when more than half of them reach, else through an index
+    of the reaching days. Either way, and wherever the tiles fall, the replay
+    matches the reference loop bit for bit."""
+
+    SCHEDULE = Schedule((3, 0, 0, 2, 0, 1))
+
+    @staticmethod
+    def eight_followers():
+        # Geometric rho in [0.05, 0.2]; the 3- and 2-post clusters are drawn.
+        return instance_from_dict(generators.instance_dict(0, followers=8, slots=6))
+
+    @pytest.mark.parametrize("merged", [False, True])
+    def test_no_day_reaches_at_rho_one(self, merged):
+        instance = _with_rho(_edge_instance(0.5), 1.0)
+        schedule = Schedule((2, 0, 1, 1))
+        masks = _reaching_days(instance, schedule, 37, 17, merged)
+        assert masks and not any(mask.any() for mask in masks.values())
+        _assert_matches_reference(schedule, instance, merged)
+
+    @pytest.mark.parametrize("merged", [False, True])
+    def test_no_day_reaches_a_drawn_cluster_below_every_depth(self, merged):
+        # Login slot 2 puts the 2-post cluster under 12 competitor posts, at
+        # depth 18, where rho 0.9 never scrolls; the singletons above are sure.
+        followers = tuple(
+            FollowerProfile(id=f"u{j}", sigma=2, rho=0.9, delta=0.5, gamma=1.0,
+                            competitor_load=(1.0, 1.0, 1.0, 12.0))
+            for j in range(2)
+        )
+        instance = ProblemInstance(slots=4, budget=5, followers=followers)
+        schedule = Schedule((1, 1, 1, 2))
+        days = 500
+        masks = _reaching_days(instance, schedule, days, 17, merged)
+        assert len(masks) == 2 and not any(mask.any() for mask in masks.values())
+        assert simulate(schedule, instance, days, 17, merged=merged).empirical_total > 0
+        _assert_matches_reference(schedule, instance, merged, days=(1, 37, days))
+
+    @pytest.mark.parametrize("merged", [False, True])
+    def test_every_day_reaches_at_rho_zero(self, merged):
+        instance = _with_rho(_edge_instance(0.5), 0.0)
+        schedule = Schedule((2, 0, 1, 1))
+        masks = _reaching_days(instance, schedule, 37, 17, merged)
+        assert masks and all(mask.all() for mask in masks.values())
+        _assert_matches_reference(schedule, instance, merged)
+
+    @pytest.mark.parametrize("merged", [False, True])
+    def test_one_block_with_followers_on_both_sides_of_the_rule(self, merged):
+        instance, days = self.eight_followers(), 300
+        layout = TimelineLayout(instance)
+        posts = layout.timeline_posts(self.SCHEDULE.posts)
+        longest = int((layout.depths(posts)[:, -1] + posts[:, -1]).max())
+        assert 8 * max(days, SIMULATE._guide_size(longest)) <= SIMULATE._BLOCK_CELLS
+        shares = [mask.mean() for mask in
+                  _reaching_days(instance, self.SCHEDULE, days, 11, merged).values()]
+        assert len(shares) == 8
+        assert any(share > 0.5 for share in shares)
+        assert any(0.0 < share <= 0.5 for share in shares)
+        _assert_matches_reference(self.SCHEDULE, instance, merged, days=(days,), seed=11)
+
+    @pytest.mark.parametrize("merged", [False, True])
+    def test_a_followers_tiles_fall_on_both_sides_of_the_rule(self, monkeypatch, merged):
+        # Tiles of 8 days: follower 6 reads 0, 2, 7, 2, 4, 0, 3 and 4 of them,
+        # so its tiles skip every row, copy fewer than half, copy exactly
+        # half and take a view, and a tile that reads nothing comes first.
+        monkeypatch.setattr(SIMULATE, "_BLOCK_CELLS", 8)
+        instance, days = self.eight_followers(), 64
+        mask = _reaching_days(instance, self.SCHEDULE, days, 13, merged)[6]
+        assert mask.reshape(8, 8).sum(axis=1).tolist() == [0, 2, 7, 2, 4, 0, 3, 4]
+        _assert_matches_reference(self.SCHEDULE, instance, merged, days=(days,), seed=13)
+
+    def test_a_follower_who_reads_no_skip_row_still_draws_its_block(self, monkeypatch):
+        # Follower 0 never scrolls (rho 1); followers 1.. read on from their
+        # own streams, tile after tile.
+        monkeypatch.setattr(SIMULATE, "_BLOCK_CELLS", 8)
+        instance, days = _with_rho(self.eight_followers(), 1.0, which={0}), 64
+        assert not _reaching_days(instance, self.SCHEDULE, days, 13, False)[0].any()
+        for merged in (False, True):
+            _assert_matches_reference(self.SCHEDULE, instance, merged, days=(days,), seed=13)
+
+        built, build = {}, SIMULATE.np.random.default_rng
+
+        def recording(seed=None):
+            built[tuple(seed)] = build(seed)
+            return built[tuple(seed)]
+
+        monkeypatch.setattr(SIMULATE.np.random, "default_rng", recording)
+        simulate(self.SCHEDULE, instance, days, 13)
+        # One skip variate per day and cluster: every tile drew its block.
+        drawn = build([13, 0, 1])
+        drawn.random(days * 3)
+        assert built[13, 0, 1].bit_generator.state == drawn.bit_generator.state
 
 
 @pytest.mark.parametrize(
