@@ -296,12 +296,9 @@ class ProblemInstance:
             (self.follower_survival_family, self.follower_survival_p),
             (self.cluster_survival_family, self.cluster_survival_p),
         ):
-            if fam not in FAMILIES:
-                raise ValueError(f"unknown survival family {fam!r}; expected one of {FAMILIES}")
-            if not math.isfinite(p):
+            if fam in FAMILIES and not math.isfinite(p):
                 raise ValueError(f"survival shape p must be finite, got p={p}")
-            if fam in ("weibull", "loglogistic") and not p > 0.0:
-                raise ValueError(f"{fam} survival requires p > 0, got p={p}")
+            SurvivalModel(fam, 1.0, p)
         followers = self.followers
         if not isinstance(followers, Followers):
             followers = tuple(followers)

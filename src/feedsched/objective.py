@@ -210,11 +210,6 @@ class TimelineLayout:
         ):
             if family != "geometric" and n:
                 SurvivalModel(family, float(lam.min()), p)
-        # log(1 - rho) for the geometric closed form; rho = 1 (reads nothing)
-        # takes 0 there, which makes its sum 0 as well
-        self._log_q = np.log1p(-np.where(self.rho < 1.0, self.rho, 0.0))
-        self._reads_all = self.rho == 0.0
-        self._rho_den = np.where(self._reads_all, 1.0, self.rho)
 
     @classmethod
     def of(cls, instance: ProblemInstance) -> "TimelineLayout":
@@ -248,23 +243,13 @@ class TimelineLayout:
 
     def term(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Expected posts seen of a cluster of x producer posts at depth offset
-        z, for every timeline position: keep(x) * inner(x, z). Both branches
-        of inner are 0 where x = 0."""
-        if self.follower_family == "geometric":
-            # sum of q^(z+k) for k = 1..x with q = 1 - rho, as
-            # q^(z+1) * (1 - q^x) / rho through log1p/expm1, which keeps full
-            # precision for small rho; rho = 0 reads everything
-            log_q = self._log_q
-            inner = np.expm1(x * log_q)
-            inner *= np.exp((z + 1) * log_q)
-            inner /= -self._rho_den
-            inner = np.where(self._reads_all, x, inner)
-        else:
-            k = np.arange(1, int(x.max(initial=0)) + 1)
-            seen = survival_array(
-                self.follower_family, self.rho[..., None], self.follower_p, z[..., None] + k
-            )
-            inner = np.where(k <= x[..., None], seen, 0.0).sum(axis=-1)
+        z, for every timeline position: keep(x) times the follower survival at
+        depths z + 1 .. z + x, added one depth at a time under every family (0
+        where x = 0), so memory stays at the shape of x and z whatever x is."""
+        inner = np.zeros(np.broadcast(x, z).shape)
+        for k in range(1, int(x.max(initial=0)) + 1):
+            seen = survival_array(self.follower_family, self.rho, self.follower_p, z + k)
+            inner += np.where(k <= x, seen, 0.0)
         inner *= self.keep(x, self.delta)
         return inner
 

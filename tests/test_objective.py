@@ -1,5 +1,6 @@
 """Timeline layout, per-cluster attention, population totals and heatmaps."""
 
+import tracemalloc
 from dataclasses import replace
 from decimal import Decimal, localcontext
 
@@ -10,6 +11,7 @@ from feedsched import (
     FAMILIES,
     ClusterView,
     FollowerProfile,
+    Followers,
     ProblemInstance,
     Schedule,
     attention_potential,
@@ -383,7 +385,7 @@ class TestAgreementWithReference:
 class TestGeometricTermsAgainstDecimal:
     """`TimelineLayout.terms` under geometric families against the same sum
     taken with 50 significant digits: keep(x) * sum of (1 - rho)^(z + k) for
-    k = 1..x, at each cluster's float depth offset z. The closed form must keep
+    k = 1..x, at each cluster's float depth offset z. The sum must keep
     1e-12 relative accuracy down to rho = 1e-9, where 1 - q cancels, and the
     edges rho = 0 (reads everything) and rho = 1 (reads nothing) hold. Deep
     clusters under a large rho underflow in doubles, so cells below 1e-300 are
@@ -416,6 +418,84 @@ class TestGeometricTermsAgainstDecimal:
                     exact = keep * sum(q ** (z + k) for k in range(1, x + 1))
                     error = abs(Decimal(float(terms[j, view.position])) - exact)
                     assert error <= Decimal("1e-12") * exact + Decimal("1e-300"), (j, view)
+
+
+@pytest.mark.parametrize("follower_family,cluster_family,shifted", FAMILY_GRID)
+class TestLargeClusterTerms:
+    """`TimelineLayout.terms` against `timeline_view` + `cluster_attention` on
+    schedules whose largest cluster holds 5 to 24 posts, to 1e-9 relative.
+    Geometric followers include the edges rho = 0 and rho = 1."""
+
+    def test_terms(self, follower_family, cluster_family, shifted):
+        rng = np.random.default_rng(FAMILY_GRID.index((follower_family, cluster_family, shifted)))
+        slots = 6
+        rhos = [0.0, 1.0] if follower_family == "geometric" else [1.0]
+        rhos += [float(v) for v in rng.uniform(0.05, 1.0, 6 - len(rhos))]
+        followers = tuple(
+            FollowerProfile(
+                id=f"u{j}",
+                sigma=j % slots,
+                rho=rho,
+                delta=float(rng.uniform(0.05, 1.0)),
+                competitor_load=tuple(float(v) for v in rng.uniform(0, 3, slots)),
+            )
+            for j, rho in enumerate(rhos)
+        )
+        instance = ProblemInstance(
+            slots=slots,
+            budget=48,
+            followers=followers,
+            follower_survival_family=follower_family,
+            cluster_survival_family=cluster_family,
+            follower_survival_p=float(rng.uniform(0.5, 2.5)),
+            cluster_survival_p=float(rng.uniform(0.5, 2.5)),
+            cluster_survival_shifted=shifted,
+        )
+        layout = TimelineLayout(instance)
+        for largest in (5, 11, 24):
+            posts = rng.integers(0, 4, size=slots)
+            posts[rng.integers(slots)] = largest
+            schedule = Schedule(tuple(int(v) for v in posts))
+            terms = layout.terms(schedule.posts)
+            expected = np.zeros_like(terms)
+            for f, view, a in oracle_cells(schedule, instance):
+                expected[int(f.id[1:]), view.position] = a
+            np.testing.assert_allclose(terms, expected, rtol=1e-9, atol=1e-300)
+
+
+class TestTermsMemory:
+    """Scoring a schedule with one 24-post cluster keeps the scratch memory of
+    `terms` at the (followers x slots) shape: its traced peak, layout included,
+    stays under twelve such float64 arrays."""
+
+    @pytest.mark.parametrize("family", ["geometric", "weibull", "exponential"])
+    def test_peak(self, family):
+        n, slots = 2000, 24
+        rng = np.random.default_rng(3)
+        followers = Followers(
+            [f"u{j}" for j in range(n)],
+            rng.integers(0, slots, n),
+            rng.uniform(0.05, 1.0, n),
+            rng.uniform(0.05, 1.0, n),
+            np.ones(n),
+            rng.uniform(0, 3, (n, slots)),
+        )
+        instance = ProblemInstance(
+            slots=slots,
+            budget=slots,
+            followers=followers,
+            follower_survival_family=family,
+            follower_survival_p=1.5,
+        )
+        posts = np.zeros(slots, dtype=np.int64)
+        posts[5] = 24
+        tracemalloc.start()
+        try:
+            TimelineLayout(instance).terms(posts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * n * slots * 8, peak / (n * slots * 8)
 
 
 class TestSharedLayout:
