@@ -235,11 +235,13 @@ class TimelineLayout:
     def depths(self, x: np.ndarray) -> np.ndarray:
         """Posts above each cluster's first post, for timeline-order posts x,
         added as `timeline_view` adds them (z = consumed + load, then consumed =
-        z + x): one running sum over the loads and posts interleaved."""
+        z + x): one running sum over the loads and posts interleaved, in place,
+        of which a contiguous copy of the depths outlives the call."""
         steps = np.empty(x.shape[:-1] + (2 * self.slots,))
         steps[..., 0::2] = self.loads
         steps[..., 1::2] = x
-        return np.cumsum(steps, axis=-1)[..., 0::2]
+        np.cumsum(steps, axis=-1, out=steps)
+        return steps[..., 0::2].copy()
 
     def term(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Expected posts seen of a cluster of x producer posts at depth offset

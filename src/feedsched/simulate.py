@@ -15,23 +15,34 @@ cluster table - posts and integer depth offsets in timeline order - is read
 from the `TimelineLayout` of the rounded instance. Compare against the
 analytic value recomputed on the rounded instance.
 
+Follower j draws its scroll depths from the substream
+`np.random.default_rng([seed, j, 0])` and its skip decisions from
+`default_rng([seed, j, 1])`, bit for bit, yet no generator is built per
+follower: one vectorised pass of numpy's SeedSequence hash gives the seed
+words of `_SEED_CHUNK` followers at once (`_seed_words`), PCG64's seeding step
+turns one follower's words into where its stream starts (`_Substreams`), and
+that start is set on one reused generator per part just before the follower
+draws.
+
 Followers are replayed in blocks of at most `_BLOCK_CELLS` (follower x day)
-cells. Per follower, a block builds the generators, in the order of a replay
-one follower at a time, and fills the follower's row of uniforms; it also
-evaluates `keep` for a follower with a group larger than the shift, and
+cells. Per follower, a block reads the stream starts, in the order of a
+replay one follower at a time, and fills the follower's row of uniforms; it
+also evaluates `keep` for a follower with a group larger than the shift, and
 draws the skip block of a follower with an uncertain cluster. All else runs
-once per block. A follower whose days alone exceed `_BLOCK_CELLS` replays
-them in tiles of that many days from the same generators, and its integer
-sums add up over the tiles, so working memory does not grow with the days
-beyond the (days) totals. Scroll depths come from a guide table
-(`_scroll_depths`): one table lookup and a short walk per draw instead of a
-binary search, deciding by the same float comparisons, so the depths are
-those of `searchsorted` bit for bit.
+once per block, in (followers x days) buffers held for the call. A follower
+whose days alone exceed `_BLOCK_CELLS` replays them in tiles of that many
+days, each reading on from where the last stopped, and its integer sums add
+up over the tiles, so working memory does not grow with the days beyond the
+(days) totals. Scroll depths come from a guide table (`_scroll_depths`) of G
+buckets, the least power of two >= 4 * min(longest timeline, ceil(days /
+4)): one table lookup and a short walk per draw instead of a binary search,
+deciding by the same float comparisons, so the depths are those of
+`searchsorted` bit for bit whatever G is.
 
 A cluster kept with probability exactly 0 or 1 (a singleton under the shifted
 cluster survival, for one) draws no skip variate: clusters whose fate is
 certain are summed by scroll depth over the whole block, and a follower's skip
-generator is built only when some cluster's keep lies strictly between. That
+stream is read only when some cluster's keep lies strictly between. That
 follower then draws its whole (days x groups) block as if every cluster were
 drawn, so the results are bit-identical to drawing for every cluster. The
 block is drawn whole but read only on the days whose scroll depth passes the
@@ -75,6 +86,19 @@ __all__ = [
 _BLOCK_CELLS = 1 << 15
 # Steps a scroll-depth draw walks from its guide bucket before it bisects.
 _WALK_STEPS = 4
+# Followers whose substream seeds one vectorised pass hashes: enough to spread
+# the pass's fixed cost of a few hundred numpy calls, few enough that its
+# (2 x followers x 4) uint64 words stay at 256 KB.
+_SEED_CHUNK = 4096
+
+# numpy's SeedSequence hash (INIT_A, MULT_A; INIT_B, MULT_B; MIX_MULT_L,
+# MIX_MULT_R in numpy/random/bit_generator.pyx) and PCG64's 128-bit LCG
+# multiplier (O'Neill, "PCG", 2014).
+_HASH_A = (0x43B0D7E5, 0x931E8875)
+_HASH_B = (0x8B51F9DD, 0x58F38DED)
+_MIX = (0xCA01F9DD, 0x4973F715)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
 
 
 @dataclass(frozen=True)
@@ -102,15 +126,124 @@ def rounded_instance(instance: ProblemInstance) -> ProblemInstance:
     )
 
 
-def _guide_size(longest: int) -> int:
-    """Guide-table buckets for survival curves of up to `longest` depths: the
-    least power of two >= 4 * longest, and 4 for empty timelines."""
-    return 4 << max(longest - 1, 0).bit_length()
+def _hash_constants(init: int, mult: int) -> Iterator[tuple[int, int]]:
+    """The successive values (c, c * mult mod 2**32) of a SeedSequence hash
+    constant c that starts at `init`, as masked Python ints: a numpy uint32
+    scalar product would warn on overflow, where a uint32 column wraps
+    silently."""
+    while True:
+        after = init * mult & _MASK32
+        yield init, after
+        init = after
 
 
-def _scroll_depths(curve: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _seed_words(seed: int, followers: np.ndarray) -> np.ndarray:
+    """SeedSequence([seed, j, part]).generate_state(4, np.uint64) for part 0
+    and 1 and every follower index j in `followers` (each below 2**32), as a
+    (2 x followers x 4) uint64 array.
+
+    The hash is SeedSequence's own (`mix_entropy`, then `generate_state`),
+    run once over uint32 columns of shape (parts x followers), whose products
+    and differences wrap mod 2**32 as the reference's uint32 arithmetic does.
+    The entropy is the seed's 32-bit words from the lowest, then j, then part,
+    as SeedSequence splits a list of ints."""
+    shape = (2, len(followers))
+    words = [seed & _MASK32]
+    while seed >> 32:
+        seed >>= 32
+        words.append(seed & _MASK32)
+    entropy = [
+        np.broadcast_to(np.asarray(w, np.uint32), shape) for w in (*words, followers, [[0], [1]])
+    ]
+    hash_a = _hash_constants(*_HASH_A)
+
+    def hashmix(value):
+        const, after = next(hash_a)
+        value = (value ^ const) * after
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = _MIX[0] * x - _MIX[1] * y
+        return value ^ value >> 16
+
+    # mix_entropy into a pool of 4 words.
+    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros(shape, np.uint32))
+            for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for value in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(value))
+
+    # generate_state: 8 uint32 words from the pool in turn, paired low word
+    # first into 4 uint64 words.
+    out = np.empty(shape + (4,), np.uint64)
+    for i, (const, after) in zip(range(8), _hash_constants(*_HASH_B)):
+        value = (pool[i % 4] ^ const) * after
+        value ^= value >> 16
+        if i % 2:
+            out[..., i // 2] |= value.astype(np.uint64) << 32
+        else:
+            out[..., i // 2] = value
+    return out
+
+
+class _Substreams:
+    """The substreams of a replay: follower j draws its scroll depths from
+    np.random.default_rng([seed, j, 0]) and its skip decisions from
+    np.random.default_rng([seed, j, 1]), bit for bit. Instead of building two
+    generators per follower, `start` hands out where each stream starts, for
+    one reused generator per part (`generators`). The SeedSequence hash runs
+    for `_SEED_CHUNK` followers at a time (`_seed_words`), and `start` takes
+    one follower's words through PCG64's seeding step in Python ints."""
+
+    def __init__(self, seed: int, followers: int):
+        self.seed = seed
+        self.followers = followers
+        self.generators = tuple(np.random.Generator(np.random.PCG64(0)) for _ in range(2))
+        self._first = 0
+        self._words = np.empty((2, 0, 4), np.uint64)
+
+    def start(self, j: int, part: int) -> dict:
+        """The bit generator state of np.random.default_rng([seed, j, part]) as
+        built, for follower j < `followers` and part 0 or 1."""
+        i = j - self._first
+        if not 0 <= i < self._words.shape[1]:
+            self._first, i = j, 0
+            last = min(j + _SEED_CHUNK, self.followers)
+            self._words = _seed_words(self.seed, np.arange(j, last))
+        seed_hi, seed_lo, seq_hi, seq_lo = self._words[part, i].tolist()
+        # pcg_setseq_128_srandom_r: inc = 2 * initseq + 1, then two LCG steps
+        # from state 0 with initstate added between them.
+        inc = (seq_hi << 65 | seq_lo << 1 | 1) & _MASK128
+        state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG_MULT + inc) & _MASK128
+        return {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+
+
+def _guide_size(longest: int, days: int) -> int:
+    """Guide-table buckets for `days` draws per follower from survival curves
+    of up to `longest` depths: the least power of two >= 4 * min(longest,
+    ceil(days / 4)), and 4 for empty timelines. Four buckets per depth keep
+    most walks short; past days / 4 depths the table would cost more than the
+    draws it serves."""
+    depths = min(longest, -(-days // 4))
+    return 4 << max(depths - 1, 0).bit_length()
+
+
+def _scroll_depths(
+    curve: np.ndarray, u: np.ndarray, out: np.ndarray, work: np.ndarray
+) -> np.ndarray:
     """Scroll depth of every draw of a block: depth[r, t] = #{d : curve[r, d] >
-    u[r, t]}, for rows of `curve` that are non-increasing and end in -1.
+    u[r, t]}, for rows of `curve` that are non-increasing and end in -1, in
+    `out` (intp). `work` (float64) receives the curve values where the walks
+    start; both are contiguous and of u's shape.
 
     Guide-table inversion (Chen & Asau 1974; Devroye 1986, ch. III). With G
     buckets, at_least[r, k] = #{d : curve[r, d] >= k / G}, one `bincount` of
@@ -124,7 +257,7 @@ def _scroll_depths(curve: np.ndarray, u: np.ndarray) -> np.ndarray:
     """
     rows, width = curve.shape
     days = u.shape[1]
-    guide = _guide_size(width - 1)
+    guide = _guide_size(width - 1, days)
     row = np.arange(rows)[:, None]
     # floor(F * G) of F in [0, 1] lies in 0..G and goes to bin key + 1; the -1
     # padding goes to bin 0, which no bucket counts.
@@ -134,14 +267,16 @@ def _scroll_depths(curve: np.ndarray, u: np.ndarray) -> np.ndarray:
     at_least = np.cumsum(counts[:, :0:-1], axis=1)[:, ::-1].ravel()
 
     # Positions are flat indices into `curve`; curve[r, length_r] = -1 ends
-    # every walk inside its own row. `take` buffers its output in its default
-    # mode, so `at` can hold its own indices.
-    at = np.multiply(u, guide, out=np.empty(u.shape, np.intp), casting="unsafe")
+    # every walk inside its own row. In "clip" mode `take` reads each index
+    # of `at` before it writes that element, so `at` holds its own indices
+    # without a buffer (all are in range).
+    at = np.multiply(u, guide, out=out, casting="unsafe")
     at += row * (guide + 1)
-    np.take(at_least[1:], at, out=at)
+    np.take(at_least[1:], at, out=at, mode="clip")
     at += row * width
     flat_curve, flat_u, flat_at = curve.ravel(), u.ravel(), at.ravel()
-    walking = np.flatnonzero(flat_curve[flat_at] > flat_u)
+    np.take(flat_curve, flat_at, out=work.reshape(-1), mode="clip")
+    walking = np.flatnonzero(work.reshape(-1) > flat_u)
     for _ in range(_WALK_STEPS):
         flat_at[walking] += 1
         walking = walking[flat_curve[flat_at[walking]] > flat_u[walking]]
@@ -166,19 +301,22 @@ def _replay_block(
     x: np.ndarray,
     z: np.ndarray,
     days: int,
-    seed: int,
+    streams: _Substreams,
     merged: bool,
     per_cluster: np.ndarray,
     tile: int,
     scratch: tuple[np.ndarray, ...],
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Replay followers first, first + 1, ... whose timeline posts and depth
-    offsets are the rows of x and z, `tile` days at a time. Yields each
-    tile's first day and its (followers x days) posts seen, and once the last
-    tile is read holds the followers' per-cluster means in the columns of
-    `per_cluster`, which must start at zero. The skip draws of a follower reuse the (tile x clusters)
-    buffers in `scratch`."""
+    offsets are the rows of x and z, `tile` days at a time, the days of a
+    block of several followers in one tile. Yields each tile's first day and
+    its (followers x days) posts seen, and once the last tile is read holds
+    the followers' per-cluster means in the columns of `per_cluster`, which
+    must start at zero. The skip draws of a follower reuse the (tile x
+    clusters) buffers in `scratch`."""
     rows = len(x)
+    # The reused generators carry one follower's streams from tile to tile.
+    assert rows == 1 or tile >= days, "several followers replay in one tile"
     length = z[:, -1] + x[:, -1]
     longest = int(length.max())
 
@@ -208,14 +346,17 @@ def _replay_block(
     drawing = np.zeros(rows, dtype=bool)
     drawing[row[drawn]] = True
 
-    # Each follower's generators are built once, in the order of a replay one
-    # follower at a time; every tile reads on from where the last one stopped,
-    # so the streams are those of drawing all days at once.
-    quit_rngs, skip_rngs = [], {}
+    # Each follower's stream starts are read once, in the order of a replay
+    # one follower at a time, and set on the reused generator of their part
+    # just before the follower's first tile draws; every later tile reads on
+    # from where the last one stopped, so the streams are those of drawing
+    # all days at once.
+    quit_starts, skip_starts = [], {}
     for r in range(rows):
-        quit_rngs.append(np.random.default_rng([seed, first + r, 0]))
+        quit_starts.append(streams.start(first + r, 0))
         if drawing[r]:
-            skip_rngs[r] = np.random.default_rng([seed, first + r, 1])
+            skip_starts[r] = streams.start(first + r, 1)
+    quit_rng, skip_rng = streams.generators
 
     # Survival F(1..longest) per follower, -1 past its length. A follower who
     # quits at d never reaches d + 1, so F is non-increasing.
@@ -240,22 +381,30 @@ def _replay_block(
     hist = np.zeros(rows * (longest + 2), np.intp)
     cluster_first = np.searchsorted(row, np.arange(rows + 1))
 
-    draws, seen, kept_buf, ones = scratch
+    # depth + row_first indexes a follower's row of those tables.
+    row_first = np.arange(rows)[:, None] * (longest + 2)
+    draws, seen, kept_buf, ones, uniforms, depths, work = scratch
     for t0 in range(0, days, tile):
         t_days = min(tile, days - t0)
-        u = np.empty((rows, t_days))
-        for r, quit_rng in enumerate(quit_rngs):
+        # The (followers x days) arrays live in the call's buffers: the day
+        # sums take the place of the uniforms once they are read.
+        cells = rows * t_days
+        u = uniforms[:cells].reshape(rows, t_days)
+        for r, start in enumerate(quit_starts):
+            if t0 == 0:
+                quit_rng.bit_generator.state = start
             quit_rng.random(out=u[r])
-        depth = _scroll_depths(curve, u)
-        # (followers x days) arrays dominate the tile's memory: each is freed
-        # as soon as it is read for the last time.
-        del u
-        cells = depth + np.arange(rows)[:, None] * (longest + 2)
-        hist += np.bincount(cells.ravel(), minlength=len(hist))
-        day_sum = sure_seen[cells]
-        del cells
+        depth = _scroll_depths(
+            curve, u, depths[:cells].reshape(rows, t_days), work[:cells].reshape(rows, t_days)
+        )
+        depth += row_first
+        hist += np.bincount(depth.ravel(), minlength=len(hist))
+        day_sum = np.take(sure_seen, depth, out=u, mode="clip")
+        depth -= row_first
 
-        for r, skip_rng in skip_rngs.items():
+        for r, start in skip_starts.items():
+            if t0 == 0:
+                skip_rng.bit_generator.state = start
             c = slice(cluster_first[r], cluster_first[r + 1])
             grp = group[c] - group[c.start]
             mine = np.flatnonzero(drawn[c])
@@ -330,27 +479,35 @@ def simulate(
     n = len(instance.followers)
     per_cluster = np.zeros((instance.slots, n))
     day_totals = np.zeros(days)
-    # Blocks of `step` followers keep both their (followers x days) draws and
-    # their (followers x guide buckets) table within _BLOCK_CELLS cells; a
-    # follower whose days alone exceed it replays them in tiles of that many.
+    # Blocks of `step` followers keep their (followers x days) draws, their
+    # (followers x guide buckets) table and their (followers x depths) tables
+    # within _BLOCK_CELLS cells; a follower whose days alone exceed it
+    # replays them in tiles of that many.
     longest = int((offsets[:, -1] + posts[:, -1]).max())
-    step = max(1, _BLOCK_CELLS // max(days, _guide_size(longest)))
+    step = max(1, _BLOCK_CELLS // max(days, _guide_size(longest, days), longest + 2))
     tile = min(days, _BLOCK_CELLS)
+    streams = _Substreams(seed, n)
     # Every timeline holds the schedule's k non-empty slots as k clusters, so
-    # these (tile x k) scratch buffers serve every follower.
+    # these (tile x k) scratch buffers serve every follower; the (followers x
+    # tile) uniforms, depths and walk starts of every block share three more.
+    # Held for the call, they spare the allocator a cycle of large blocks that
+    # glibc may return to the system and fault in again, block after block.
     k = np.count_nonzero(schedule.posts)
+    cells = min(step, n) * tile
     scratch = (
-        np.empty(tile * k), np.empty(tile * k), np.empty(tile * k, dtype=bool), np.ones(max(tile, k))
+        np.empty(tile * k), np.empty(tile * k), np.empty(tile * k, dtype=bool),
+        np.ones(max(tile, k)), np.empty(cells), np.empty(cells, np.intp), np.empty(cells),
     )
     for first in range(0, n, step):
         block = slice(first, first + step)
         for t0, day_sum in _replay_block(
-            layout, first, posts[block], offsets[block], days, seed, merged,
+            layout, first, posts[block], offsets[block], days, streams, merged,
             per_cluster[:, block], tile, scratch,
         ):
             # Weighted day sums add up in follower order, as one follower at a
             # time adds them, so the totals keep their bits.
-            for weighted in layout.gamma[block, None] * day_sum:
+            day_sum *= layout.gamma[block, None]
+            for weighted in day_sum:
                 day_totals[t0 : t0 + len(weighted)] += weighted
     # Freed before `std` allocates its (days) temporary.
     del scratch

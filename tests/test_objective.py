@@ -498,6 +498,37 @@ class TestTermsMemory:
         assert peak < 12 * n * slots * 8, peak / (n * slots * 8)
 
 
+def test_depths_hold_one_array_and_keep_their_bits():
+    """`depths` keeps one (followers x slots) float64 array alive, not its
+    (followers x 2 slots) running sum, peaks at three, and returns the
+    interleaved running sum's even columns bit for bit."""
+    n, slots = 2000, 24
+    rng = np.random.default_rng(4)
+    followers = Followers(
+        [f"u{j}" for j in range(n)],
+        rng.integers(0, slots, n),
+        rng.uniform(0.05, 1.0, n),
+        rng.uniform(0.05, 1.0, n),
+        np.ones(n),
+        rng.uniform(0, 3, (n, slots)),
+    )
+    layout = TimelineLayout(ProblemInstance(slots=slots, budget=slots, followers=followers))
+    x = layout.timeline_posts(rng.integers(0, 3, slots))
+    unit = n * slots * 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        depths = layout.depths(x)
+        held, peak = (m - before for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert held < 1.1 * unit, held / unit
+    assert peak < 3.1 * unit, peak / unit
+    steps = np.empty((n, 2 * slots))
+    steps[:, 0::2], steps[:, 1::2] = layout.loads, x
+    assert np.array_equal(depths, np.cumsum(steps, axis=1)[:, 0::2])
+
+
 class TestSharedLayout:
     def test_an_instance_keeps_one_read_only_layout(self, hand_instance):
         layout = TimelineLayout.of(hand_instance)

@@ -412,17 +412,18 @@ def _edge_instance(delta, shifted=True, family="geometric"):
 
 @pytest.fixture
 def generator_keys(monkeypatch):
-    """The key of every generator `feedsched.simulate` builds, in order."""
+    """The key [seed, j, part] of every substream whose start `feedsched.simulate`
+    reads, in order: the generators a replay one follower at a time builds."""
     # The package exports the function `simulate` under the module's name.
-    module = importlib.import_module("feedsched.simulate")
+    substreams = importlib.import_module("feedsched.simulate")._Substreams
     keys = []
-    build = module.np.random.default_rng
+    start = substreams.start
 
-    def recording(seed=None):
-        keys.append(list(seed))
-        return build(seed)
+    def recording(self, j, part):
+        keys.append([self.seed, j, part])
+        return start(self, j, part)
 
-    monkeypatch.setattr(module.np.random, "default_rng", recording)
+    monkeypatch.setattr(substreams, "start", recording)
     return keys
 
 
@@ -515,7 +516,9 @@ class TestScrollDepths:
 
     @staticmethod
     def assert_searchsorted(curves, u):
-        depth = SIMULATE._scroll_depths(_padded(curves), u)
+        depth = SIMULATE._scroll_depths(
+            _padded(curves), u, np.empty(u.shape, np.intp), np.empty(u.shape)
+        )
         assert depth.shape == u.shape
         for r, curve in enumerate(curves):
             curve = np.asarray(curve, dtype=float)
@@ -528,8 +531,9 @@ class TestScrollDepths:
         self.assert_searchsorted([np.ones(7), np.zeros(7), np.ones(1)], u)
 
     def test_curve_values_and_draws_on_bucket_edges(self):
-        # 8 depths take G = 32 buckets; curve values and draws sit on k / 32.
-        guide = SIMULATE._guide_size(8)
+        # 8 depths and the 97 draws per row below take G = 32 buckets; curve
+        # values and draws sit on k / 32.
+        guide = SIMULATE._guide_size(8, 97)
         assert guide == 32
         curve = np.array([32, 31, 17, 16, 16, 3, 1, 0]) / guide
         edges = np.arange(guide) / guide
@@ -549,7 +553,7 @@ class TestScrollDepths:
     def test_a_steep_curve_crowds_its_tail_into_bucket_zero(self, family, lam, p):
         curve = survival_array(family, np.array([lam]), p, np.arange(1, 301))
         rng = np.random.default_rng(2)
-        guide = SIMULATE._guide_size(300)
+        guide = SIMULATE._guide_size(300, 202)
         assert np.count_nonzero(curve < 1.0 / guide) > 100
         # Draws below 1 / G start at the top of the tail and walk or bisect it.
         tiny = 10.0 ** -rng.uniform(0.0, 300.0, 200)
@@ -567,6 +571,16 @@ class TestScrollDepths:
                   for lam, n in ((0.05, 90), (0.7, 3), (1.0, 0))]
         for u in (rng.random((3, 1)), np.zeros((3, 1)), np.full((3, 1), np.nextafter(1.0, 0.0))):
             self.assert_searchsorted(curves, u)
+
+    def test_a_long_curve_read_by_few_draws_caps_the_table(self):
+        # 300 depths read by 12 draws a row take G = 16 buckets, not 2,048,
+        # so most draws walk or bisect past their bucket.
+        guide = SIMULATE._guide_size(300, 12)
+        assert guide == 16 < SIMULATE._guide_size(300, 1200) == 2048
+        rng = np.random.default_rng(5)
+        curves = [survival_array("exponential", np.array([lam]), 1.0, np.arange(1, 1 + n))
+                  for lam, n in ((0.01, 300), (0.05, 120), (0.9, 300))]
+        self.assert_searchsorted(curves, _with_ends(rng.random((3, 10))))
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -662,6 +676,51 @@ class TestReplayBlocks:
         generator_keys.clear()
         simulate(Schedule((2, 0, 1, 1)), instance, days=100, seed=3)
         assert generator_keys == [[3, j, part] for j in range(4) for part in (0, 1)]
+
+
+def test_followers_sharing_a_block_under_a_capped_guide_table(monkeypatch):
+    """With fewer than 4 days per depth of the longest timeline, the guide
+    table is capped at 4 * ceil(days / 4) buckets, and a block of several
+    followers matches the reference loop bit for bit."""
+    tables, scroll_depths = [], SIMULATE._scroll_depths
+
+    def recording(curve, u, out, work):
+        tables.append((len(curve), curve.shape[1] - 1, u.shape[1]))
+        return scroll_depths(curve, u, out, work)
+
+    monkeypatch.setattr(SIMULATE, "_scroll_depths", recording)
+    rng = np.random.default_rng(6)
+    for follower_family in ("geometric", "loglogistic"):
+        instance = _many_followers(rng, 5, follower_family, "geometric", True)
+        schedule = random_feasible_schedule(rng, instance)
+        for days in (1, 9, 37):
+            for merged in (False, True):
+                tables.clear()
+                _assert_matches_reference(schedule, instance, merged, days=(days,), seed=31)
+                (rows, longest, width), = tables
+                assert rows == 5 and width == days
+                assert SIMULATE._guide_size(longest, days) < 4 * longest
+
+
+class TestSubstreams:
+    """`_Substreams.start` is the bit generator state of
+    np.random.default_rng([seed, j, part]) as built, and a generator set to it
+    draws what that generator draws."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 7, 10**30])
+    def test_states_and_first_draws_match_default_rng(self, seed):
+        # 2**32 and up take two words or more, and 10**30 with j and part
+        # outgrows SeedSequence's pool of four. Follower indices run up to
+        # the last that one 32-bit word holds.
+        streams = SIMULATE._Substreams(seed, 2**32)
+        for j in [*range(4096), 2**31, 2**32 - 1]:
+            for part in (0, 1):
+                built = np.random.default_rng([seed, j, part])
+                start = streams.start(j, part)
+                assert start == built.bit_generator.state, (j, part)
+                rng = streams.generators[part]
+                rng.bit_generator.state = start
+                assert rng.random(3).tolist() == built.random(3).tolist(), (j, part)
 
 
 class TestDayTiles:
@@ -805,7 +864,7 @@ class TestSkipRowsReadWhereReached:
         layout = TimelineLayout(instance)
         posts = layout.timeline_posts(self.SCHEDULE.posts)
         longest = int((layout.depths(posts)[:, -1] + posts[:, -1]).max())
-        assert 8 * max(days, SIMULATE._guide_size(longest)) <= SIMULATE._BLOCK_CELLS
+        assert 8 * max(days, SIMULATE._guide_size(longest, days)) <= SIMULATE._BLOCK_CELLS
         shares = [mask.mean() for mask in
                   _reaching_days(instance, self.SCHEDULE, days, 11, merged).values()]
         assert len(shares) == 8
@@ -833,18 +892,20 @@ class TestSkipRowsReadWhereReached:
         for merged in (False, True):
             _assert_matches_reference(self.SCHEDULE, instance, merged, days=(days,), seed=13)
 
-        built, build = {}, SIMULATE.np.random.default_rng
+        # Each follower is a block of its own, so when follower 1's streams
+        # start, the skip generator holds where follower 0's stream ended.
+        ended, start = {}, SIMULATE._Substreams.start
 
-        def recording(seed=None):
-            built[tuple(seed)] = build(seed)
-            return built[tuple(seed)]
+        def recording(self, j, part):
+            ended.setdefault((j, part), self.generators[1].bit_generator.state)
+            return start(self, j, part)
 
-        monkeypatch.setattr(SIMULATE.np.random, "default_rng", recording)
+        monkeypatch.setattr(SIMULATE._Substreams, "start", recording)
         simulate(self.SCHEDULE, instance, days, 13)
         # One skip variate per day and cluster: every tile drew its block.
-        drawn = build([13, 0, 1])
+        drawn = np.random.default_rng([13, 0, 1])
         drawn.random(days * 3)
-        assert built[13, 0, 1].bit_generator.state == drawn.bit_generator.state
+        assert ended[1, 0] == drawn.bit_generator.state
 
 
 @pytest.mark.parametrize(
