@@ -71,22 +71,32 @@ class Event:
     target_author: str | None = None
 
     def __post_init__(self) -> None:
-        for key in ("user", "kind", "target_author"):
-            value = getattr(self, key)
-            if not isinstance(value, str) and (value is not None or key != "target_author"):
-                raise ValueError(f"{key} must be a string, got {value!r}")
-        if type(self.ts) is not int or not -(2**63) <= self.ts < 2**63:
-            raise ValueError(f"ts must be an integer in the int64 range, got {self.ts!r}")
-        if self.kind not in EVENT_KINDS:
-            raise ValueError(f"unknown event kind {self.kind!r}; expected one of {EVENT_KINDS}")
-        if self.kind == "post" and self.target_author is not None:
-            raise ValueError("post events must not carry a target_author")
-        if self.kind != "post" and not self.target_author:
-            raise ValueError(f"{self.kind} events must carry a target_author")
+        if (error := _event_error(self.user, self.ts, self.kind, self.target_author)) is not None:
+            raise ValueError(error)
 
     @property
     def is_reaction(self) -> bool:
         return self.kind != "post"
+
+
+def _event_error(user, ts, kind, target_author) -> str | None:
+    """The rule of `Event`, which `formats.load_trace` applies to each line:
+    the message of the first check that the fields fail, or None."""
+    if not isinstance(user, str):
+        return f"user must be a string, got {user!r}"
+    if not isinstance(kind, str):
+        return f"kind must be a string, got {kind!r}"
+    if target_author is not None and not isinstance(target_author, str):
+        return f"target_author must be a string, got {target_author!r}"
+    if type(ts) is not int or not -(2**63) <= ts < 2**63:
+        return f"ts must be an integer in the int64 range, got {ts!r}"
+    if kind not in EVENT_KINDS:
+        return f"unknown event kind {kind!r}; expected one of {EVENT_KINDS}"
+    if kind == "post" and target_author is not None:
+        return "post events must not carry a target_author"
+    if kind != "post" and not target_author:
+        return f"{kind} events must carry a target_author"
+    return None
 
 
 class ActivityTrace:

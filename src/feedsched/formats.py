@@ -2,10 +2,10 @@
 activity CSV, and JSON instances, schedules and run configs.
 
 Trace files carry one event object per line with fields ``user``, ``ts``,
-``kind`` and (for reactions) ``target_author``. Graph, counts and activity
-files are CSV, read by one rule (`_csv_rows`). Instance, schedule and config
-JSON mirror a dataclass field for field (`ProblemInstance`, `Schedule`,
-`cli.RunConfig`).
+``kind`` and (for reactions) ``target_author``, decoded once and checked by
+the rule of `Event`. Graph, counts and activity files are CSV, read by one
+rule (`_csv_rows`). Instance, schedule and config JSON mirror a dataclass
+field for field (`ProblemInstance`, `Schedule`, `cli.RunConfig`).
 `from_json` reads them by one strict rule: unknown keys and values of the
 wrong JSON type are rejected, naming the file and key; an ``int`` field takes
 only a JSON integer and a ``float`` field an integer or a float; nothing is
@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .analyze import OVERFLOW_BUCKET, bucket_name
-from .estimate import EVENT_KINDS, ActivityTrace, Event, FollowGraph
+from .estimate import ActivityTrace, FollowGraph, _event_error
 from .model import FollowerProfile, Followers, ProblemInstance, Schedule
 
 __all__ = [
@@ -120,11 +120,11 @@ def _loads(text: str, where, **kwargs):
 
 def load_trace(path, tz_offset_minutes: int = 0) -> ActivityTrace:
     """Read a JSONL trace in one pass: one JSON value per line, blank lines
-    skipped but counted. A line that plainly obeys the rules of `Event` goes
-    straight into the columns. Any other line is decoded again and given to
-    `Event`, which accepts it or names the line with its own message, so the
-    first bad line in file order is the one reported. The columns share one
-    string object per distinct name or kind."""
+    skipped but counted. Each line is decoded once and checked by the rule of
+    `Event` (`estimate._event_error`), so the first bad line in file order is
+    named with `Event`'s own message; a line that is not JSON is decoded again
+    only to name its JSON error. The columns share one string object per
+    distinct name or kind."""
     path = Path(path)
     users, stamps, kinds, targets = [], [], [], []
     intern = {}.setdefault
@@ -136,27 +136,17 @@ def load_trace(path, tz_offset_minutes: int = 0) -> ActivityTrace:
             obj, end = _scan(line, 0)
         except (StopIteration, ValueError, RecursionError):
             end = -1
-        # The fast check: as strict as `Event` or stricter, never looser, so a
-        # line it refuses costs a second decode, never a different verdict.
-        if not (
-            end == len(line)
-            and type(obj) is dict
-            and type(user := obj.get("user")) is str
-            and type(ts := obj.get("ts")) is int
-            and -(2**63) <= ts < 2**63
-            and (kind := obj.get("kind")) in EVENT_KINDS
-            and ((target := obj.get("target_author")) is None) == (kind == "post")
-            and (target is None or type(target) is str and target != "")
-        ):
-            where = f"{path}:{lineno}"
-            obj = _loads(line, where)
-            if not isinstance(obj, dict):
-                raise TraceFormatError(f"{where}: expected a JSON object")
-            try:
-                event = Event(obj["user"], obj["ts"], obj["kind"], obj.get("target_author"))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise TraceFormatError(f"{where}: {exc}") from exc
-            user, ts, kind, target = event.user, event.ts, event.kind, event.target_author
+        if end != len(line):  # not one JSON value: `_loads` names the reason
+            obj = _loads(line, f"{path}:{lineno}")
+        if type(obj) is not dict:
+            raise TraceFormatError(f"{path}:{lineno}: expected a JSON object")
+        try:
+            user, ts, kind = obj["user"], obj["ts"], obj["kind"]
+        except KeyError as exc:
+            raise TraceFormatError(f"{path}:{lineno}: {exc}") from exc
+        target = obj.get("target_author")
+        if (error := _event_error(user, ts, kind, target)) is not None:
+            raise TraceFormatError(f"{path}:{lineno}: {error}")
         users.append(intern(user, user))
         stamps.append(ts)
         kinds.append(intern(kind, kind))
@@ -411,8 +401,8 @@ def _follower_columns(followers) -> Followers | None:
 def instance_from_dict(obj: dict, where="instance JSON") -> ProblemInstance:
     """Decode an instance object by the strict rule above. Followers that
     `_follower_columns` takes and `ProblemInstance` accepts go straight into
-    columns; on any failure the object is decoded again by `from_json`,
-    which names the first bad follower with its own message."""
+    columns; on any failure the object is decoded again by `from_json`, which
+    names the first bad key in the object's order with its own message."""
     columns = _follower_columns(obj.get("followers")) if type(obj) is dict else None
     if columns is not None:
         try:

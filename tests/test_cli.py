@@ -2,6 +2,7 @@
 
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -28,8 +29,9 @@ from feedsched import (
     reconstruct_timeline,
     timeline_view,
 )
-from feedsched import cli
+from feedsched import cli, formats
 from feedsched.cli import main
+from feedsched.estimate import _event_error
 from feedsched.formats import (
     TraceFormatError,
     dump_json,
@@ -442,6 +444,74 @@ class TestTraceReader:
         assert reacted == [True]
         instance = build_instance("p", graph, trace, 24, 6)
         assert [(f.id, f.sigma) for f in instance.followers] == [("a", 1), ("a\x00", 7)]
+
+
+class TestOneEventRule:
+    """`Event` and `load_trace` judge fields by one rule, `_event_error`, and
+    `load_trace` decodes each line once."""
+
+    @pytest.mark.parametrize(
+        "line, decodes, message",
+        [
+            ('{"user": "a", "ts": "3", "kind": "post"}', 0,
+             "ts must be an integer in the int64 range, got '3'"),
+            ("{oops", 1, "invalid JSON (Expecting property name enclosed in double quotes)"),
+        ],
+        ids=["field-error", "json-error"],
+    )
+    def test_each_line_is_decoded_once(self, tmp_path, monkeypatch, line, decodes, message):
+        calls = []
+        loads = formats._loads
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return loads(*args, **kwargs)
+
+        monkeypatch.setattr(formats, "_loads", counting)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(GOOD_LINE * 3 + line + "\n" + GOOD_LINE)
+        with pytest.raises(TraceFormatError) as got:
+            load_trace(bad)
+        assert str(got.value) == f"{bad}:4: {message}"
+        assert len(calls) == decodes
+
+    def test_event_raises_exactly_the_shared_rule(self):
+        """Every `MALFORMED_FIELDS` case, and every combination of the field
+        values of `TestTraceReader.test_random_lines_judged_as_the_reference_judges_them`."""
+        malformed = [json.loads('{"user": "a", ' + line + "}") for line, _ in MALFORMED_FIELDS]
+        cases = [(o["user"], o["ts"], o["kind"], o.get("target_author")) for o in malformed]
+        pool = [
+            "a", "", "é名", 0, 2**63 - 1, 2**63, -(2**63), -(2**63) - 1, True, False,
+            1.5, 1e30, math.inf, None, [], ["a"], {}, {"user": "a"},
+        ]
+        plausible = [
+            ["a", "b", "é名"],
+            [0, 1, 2**63 - 1, -(2**63)],
+            ["post", "retweet", "reply", "like"],
+            ["b", "é名", None],
+        ]
+        cases += itertools.product(*(good + pool for good in plausible))
+        accepted = 0
+        for fields in cases:
+            error = _event_error(*fields)
+            try:
+                Event(*fields)
+            except ValueError as exc:
+                assert str(exc) == error, fields
+            else:
+                assert error is None, fields
+                accepted += 1
+        assert 0 < accepted < len(cases)
+
+    def test_str_subclasses_are_strings(self):
+        class Name(str):
+            pass
+
+        fields = (Name("a"), 1, Name("retweet"), Name("b"))
+        assert _event_error(*fields) is None
+        event = Event(*fields)
+        assert (event.user, event.kind, event.target_author) == ("a", "retweet", "b")
+        assert type(event.user) is type(event.kind) is type(event.target_author) is Name
 
 
 class TestInputFiles:
@@ -1895,6 +1965,25 @@ class TestColumnarInstanceDecode:
         for follower in obj["followers"]:
             del follower["gamma"]
         edit(obj["followers"][3])
+        with pytest.raises(ValueError) as info:
+            instance_from_dict(obj, "inst.json")
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "first, message",
+        [
+            ("followers", "inst.json: followers[3]: rho must lie in [0, 1], got 1.5"),
+            ("budget", "inst.json: budget: expected an integer, got 'x'"),
+        ],
+    )
+    def test_the_first_bad_key_in_object_order_is_named(self, first, message):
+        """Why the per-follower decode stays: the first bad key in the
+        object's order is named, so a decoder that checked the other fields
+        before the follower columns would name `budget` both times."""
+        obj = _four_followers()
+        obj["followers"][3]["rho"] = 1.5
+        obj["budget"] = "x"
+        obj = {first: obj.pop(first), **obj}
         with pytest.raises(ValueError) as info:
             instance_from_dict(obj, "inst.json")
         assert str(info.value) == message
