@@ -8,13 +8,13 @@ attributed to it (a reaction targeting author `a` attaches to a's most recent
 tweet at or before the reaction time). Reaction-probability tables bucket
 cluster sizes into 1..10 and ">10".
 
-Timelines and clusters are kept as columns: one `lexsort` orders a timeline,
-clusters start where the author code changes, and the (size bucket, position)
-counts of a timeline's clusters come from one `bincount`. A `ClusterTally`
-adds those counts up one timeline at a time into one integer table, so a
-caller pooling every user's timeline keeps no user's clusters.
-`TimelinePost` and `ClusterRecord` objects are only built when a caller reads
-an item.
+Timelines and clusters are kept as columns: a timeline is ordered by sorting
+its rows' positions in the trace's one newest-first order, clusters start
+where the author code changes, and one `bincount` counts a timeline's
+clusters per (size bucket, position). A `ClusterTally` adds those counts up
+one timeline at a time into one integer table, so a caller pooling every
+user's timeline keeps no user's clusters. `TimelinePost` and `ClusterRecord`
+objects are only built when a caller reads an item.
 
 The randomization test shuffles reaction labels across the tweets of two size
 buckets. The permuted count of reactions landing in the first bucket under a
@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimate import EVENT_KINDS, ActivityTrace, FollowGraph
-from .model import _Columns, _frozen
+from .estimate import EVENT_KINDS, ActivityTrace, FollowGraph, _codes
+from .model import _Columns, _frozen, _left_sum
 
 __all__ = [
     "MAX_SIZE_BUCKET",
@@ -130,10 +130,10 @@ class Clusters(_Columns):
     author code (an index into `authors`) and size, per post its reacted flag
     in timeline order. Items are `ClusterRecord` views."""
 
-    def __init__(self, authors, code, sizes, reacted):
+    def __init__(self, authors, code, sizes, reacted, starts=None):
         self.authors = authors
         self.code, self.sizes, self.reacted = code, sizes, reacted
-        self.starts = np.cumsum(sizes) - sizes
+        self.starts = np.cumsum(sizes) - sizes if starts is None else starts
         _frozen(code, sizes, reacted, self.starts)
 
     def __len__(self) -> int:
@@ -153,19 +153,18 @@ def reconstruct_timeline(user: str, graph: FollowGraph, trace: ActivityTrace) ->
     """
     if user not in graph:
         raise ValueError(f"unknown user {user!r}")
-    authors = graph.followees_of(user)  # sorted by name, so `rows` ascends
-    rows, lengths = trace.rows(authors)
-    ts = trace.ts[rows]
-    code = np.repeat(np.arange(len(authors)), lengths)
-    index = np.arange(len(rows)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    authors = graph.followees_of(user)  # sorted by name, as the trace's codes are
+    order, position = trace._newest
+    # Sorting the rows' distinct positions in the trace's newest-first order orders the timeline.
+    at = np.sort(position[trace.rows(authors)[0]])
+    rows = order[at]
     reacted = np.zeros(len(rows), bool)
-    reacted[np.searchsorted(rows, trace.attachments(user, authors)[1])] = True
-    # The rows come in (author code, index) order, which a stable sort keeps
-    # for equal timestamps. ~ts, not -ts: it reverses the order without
-    # overflow at ts = -2**63.
-    order = np.argsort(~ts, kind="stable")
-    kind = trace.kind_code[rows[order]]
-    return Timeline(authors, ts[order], code[order], index[order], kind, reacted[order])
+    reacted[np.searchsorted(at, position[trace.attachments(user, authors)[1]])] = True
+    owner = trace.user_code[rows]
+    local = np.empty(len(trace.names) + 1, np.int64)  # code -1 (no events) writes the last
+    local[_codes(trace, authors)] = np.arange(len(authors))
+    index = rows - trace._offsets[owner]
+    return Timeline(authors, trace.ts[rows], local[owner], index, trace.kind_code[rows], reacted)
 
 
 def extract_clusters(timeline) -> Clusters:
@@ -179,21 +178,26 @@ def extract_clusters(timeline) -> Clusters:
         code = np.array([codes.setdefault(p.author, len(codes)) for p in posts], np.int64)
         reacted = np.array([p.reacted for p in posts], bool)
         authors = tuple(codes)
-    starts = np.flatnonzero(np.diff(code, prepend=-1))
-    sizes = np.diff(starts, append=len(code))
-    return Clusters(authors, code[starts], sizes, reacted)
+    new = np.ones(len(code), bool)  # a cluster starts at the first post and at each new author
+    new[1:] = code[1:] != code[:-1]
+    starts = np.flatnonzero(new)
+    sizes = np.append(starts[1:], len(code)) - starts
+    return Clusters(authors, code[starts], sizes, reacted, starts)
 
 
 def _columns(records):
-    """Cluster sizes and per-post reacted flags, cluster after cluster, of one
-    `Clusters`, a list of them, or a list of `ClusterRecord`s."""
-    items = [records] if isinstance(records, Clusters) else list(records)
+    """Cluster sizes, first posts and per-post reacted flags, cluster after cluster,
+    of one `Clusters` (its own columns) or a list of them or of `ClusterRecord`s."""
+    if isinstance(records, Clusters):
+        return records.sizes, records.starts, records.reacted
+    items = list(records)
     columnar = [c for c in items if isinstance(c, Clusters)]
     plain = [r for r in items if not isinstance(r, Clusters)]
     sizes = [c.sizes for c in columnar] + [np.array([r.size for r in plain], np.int64)]
     flags = [m.reacted for r in plain for m in r.members]
     reacted = [c.reacted for c in columnar] + [np.array(flags, bool)]
-    return np.concatenate(sizes), np.concatenate(reacted)
+    sizes = np.concatenate(sizes)
+    return sizes, np.cumsum(sizes) - sizes, np.concatenate(reacted)
 
 
 # First tally key of each size bucket. Bucket b holds positions 1..b, so the
@@ -205,11 +209,12 @@ _BUCKET_KEYS = np.array([b * (b - 1) // 2 for b in range(1, OVERFLOW_BUCKET + 1)
 def _tally(records) -> np.ndarray:
     """Row `key` of the result holds (unreacted, reacted) posts at that tally
     key, over `Clusters`, a list of them, or a list of `ClusterRecord`s."""
-    sizes, reacted = _columns(records)
+    sizes, starts, reacted = _columns(records)
     if len(sizes) and sizes.min() < 1:
         raise ValueError(f"cluster sizes start at 1, got {sizes.min()}")
-    rank = np.arange(len(reacted)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    key = np.repeat(_BUCKET_KEYS[np.minimum(sizes, OVERFLOW_BUCKET) - 1], sizes) + rank
+    # Post p of a cluster that starts at post s is at its bucket's key + p - s.
+    key = np.repeat(_BUCKET_KEYS[np.minimum(sizes, OVERFLOW_BUCKET) - 1] - starts, sizes)
+    key += np.arange(len(reacted))
     # Bin 2·key counts unreacted posts and bin 2·key + 1 reacted ones.
     bins = np.bincount(2 * key + reacted, minlength=2 * (key.max(initial=-1) + 1))
     return bins.reshape(-1, 2)
@@ -258,9 +263,7 @@ def reaction_counts(records) -> dict[int, tuple[int, int]]:
 
 
 def _as_counts(data) -> dict[int, tuple[int, int]]:
-    if isinstance(data, dict):
-        return data
-    return reaction_counts(data)
+    return data if isinstance(data, dict) else reaction_counts(data)
 
 
 def reaction_prob_by_size(data) -> dict[int, float]:
@@ -313,18 +316,21 @@ def permutation_test(
 
 def interevent_times(events) -> list[float]:
     """Gaps between a user's consecutive events, in hours; zero and negative
-    gaps dropped. `events` may also be the user's timestamps as an int64 array.
+    gaps dropped. `events` may also be the user's timestamps as an int64 array, or
+    an `ActivityTrace`: every user's gaps, user after user, from one pass over its rows.
 
     Each gap is exact mod 2**64, so exact where it is positive, and is rounded
     to a float once before the division, as Python's int / float does."""
-    if isinstance(events, np.ndarray):
-        ts = events
+    if isinstance(events, ActivityTrace):
+        ts, same = events.ts, events.user_code[1:] == events.user_code[:-1]
     else:
-        ts = np.array([ev.ts for ev in events], np.int64)
-    if len(ts) < 2:
-        raise ValueError("at least two events are required for inter-event times")
+        ts, same = events, True
+        if not isinstance(events, np.ndarray):
+            ts = np.array([ev.ts for ev in events], np.int64)
+        if len(ts) < 2:
+            raise ValueError("at least two events are required for inter-event times")
     prev, cur = ts[:-1], ts[1:]
-    gaps = (cur.view(np.uint64) - prev.view(np.uint64))[cur > prev]
+    gaps = (cur.view(np.uint64) - prev.view(np.uint64))[(cur > prev) & same]
     return (gaps.astype(float) / 3600.0).tolist()
 
 
@@ -339,7 +345,7 @@ def powerlaw_alpha(taus, tau_min: float, min_samples: int = 10) -> float:
         raise ValueError(
             f"need at least {min_samples} samples >= tau_min={tau_min}, got {n}"
         )
-    log_sum = sum(math.log(t / tau_min) for t in tail)
+    log_sum = _left_sum(math.log(t / tau_min) for t in tail)
     if log_sum == 0.0:
         raise ValueError("all samples equal tau_min; the exponent is undefined")
     return 1.0 + n / log_sum

@@ -51,6 +51,7 @@ from .formats import (
     schedule_from_dict,
     schedule_to_dict,
 )
+from .model import _left_sum
 from .objective import TimelineLayout, attention_potential, heatmap, timeline_view  # noqa: F401
 from .optimize import (
     DEFAULT_ENUMERATION_CAP,
@@ -214,13 +215,13 @@ def cmd_estimate(args) -> int:
     report.lap("estimate")
     dump_json(instance_to_dict(instance), args.out)
     report.lap("write")
-    # Python's `sum` adds left to right in follower order, as these means were
-    # always added; `np.sum` adds pairwise and would move their last bits.
+    # Added left to right in follower order, as these means were always added;
+    # `np.sum` adds pairwise and would move their last bits.
     followers = instance.followers
     n = len(followers)
-    mean_rho = sum(followers.rho.tolist()) / n
-    mean_delta = sum(followers.delta.tolist()) / n
-    total_load = sum(map(sum, followers.competitor_load.tolist()))
+    mean_rho = _left_sum(followers.rho.tolist()) / n
+    mean_delta = _left_sum(followers.delta.tolist()) / n
+    total_load = _left_sum(map(_left_sum, followers.competitor_load.tolist()))
     report.add("followers", n, "followers: {}")
     report.add("mean_rho", mean_rho, "mean rho: {:.6f}")
     report.add("mean_delta", mean_delta, "mean delta: {:.6f}")
@@ -448,11 +449,7 @@ def cmd_analyze(args) -> int:
             [(bucket_name(b), k, p) for (b, k), p in sorted(by_pos.items())],
         )
 
-        taus: list[float] = []
-        for user in trace.users():
-            ts = trace.timestamps(user)
-            if len(ts) >= 2:
-                taus.extend(interevent_times(ts))
+        taus = interevent_times(trace)
         if taus:
             edges = np.geomspace(min(taus), max(taus) * (1 + 1e-12), 31)
             hist, _ = np.histogram(taus, bins=edges)

@@ -145,6 +145,7 @@ class ActivityTrace:
         self._ingested = order
         counts = np.bincount(user_code, minlength=len(self.names))
         self._offsets = np.concatenate(([0], np.cumsum(counts)))
+        self._counts = np.append(counts, 0)  # per name code; the 0 is code -1's
         self._users = tuple(itertools.compress(self.names, counts.tolist()))
         _frozen(self.user_code, self.ts, self.kind_code, self.target_code)
 
@@ -164,7 +165,7 @@ class ActivityTrace:
         """The rows of the given users' events, user after user, and each user's
         event count, 0 for a name without events. Users in name order give ascending rows."""
         code = _codes(self, users)
-        counts = np.append(np.diff(self._offsets), 0)[code]
+        counts = self._counts[code]
         return _spans(self._offsets[code], counts), counts
 
     @functools.cached_property
@@ -215,6 +216,16 @@ class ActivityTrace:
         key = self._rank + self.user_code * (len(self.ts) + 1)
         _frozen(key)
         return key
+
+    @functools.cached_property
+    def _newest(self) -> tuple[np.ndarray, np.ndarray]:
+        """The rows newest first, equal timestamps by user code, then row (as the rows
+        are), and each row's position there. ~ts, not -ts: no overflow at -2**63."""
+        order = np.argsort(~self.ts, kind="stable")
+        position = np.empty_like(order)
+        position[order] = np.arange(len(order))
+        _frozen(order, position)
+        return order, position
 
     @functools.cached_property
     def _attached_row(self) -> np.ndarray:

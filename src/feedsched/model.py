@@ -11,6 +11,7 @@ size costs a few arrays, not one object per follower.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from collections.abc import Sequence
@@ -192,6 +193,11 @@ def _column(name: str, values, dtype) -> np.ndarray:
 def _frozen(*arrays) -> None:
     for a in arrays:
         a.flags.writeable = False
+
+
+def _left_sum(values):
+    """`sum(values)` added left to right, as `sum` adds floats before Python 3.12."""
+    return functools.reduce(operator.add, values, 0)
 
 
 class _Columns(Sequence):

@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import ProblemInstance, Schedule
+from .model import ProblemInstance, Schedule, _left_sum
 from .objective import TimelineLayout, attention_total
 
 __all__ = [
@@ -177,7 +177,7 @@ def _apportion(n: int, weights: list[float], order) -> Schedule:
     """n posts in proportion to `weights` by largest remainder: each slot gets
     the floor of its quota, and the posts left over go to the largest
     remainders, ties to the slot that comes first in `order`."""
-    total = sum(weights) or 1.0  # all-zero weights only come with n = 0
+    total = _left_sum(weights) or 1.0  # all-zero weights only come with n = 0
     quotas = [n * w / total for w in weights]
     posts = [int(q) for q in quotas]
     for s in sorted(order, key=lambda s: posts[s] - quotas[s])[: n - sum(posts)]:
@@ -219,7 +219,7 @@ def heuristic(
             raise ValueError("activity weights must be finite")
         if any(w < 0 for w in weights):
             raise ValueError("activity weights must be >= 0")
-        total = sum(weights)
+        total = _left_sum(weights)
         if n > 0 and total <= 0:
             raise ValueError("activity weights must not all be zero")
         if not math.isfinite(n * total):

@@ -26,6 +26,8 @@ from feedsched import (
     reconstruct_timeline,
 )
 from feedsched.analyze import OVERFLOW_BUCKET, Clusters, _keyed, _tally
+from feedsched.formats import load_trace
+from feedsched.model import _left_sum
 
 
 def record(author, flags):
@@ -486,6 +488,45 @@ class TestInterEventTimes:
     def test_zero_gaps_dropped(self):
         events = [Event("u", 0, "post"), Event("u", 0, "post"), Event("u", 3600, "post")]
         assert interevent_times(events) == [1.0]
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_a_trace_gives_every_users_gaps_in_turn(self, seed):
+        trace, _ = random_trace(np.random.default_rng(seed))
+        expected = [
+            tau for user in trace.users() if len(trace.timestamps(user)) >= 2
+            for tau in interevent_times(trace.events_by_user(user))
+        ]
+        assert interevent_times(trace) == expected
+
+    def test_no_gap_crosses_users(self):
+        trace = ActivityTrace([Event("a", 0, "post"), Event("b", 3600, "post")])
+        assert interevent_times(trace) == []
+        assert interevent_times(ActivityTrace([])) == []
+
+
+def fold(values):
+    """Left-to-right addition, one term at a time."""
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
+class TestLeftToRightSum:
+    """Python 3.12's `sum` adds floats with compensation; the reported sums add
+    left to right, as `sum` did before, so their bits do not depend on the
+    interpreter."""
+
+    def test_no_compensation(self):
+        values = [1.0, 1e100, 1.0, -1e100]
+        assert math.fsum(values) == 2.0
+        assert _left_sum(values) == fold(values) == 0.0
+        assert _left_sum([]) == 0 and _left_sum(iter([0.5, 0.25])) == 0.75
+
+    def test_powerlaw_alpha_folds_the_logs(self, data_dir):
+        taus = interevent_times(load_trace(data_dir / "pop_small.trace.jsonl"))
+        logs = [math.log(t / 1.0) for t in taus if t >= 1.0]
+        assert powerlaw_alpha(taus, 1.0) == 1 + len(logs) / fold(logs)
 
 
 class TestPowerlawAlpha:

@@ -3,10 +3,11 @@ consumers they replaced (`reference_trace.py`), compared with `==`.
 
 Each case loads one trace file twice, with `formats.load_trace` and with the
 reference reader, and requires the same events, users, timestamps, window,
-attached reactions, instances, timelines and inter-event times. The traces are
-three from `perfbench.generators.trace_and_graph` and hand-built ones with
-equal timestamps, an empty user name, reactions to users without events, and
-timestamps at both int64 ends.
+attached reactions, instances, timelines and inter-event times, and the same
+files and exponent from `analyze --all` as the reference timelines give. The
+traces are three from `perfbench.generators.trace_and_graph` and hand-built
+ones with equal timestamps, an empty user name, reactions to users without
+events, and timestamps at both int64 ends.
 """
 
 from __future__ import annotations
@@ -22,9 +23,15 @@ from feedsched import (
     ActivityTrace,
     Event,
     FollowGraph,
+    bucket_name,
     build_instance,
+    extract_clusters,
     interevent_times,
+    permutation_test,
     powerlaw_alpha,
+    reaction_counts,
+    reaction_prob_by_size,
+    reaction_prob_by_size_position,
     reconstruct_timeline,
 )
 from feedsched.cli import main
@@ -93,6 +100,80 @@ def assert_same_consumers(new, old, graph, producer) -> None:
         assert timeline == expected
         for column in ("ts", "code", "index", "reacted"):
             assert getattr(timeline, column).tolist() == getattr(expected, column).tolist()
+
+
+# `analyze --all`'s settings, as `assert_same_analysis` passes them.
+PERMUTATIONS, MAX_SIZE, TAU_MIN = 50, 4, 0.01
+
+
+def expected_analysis(old, graph) -> tuple[dict, float | None]:
+    """Every file of `analyze --all` as rows of cells, and the power-law
+    exponent (None without enough gaps), from the reference trace: each user's
+    reference timeline goes through the plain-record path, `TimelinePost`
+    lists to `ClusterRecord`s, and the gaps come from `ref.interevent_times`."""
+    records = []
+    for user in graph.users():
+        records.extend(extract_clusters(list(ref.reconstruct_timeline(user, graph, old))))
+    counts = reaction_counts(records)
+    probs = reaction_prob_by_size(counts)
+    by_position = reaction_prob_by_size_position(records)
+    files = {
+        "cluster_stats.csv": [["size", "reactions", "total", "probability"]]
+        + [[bucket_name(b), *counts[b], probs[b]] for b in sorted(counts)],
+        "reaction_by_size_position.csv": [["size", "position", "probability"]]
+        + [[bucket_name(b), k, p] for (b, k), p in by_position.items()],
+    }
+    sizes = [b for b in range(1, MAX_SIZE + 1) if b in counts]
+    tests = {
+        (i, j): permutation_test(counts, i, j, PERMUTATIONS, 0)
+        for i in sizes for j in sizes if i < j
+    }
+    columns = range(2, MAX_SIZE + 1)
+    for name, field in (("t_obs.csv", "t_obs"), ("p_values.csv", "p_value")):
+        files[name] = [["i\\j"] + [bucket_name(j) for j in columns]] + [
+            [bucket_name(i)] + [getattr(tests.get((i, j)), field, "") for j in columns]
+            for i in range(1, MAX_SIZE)
+        ]
+    taus = [
+        t for u in old.users() if len(old.events_by_user(u)) >= 2
+        for t in ref.interevent_times(old.events_by_user(u))
+    ]
+    if taus:
+        edges = np.geomspace(min(taus), max(taus) * (1 + 1e-12), 31)
+        hist, _ = np.histogram(taus, bins=edges)
+        files["interevent_histogram.csv"] = [["bin_left_hours", "bin_right_hours", "count"]] + [
+            [float(edges[k]), float(edges[k + 1]), int(hist[k])] for k in range(len(hist))
+        ]
+    try:
+        alpha = powerlaw_alpha(taus, TAU_MIN)
+    except ValueError:
+        alpha = None
+    return {name: [list(map(str, row)) for row in rows] for name, rows in files.items()}, alpha
+
+
+def assert_same_analysis(tmp_path, capsys, edges, tz_offset_minutes=0):
+    """`analyze --all` of `tmp_path / "trace.jsonl"` against the reference
+    timelines of that file: the same files, cell by cell, and the same
+    exponent. Returns the exponent."""
+    trace_path, graph_path = tmp_path / "trace.jsonl", tmp_path / "graph.csv"
+    out = tmp_path / "out"
+    generators.write_graph(graph_path, edges)
+    rc = main([
+        "analyze", str(trace_path), str(graph_path), "--all", "-o", str(out), "--json",
+        "--permutations", str(PERMUTATIONS), "--max-size", str(MAX_SIZE),
+        "--tau-min", str(TAU_MIN), "--tz-offset-minutes", str(tz_offset_minutes),
+    ])
+    assert rc == 0
+    report = json.loads(capsys.readouterr().out)
+    old = ref.load_trace(trace_path, tz_offset_minutes)
+    files, alpha = expected_analysis(old, FollowGraph(edges))
+    written = {}
+    for path in sorted(out.iterdir()):
+        with path.open(newline="", encoding="utf-8") as fh:
+            written[path.name] = list(csv.reader(fh))
+    assert written == files
+    assert report.get("powerlaw_alpha") == alpha
+    return alpha
 
 
 @pytest.mark.parametrize("seed", sorted(GENERATED))
@@ -210,3 +291,24 @@ def test_int64_ends_through_analyze(tmp_path, capsys):
     ]
     with (out / "interevent_histogram.csv").open(newline="") as fh:
         assert list(csv.reader(fh))[1:] == expected
+
+
+@pytest.mark.parametrize("seed", sorted(GENERATED))
+@pytest.mark.parametrize("tz_offset_minutes", [0, -300])
+def test_generated_traces_through_analyze(tmp_path, capsys, seed, tz_offset_minutes):
+    raw, edges = generators.trace_and_graph(seed, **GENERATED[seed])
+    write_trace(tmp_path / "trace.jsonl", [Event(**ev) for ev in raw])
+    assert assert_same_analysis(tmp_path, capsys, edges, tz_offset_minutes) is not None
+
+
+def test_hand_built_trace_through_analyze(tmp_path, capsys):
+    write_trace(tmp_path / "trace.jsonl", hand_events())
+    # A graph file has no empty names; the empty name's posts stay in the trace.
+    edges = [(a, b) for a, b in HAND_EDGES if a and b]
+    # Three positive gaps: too few for an exponent.
+    assert assert_same_analysis(tmp_path, capsys, edges) is None
+
+
+def test_int64_ends_through_analyze_agree(tmp_path, capsys):
+    write_trace(tmp_path / "trace.jsonl", int64_end_events())
+    assert assert_same_analysis(tmp_path, capsys, INT64_EDGES) is not None
