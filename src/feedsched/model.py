@@ -77,18 +77,23 @@ def survival_eval(model: SurvivalModel, x: float) -> float:
     return float(survival_array(model.family, model.lam, model.p, x))
 
 
-def survival_array(family: str, lam, p: float, x: np.ndarray) -> np.ndarray:
+def survival_array(family: str, lam, p: float, x: np.ndarray, power=operator.pow) -> np.ndarray:
     """The five survival formulas, on arrays or scalars (`survival_eval` reads
     them here): `lam` broadcasts against `x >= 0`, and the parameters are taken
-    as already checked by `SurvivalModel`."""
+    as already checked by `SurvivalModel`.
+
+    `power(base, exponent)` takes every power. The default is `**`, which on
+    arrays may use numpy's vector routines and differ from the C library's
+    `pow` in the last bit. `np.float_power` calls that `pow` per element, so
+    on arrays it gives the bits of this function on Python scalars."""
     if family == "exponential":
         return np.exp(-lam * x)
     if family == "geometric":
-        return (1.0 - lam) ** x
+        return power(1.0 - lam, x)
     if family == "weibull":
-        return np.exp(-lam * x**p)
+        return np.exp(-lam * power(x, p))
     if family == "loglogistic":
-        return 1.0 / (1.0 + lam * x**p)
+        return 1.0 / (1.0 + lam * power(x, p))
     return np.exp(-(x * x) / (2.0 * lam * lam))
 
 

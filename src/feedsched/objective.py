@@ -13,15 +13,15 @@ cluster at a time and serve as the test oracle. `TimelineLayout` holds the
 same layout as (followers x slots) arrays, and every consumer reads it: the
 optimizers score many schedules at once on it, the simulator reads its cluster
 tables from it, and `attention_total` and `attention_potential` evaluate its
-non-empty cells one by one in Python floats for the reported totals.
+non-empty cells for the reported totals. They take every power with
+`np.float_power`, the C library's `pow` per element, so that the arrays give
+the bits of the oracle's Python scalars.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Generator
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -133,29 +133,6 @@ def cluster_attention(
 def _sum_in_order(a: np.ndarray) -> np.ndarray:
     """Sum over the last axis left to right from 0.0, as a `+=` loop adds (not pairwise)."""
     return np.cumsum(np.concatenate((np.zeros(a.shape[:-1] + (1,)), a), axis=-1), axis=-1)[..., -1]
-
-
-def _elementwise(f, *columns: np.ndarray) -> np.ndarray:
-    """f on the Python floats of equal-length 1-D arrays, element by element.
-    The arrays are converted a batch of 4096 at a time, never whole to lists."""
-    n = len(columns[0])
-    batches = (
-        map(f, *(c[lo : lo + 4096].tolist() for c in columns)) for lo in range(0, n, 4096)
-    )
-    return np.fromiter(chain.from_iterable(batches), float, n)
-
-
-def _pow(base: np.ndarray, exponent: np.ndarray) -> np.ndarray:
-    """base ** exponent through the C library's `pow`, one element at a time as
-    Python's `**` computes it (numpy's array power may differ in the last bit)."""
-    return _elementwise(math.pow, base, exponent)
-
-
-def _survival(family: str, lam: np.ndarray, p: float, x: np.ndarray) -> np.ndarray:
-    """`survival_array` one element at a time, with its scalar formulas' bits."""
-    if family == "geometric":
-        return _pow(1.0 - lam, x)
-    return _elementwise(lambda lam_j, x_j: survival_array(family, lam_j, p, x_j), lam, x)
 
 
 def _below(push: np.ndarray) -> np.ndarray:
@@ -306,13 +283,14 @@ class TimelineLayout:
         x = self.timeline_posts(posts)
         return self.term(x, self.depths(x))
 
-    def _scalar_terms(self, posts, cells) -> np.ndarray:
+    def _reported_terms(self, posts, cells) -> np.ndarray:
         """`terms` of one schedule for a reported total: 0 for empty clusters,
         and `cells(x, z, rho, delta)` on 1-D arrays over the non-empty ones."""
         x = self.timeline_posts(posts)
-        j, i = np.nonzero(x)
+        full = x > 0
+        rho, delta = (np.broadcast_to(a, x.shape)[full] for a in (self.rho, self.delta))
         out = np.zeros(x.shape)
-        out[j, i] = cells(x[j, i], self.depths(x)[j, i], self.rho[j, 0], self.delta[j, 0])
+        out[full] = cells(x[full], self.depths(x)[full], rho, delta)
         return out
 
     def _attention_cells(self, x, z, rho, delta) -> np.ndarray:
@@ -320,14 +298,16 @@ class TimelineLayout:
         survival at depths z + 1 .. z + x, added one by one."""
         eff = x - self.shifted
         if self.cluster_family == "geometric":
-            keep = _pow(delta, eff)
+            keep = np.float_power(delta, eff)
         else:
-            keep = _survival(self.cluster_family, delta, self.cluster_p, eff)
+            keep = survival_array(self.cluster_family, delta, self.cluster_p, eff, np.float_power)
         k = np.arange(1, int(x.max(initial=0)) + 1)
         inside = k <= x[:, None]
         depth = (z[:, None] + k)[inside]
         seen = np.zeros(inside.shape)
-        seen[inside] = _survival(self.follower_family, np.repeat(rho, x), self.follower_p, depth)
+        seen[inside] = survival_array(
+            self.follower_family, np.repeat(rho, x), self.follower_p, depth, np.float_power
+        )
         return keep * _sum_in_order(seen)
 
     def _closed_form_cells(self, x, z, rho, delta) -> np.ndarray:
@@ -338,8 +318,9 @@ class TimelineLayout:
         inner = np.where(q == 0.0, 0.0, x)
         part = (q > 0.0) & (q < 1.0)
         qp = q[part]
-        inner[part] = _pow(qp, z[part]) * (qp - _pow(qp, x[part] + 1)) / (1.0 - qp)
-        return _pow(delta, x - self.shifted) * inner
+        power = np.float_power
+        inner[part] = power(qp, z[part]) * (qp - power(qp, x[part] + 1)) / (1.0 - qp)
+        return power(delta, x - self.shifted) * inner
 
     def totals(self, posts) -> np.ndarray:
         """Weighted total of each schedule: shape posts.shape[:-1]."""
@@ -417,7 +398,7 @@ def attention_potential(schedule: Schedule, instance: ProblemInstance) -> Attent
     Each cell is `cluster_attention`'s arithmetic, summed in the same order, so
     the breakdown is the reference to the last bit."""
     layout = TimelineLayout.of(instance)
-    cells = layout._scalar_terms(schedule.posts, layout._attention_cells)
+    cells = layout._reported_terms(schedule.posts, layout._attention_cells)
     per_follower = layout.gamma * _sum_in_order(cells)
     per_source_slot = _bincount(layout.order, cells * layout.gamma[:, None], layout.slots)
     per_cluster = np.ascontiguousarray(cells.T)
@@ -435,7 +416,7 @@ def attention_total(schedule: Schedule, instance: ProblemInstance) -> float:
     layout = TimelineLayout.of(instance)
     if layout.follower_family != "geometric" or layout.cluster_family != "geometric":
         return attention_potential(schedule, instance).total
-    cells = layout._scalar_terms(schedule.posts, layout._closed_form_cells)
+    cells = layout._reported_terms(schedule.posts, layout._closed_form_cells)
     return float(_sum_in_order(layout.gamma * _sum_in_order(cells)))
 
 

@@ -112,6 +112,17 @@ def random_instance(
     return ProblemInstance(slots=slots, budget=budget, followers=tuple(followers))
 
 
+def survival_edges(family):
+    """(lambdas, shapes p) at the edges of what the family allows, with a few
+    values between; families without a shape get p = 1 alone."""
+    if family == "geometric":
+        lams = [0.0, 1e-12, 1e-6, 0.3, 0.5, 1.0 - 1e-12, 1.0]
+    else:
+        lams = [1e-12, 1e-6, 0.05, 0.3, 0.5, 1.0 - 1e-12, 1.0]
+    ps = [0.05, 0.5, 1.0, 2.5, 20.0] if family in ("weibull", "loglogistic") else [1.0]
+    return lams, ps
+
+
 def family_instance(rng, follower_family, cluster_family, shifted):
     """Random instance under the given families, with the edge values
     rho, delta in {0, 1} mixed in wherever the family allows them.

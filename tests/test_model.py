@@ -15,8 +15,11 @@ from feedsched import (
     SurvivalModel,
     cluster_survival,
     follower_survival,
+    survival_array,
     survival_eval,
 )
+
+from conftest import survival_edges
 
 
 def make_follower(rho=0.5, delta=0.5, sigma=0, load=(0.0,)):
@@ -108,6 +111,37 @@ class TestSurvivalEval:
         values = [survival_eval(model, x) for x in grid]
         assert all(0.0 <= v <= 1.0 for v in values)
         assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
+
+
+class TestArrayPowerIsTheCLibraryPow:
+    """`attention_total` and `attention_potential` take every power on arrays
+    with `np.float_power` and keep the oracle's bits only because it calls the
+    C library's `pow` per element, as `math.pow` and Python's `**` do. A numpy
+    release that moves it onto a vector routine fails here by name."""
+
+    BASES = [0.0, 1e-300, 0.05, 0.5, 1.0 - 1e-12, 1.0]
+
+    def test_float_power_is_math_pow(self):
+        rng = np.random.default_rng(31)
+        whole = np.append(np.arange(27), 1080)
+        fractional = np.concatenate(([0.5, 1.3, 26.75, 499.9, 500.0], rng.uniform(0.0, 500.0, 200)))
+        bases = np.array(self.BASES)[:, None]
+        for exponents in (whole, whole.astype(float), fractional):
+            want = [[math.pow(b, e) for e in exponents.tolist()] for b in self.BASES]
+            np.testing.assert_array_equal(np.float_power(bases, exponents), want)
+        assert np.float_power(0.5, 1080) == 0.5**1080 == 0.0
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_survival_on_arrays_is_survival_on_python_scalars(self, family):
+        lams, ps = survival_edges(family)
+        rng = np.random.default_rng(32)
+        whole = np.append(np.arange(61), [500, 1080])
+        fractional = np.concatenate(([0.0, 0.5, 499.75], rng.uniform(0.0, 500.0, 100)))
+        for p in ps:
+            for x in (whole, fractional):
+                got = survival_array(family, np.array(lams)[:, None], p, x, power=np.float_power)
+                want = [[survival_array(family, lam, p, x_j) for x_j in x.tolist()] for lam in lams]
+                np.testing.assert_array_equal(got, np.array(want, dtype=float), err_msg=f"p={p}")
 
 
 class TestFollowerSurvival:

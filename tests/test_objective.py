@@ -1,5 +1,6 @@
 """Timeline layout, per-cluster attention, population totals and heatmaps."""
 
+import itertools
 import tracemalloc
 from dataclasses import replace
 from decimal import Decimal, localcontext
@@ -380,6 +381,41 @@ class TestAgreementWithReference:
                 expected[view.source_slot, f.sigma] += f.gamma * a
             grid = heatmap(schedule, instance)
             np.testing.assert_allclose(grid, expected, rtol=1e-9, atol=1e-300)
+
+
+@pytest.mark.parametrize("shifted", [True, False])
+def test_reported_evaluators_keep_the_reference_bits_at_the_edges(shifted):
+    """Under two geometric families, rho at and next to 0 and 1 and delta at 0
+    and 1 take `_closed_form_cells` into its q = 0 and q = 1 branches and its
+    cancelling form at small rho: the reported evaluators still `==` the
+    reference loops there."""
+    rng = np.random.default_rng(31)
+    slots = 4
+    edges = itertools.product([0.0, 1e-12, 1e-9, 1.0 - 1e-12, 1.0], [0.0, 1.0])
+    followers = tuple(
+        FollowerProfile(
+            id=f"u{j}",
+            sigma=j % slots,
+            rho=rho,
+            delta=delta,
+            gamma=float(rng.uniform(0.1, 2.0)),
+            competitor_load=tuple(float(v) for v in rng.choice([0.0, 0.3, 1.5, 7.25], slots)),
+        )
+        for j, (rho, delta) in enumerate(edges)
+    )
+    # the population, and each follower alone so that no cell is lost in a sum
+    for group in [followers] + [(f,) for f in followers]:
+        instance = ProblemInstance(
+            slots=slots, budget=12, followers=group, cluster_survival_shifted=shifted
+        )
+        row = {f.id: j for j, f in enumerate(group)}
+        for posts in [(3, 0, 0, 0), (1, 1, 1, 1), (0, 2, 0, 5), (4, 3, 2, 1)]:
+            schedule = Schedule(posts)
+            per_cluster = attention_potential(schedule, instance).per_cluster
+            for f, view, a in oracle_cells(schedule, instance):
+                assert per_cluster[view.position, row[f.id]] == a, (f.id, view)
+            expected = _reference_attention_total(schedule, instance)
+            assert attention_total(schedule, instance) == expected, (group[0].id, posts)
 
 
 class TestGeometricTermsAgainstDecimal:

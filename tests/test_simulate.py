@@ -28,7 +28,7 @@ from feedsched.model import survival_array
 from feedsched.objective import TimelineLayout
 from perfbench import generators
 
-from conftest import family_instance, random_instance, random_feasible_schedule
+from conftest import family_instance, random_feasible_schedule, random_instance, survival_edges
 
 
 def one_follower(slots, budget, sigma, rho, delta, load):
@@ -588,11 +588,7 @@ def test_block_survival_curves_are_the_per_follower_curves_and_non_increasing(fa
     """Each row of the block's survival table equals the curve of that follower
     alone on its own length, and `np.minimum.accumulate` leaves it unchanged, bit
     for bit, at the edges of lambda (and p) and in between."""
-    if family == "geometric":
-        lams = [0.0, 1e-12, 1e-6, 0.3, 0.5, 1.0 - 1e-12, 1.0]
-    else:
-        lams = [1e-12, 1e-6, 0.05, 0.3, 0.5, 1.0 - 1e-12, 1.0]
-    ps = [0.05, 0.5, 1.0, 2.5, 20.0] if family in ("weibull", "loglogistic") else [1.0]
+    lams, ps = survival_edges(family)
     depths = np.arange(1, 2001)
     for p in ps:
         curve = survival_array(family, np.array(lams)[:, None], p, depths)
