@@ -12,10 +12,11 @@ their weights.
 cluster at a time and serve as the test oracle. `TimelineLayout` holds the
 same layout as (followers x slots) arrays, and every consumer reads it: the
 optimizers score many schedules at once on it, the simulator reads its cluster
-tables from it, and `attention_total` and `attention_potential` evaluate its
-non-empty cells for the reported totals. They take every power with
-`np.float_power`, the C library's `pow` per element, so that the arrays give
-the bits of the oracle's Python scalars.
+tables from it, and `attention_potential` reports its cells. Its one cluster
+formula, `TimelineLayout.term`, takes every power with `np.float_power`, the C
+library's `pow` per element, so that its cells give the bits of the oracle's
+Python scalars. `attention_total` keeps the one other coding, a geometric
+closed form whose reported bits are pinned.
 """
 
 from __future__ import annotations
@@ -220,15 +221,19 @@ class TimelineLayout:
         np.cumsum(steps, axis=-1, out=steps)
         return steps[..., 0::2].copy()
 
+    def _survival(self, depth: np.ndarray) -> np.ndarray:
+        """Follower survival at `depth`, with the C library's `pow`."""
+        return survival_array(self.follower_family, self.rho, self.follower_p, depth, np.float_power)
+
     def term(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Expected posts seen of a cluster of x producer posts at depth offset
         z, for every timeline position: keep(x) times the follower survival at
-        depths z + 1 .. z + x, added one depth at a time under every family (0
-        where x = 0), so memory stays at the shape of x and z whatever x is."""
+        depths z + 1 .. z + x (0 where x = 0), in `cluster_attention`'s float
+        operations to the last bit, one depth at a time so memory stays at the
+        shape of x and z whatever x is."""
         inner = np.zeros(np.broadcast(x, z).shape)
         for k in range(1, int(x.max(initial=0)) + 1):
-            seen = survival_array(self.follower_family, self.rho, self.follower_p, z + k)
-            inner += np.where(k <= x, seen, 0.0)
+            inner += np.where(k <= x, self._survival(z + k), 0.0)
         inner *= self.keep(x, self.delta)
         return inner
 
@@ -238,8 +243,29 @@ class TimelineLayout:
         when it is not geometric)."""
         eff = np.maximum(x - self.shifted, 0)
         if self.cluster_family == "geometric":
-            return delta**eff
-        return survival_array(self.cluster_family, delta, self.cluster_p, eff)
+            return np.float_power(delta, eff)
+        return survival_array(self.cluster_family, delta, self.cluster_p, eff, np.float_power)
+
+    def _moves(self, x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each cell's `(grow, push)`: grow = T(x+1, z) - T(x, z) for a post
+        added to the cluster, push = T(x, z+1) - T(x, z) for one added above
+        it. One survival pass per depth z + k, k = 1 .. max(x) + 1, adds s as
+        `term` does and keeps after = F(z + x + 1) and F(z + 1): grow = keep(x+1)
+        (s + after) - keep(x) s has the bits of the two `term`s, and push =
+        keep(x) (after - F(z + 1)), or -rho T(x, z) under geometric followers."""
+        seen = np.zeros(np.broadcast(x, z).shape)
+        after = np.empty_like(seen)
+        for k in range(1, int(x.max(initial=0)) + 2):
+            survival = self._survival(z + k)
+            seen += np.where(k <= x, survival, 0.0)
+            np.copyto(after, survival, where=k == x + 1)
+            first = survival if k == 1 else first
+        keep = self.keep(x, self.delta)
+        base = seen * keep
+        grow = self.keep(x + 1, self.delta) * (seen + after) - base
+        if self.follower_family == "geometric":
+            return grow, base * -self.rho
+        return grow, keep * (after - first)
 
     def attention_table(self, budget: int, block: int) -> tuple[np.ndarray, np.ndarray]:
         """Weighted attention of every cluster that a schedule spending at most
@@ -283,44 +309,19 @@ class TimelineLayout:
         x = self.timeline_posts(posts)
         return self.term(x, self.depths(x))
 
-    def _reported_terms(self, posts, cells) -> np.ndarray:
-        """`terms` of one schedule for a reported total: 0 for empty clusters,
-        and `cells(x, z, rho, delta)` on 1-D arrays over the non-empty ones."""
-        x = self.timeline_posts(posts)
-        full = x > 0
-        rho, delta = (np.broadcast_to(a, x.shape)[full] for a in (self.rho, self.delta))
-        out = np.zeros(x.shape)
-        out[full] = cells(x[full], self.depths(x)[full], rho, delta)
-        return out
-
-    def _attention_cells(self, x, z, rho, delta) -> np.ndarray:
-        """`cluster_attention` in its float operations: keep(x) times the
-        survival at depths z + 1 .. z + x, added one by one."""
-        eff = x - self.shifted
-        if self.cluster_family == "geometric":
-            keep = np.float_power(delta, eff)
-        else:
-            keep = survival_array(self.cluster_family, delta, self.cluster_p, eff, np.float_power)
-        k = np.arange(1, int(x.max(initial=0)) + 1)
-        inside = k <= x[:, None]
-        depth = (z[:, None] + k)[inside]
-        seen = np.zeros(inside.shape)
-        seen[inside] = survival_array(
-            self.follower_family, np.repeat(rho, x), self.follower_p, depth, np.float_power
-        )
-        return keep * _sum_in_order(seen)
-
-    def _closed_form_cells(self, x, z, rho, delta) -> np.ndarray:
-        """Two geometric families: delta^(x - shifted) times the sum of q^(z+k)
-        for k = 1..x, as q^z (q - q^(x+1)) / (1 - q) with q = 1 - rho, and as
-        0 at q = 0 and x at q = 1."""
-        q = 1.0 - rho
+    def _closed_form_cells(self, x, z) -> np.ndarray:
+        """`term` of two geometric families in the pinned closed form: keep(x)
+        times the sum of q^(z+k) for k = 1..x, as q^z (q - q^(x+1)) / (1 - q)
+        with q = 1 - rho, and as 0 at q = 0 and x at q = 1. An empty cell is
+        exactly 0, as q^z (q - q) = 0."""
+        q = np.broadcast_to(1.0 - self.rho, x.shape)
         inner = np.where(q == 0.0, 0.0, x)
         part = (q > 0.0) & (q < 1.0)
         qp = q[part]
         power = np.float_power
         inner[part] = power(qp, z[part]) * (qp - power(qp, x[part] + 1)) / (1.0 - qp)
-        return power(delta, x - self.shifted) * inner
+        inner *= self.keep(x, self.delta)
+        return inner
 
     def totals(self, posts) -> np.ndarray:
         """Weighted total of each schedule: shape posts.shape[:-1]."""
@@ -328,45 +329,31 @@ class TimelineLayout:
 
     def slot_gains(self, posts) -> np.ndarray:
         """Change in the total from adding one post to each slot of one
-        schedule, from at most three term evaluations instead of one per slot.
-
-        A post added at timeline position p turns term p into T(x+1, z) and
-        pushes every deeper cluster one post down, to T(x, z+1). Under a
-        geometric follower family that push multiplies a term by q = 1 - rho,
-        so it changes the term by -rho times itself.
-        """
+        schedule, from one `_moves` evaluation instead of one per slot: a post
+        added at timeline position p grows the cell at p and pushes every
+        deeper cell one post down."""
         x = self.timeline_posts(posts)
-        z = self.depths(x)
-        base = self.term(x, z)
-        grow = self.term(x + 1, z) - base
-        if self.follower_family == "geometric":
-            push = base * -self.rho
-        else:
-            push = self.term(x, z + 1) - base
+        grow, push = self._moves(x, self.depths(x))
         return _bincount(self.order, (grow + _below(push)) * self.gamma[:, None], self.slots)
 
     def greedy_gains(self, posts) -> Generator[np.ndarray, int, None]:
         """Generator of `slot_gains` for each scan of a greedy run from `posts`,
         sent each accepted slot. Under a geometric follower family it carries
-        gamma * grow and -gamma * rho * base per cell (base = T(x, z), grow =
-        T(x+1, z) - base), summed per login slot and timeline position in each
-        scan. A post at slot s sits at position p_j = (sigma_j - s) mod S;
-        every deeper cell gets z + 1, which multiplies it by q = 1 - rho, and
-        only the cell at p_j is evaluated again. A scan whose top two gains, or
-        top gain and 0, lie within 1e-12 of the top slot's sum of gamma *
-        (|grow| + |deeper|) is scored by `slot_gains`, as carried values can
-        cancel: every decision is the exact scorer's."""
+        gamma * (grow, push) of `_moves` per cell, summed per login slot and
+        timeline position in each scan. A post at slot s sits at position p_j
+        = (sigma_j - s) mod S; every deeper cell gets z + 1, which multiplies
+        it by q = 1 - rho, and only the cell at p_j is evaluated again. A scan
+        whose top two gains, or top gain and 0, lie within 1e-12 of the top
+        slot's sum of gamma * (|grow| + |deeper|) is scored by `slot_gains`, as
+        carried values can cancel: every decision is the exact scorer's."""
         posts = np.array(posts, dtype=np.int64)
         if self.follower_family != "geometric":
             while True:
                 posts[(yield self.slot_gains(posts))] += 1
         slots, rows, sigma = self.slots, np.arange(len(self.gamma)), self.order[:, 0]
         x = self.timeline_posts(posts)
-        z = self.depths(x)
-        base = self.term(x, z)
-        weight = np.stack((self.gamma, -(self.rho[:, 0] * self.gamma)))
-        cells = np.stack((self.term(x + 1, z) - base, base)) * weight[..., None]
-        del x, z, base
+        cells = np.stack(self._moves(x, self.depths(x))) * self.gamma[:, None]
+        del x
         loads = np.cumsum(self.loads, axis=1)
         login = np.arange(slots)
         key = np.arange(2)[:, None, None] * slots * slots + sigma[:, None] * slots + login
@@ -389,16 +376,16 @@ class TimelineLayout:
             cells *= scale[rows, slots - 1 - p]
             above = np.cumsum(posts)
             z = loads[rows, p] + (above[sigma] - above[s] + (sigma < s) * above[-1])
-            cell = self.term(np.array([posts[s], posts[s] + 1]), z[:, None])
-            cells[:, rows, p] = np.stack((cell[:, 1] - cell[:, 0], cell[:, 0])) * weight
+            moves = self._moves(posts[s : s + 1], z[:, None])
+            cells[:, rows, p] = np.hstack(moves).T * self.gamma
 
 
 def attention_potential(schedule: Schedule, instance: ProblemInstance) -> AttentionBreakdown:
     """Evaluate the schedule against the whole population, with full breakdown.
-    Each cell is `cluster_attention`'s arithmetic, summed in the same order, so
-    the breakdown is the reference to the last bit."""
+    Each cell is a `TimelineLayout.term`, summed per follower left to right, so
+    the breakdown is the `cluster_attention` reference to the last bit."""
     layout = TimelineLayout.of(instance)
-    cells = layout._reported_terms(schedule.posts, layout._attention_cells)
+    cells = layout.terms(schedule.posts)
     per_follower = layout.gamma * _sum_in_order(cells)
     per_source_slot = _bincount(layout.order, cells * layout.gamma[:, None], layout.slots)
     per_cluster = np.ascontiguousarray(cells.T)
@@ -416,7 +403,8 @@ def attention_total(schedule: Schedule, instance: ProblemInstance) -> float:
     layout = TimelineLayout.of(instance)
     if layout.follower_family != "geometric" or layout.cluster_family != "geometric":
         return attention_potential(schedule, instance).total
-    cells = layout._reported_terms(schedule.posts, layout._closed_form_cells)
+    x = layout.timeline_posts(schedule.posts)
+    cells = layout._closed_form_cells(x, layout.depths(x))
     return float(_sum_in_order(layout.gamma * _sum_in_order(cells)))
 
 

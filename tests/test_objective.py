@@ -18,6 +18,7 @@ from feedsched import (
     attention_potential,
     attention_total,
     cluster_attention,
+    cluster_survival,
     heatmap,
     timeline_view,
 )
@@ -272,6 +273,27 @@ def oracle_cells(schedule, instance):
             yield f, view, cluster_attention(view, f, **kwargs)
 
 
+def assert_layout_keeps_the_oracle_bits(schedule, instance):
+    """`TimelineLayout.terms` `==` every oracle cell, and `keep` on the
+    timeline's posts `==` `cluster_survival` on every non-empty cluster."""
+    layout = TimelineLayout(instance)
+    terms = layout.terms(schedule.posts)
+    keeps = layout.keep(layout.timeline_posts(schedule.posts), layout.delta)
+    row = {f.id: j for j, f in enumerate(instance.followers)}
+    for f, view, a in oracle_cells(schedule, instance):
+        j, x = row[f.id], view.producer_count
+        assert terms[j, view.position] == a, (f.id, view)
+        if x:
+            keep = cluster_survival(
+                f,
+                x,
+                family=instance.cluster_survival_family,
+                p=instance.cluster_survival_p,
+                shifted=instance.cluster_survival_shifted,
+            )
+            assert keeps[j, view.position] == keep, (f.id, view)
+
+
 def oracle_total(schedule, instance):
     return sum(f.gamma * a for f, _, a in oracle_cells(schedule, instance))
 
@@ -356,6 +378,26 @@ class TestAgreementWithReference:
                 assert per_cluster[view.position, row[f.id]] == a, (f.id, view)
             expected = _reference_attention_total(schedule, instance)
             assert attention_total(schedule, instance) == expected
+            assert_layout_keeps_the_oracle_bits(schedule, instance)
+
+    def test_slot_gains_are_one_post_differences(self, follower_family, cluster_family, shifted):
+        """`slot_gains` against the difference of two `totals` per slot, to
+        1e-12 of their sum. Geometric followers are also scored at rho = 1e-12
+        and 1e-9, where a pushed cell changes by a tiny fraction of itself."""
+        rhos = (1e-12, 1e-9) if follower_family == "geometric" else ()
+        for instance, schedule in self.cases(follower_family, cluster_family, shifted):
+            followers = tuple(instance.followers)
+            variants = [instance] + [
+                replace(instance, followers=tuple(replace(f, rho=rho) for f in followers))
+                for rho in rhos
+            ]
+            posts = np.array(schedule.posts)
+            for variant in variants:
+                layout = TimelineLayout(variant)
+                before = layout.totals(posts)
+                after = layout.totals(posts + np.eye(variant.slots, dtype=np.int64))
+                error = np.abs(layout.slot_gains(posts) - (after - before))
+                assert np.all(error <= 1e-12 * (after + before)), (posts, error)
 
     def test_layout_terms_per_cluster(self, follower_family, cluster_family, shifted):
         for instance, schedule in self.cases(follower_family, cluster_family, shifted):
@@ -416,6 +458,7 @@ def test_reported_evaluators_keep_the_reference_bits_at_the_edges(shifted):
                 assert per_cluster[view.position, row[f.id]] == a, (f.id, view)
             expected = _reference_attention_total(schedule, instance)
             assert attention_total(schedule, instance) == expected, (group[0].id, posts)
+            assert_layout_keeps_the_oracle_bits(schedule, instance)
 
 
 class TestGeometricTermsAgainstDecimal:
@@ -500,12 +543,24 @@ class TestLargeClusterTerms:
 
 
 class TestTermsMemory:
-    """Scoring a schedule with one 24-post cluster keeps the scratch memory of
-    `terms` at the (followers x slots) shape: its traced peak, layout included,
-    stays under twelve such float64 arrays."""
+    """Scoring a schedule with one 24-post cluster, or with one post in every
+    slot, keeps the scratch memory of `terms` and of both reported totals at
+    the (followers x slots) shape: the traced peak, layout included, stays
+    under twelve such float64 arrays."""
 
+    @pytest.mark.parametrize(
+        "evaluate",
+        [
+            pytest.param(lambda s, i: TimelineLayout(i).terms(s.posts), id="terms"),
+            attention_potential,
+            attention_total,
+        ],
+    )
+    @pytest.mark.parametrize(
+        "posts", [(0,) * 5 + (24,) + (0,) * 18, (1,) * 24], ids=["cluster", "ones"]
+    )
     @pytest.mark.parametrize("family", ["geometric", "weibull", "exponential"])
-    def test_peak(self, family):
+    def test_peak(self, family, posts, evaluate):
         n, slots = 2000, 24
         rng = np.random.default_rng(3)
         followers = Followers(
@@ -523,11 +578,10 @@ class TestTermsMemory:
             follower_survival_family=family,
             follower_survival_p=1.5,
         )
-        posts = np.zeros(slots, dtype=np.int64)
-        posts[5] = 24
+        schedule = Schedule(posts)
         tracemalloc.start()
         try:
-            TimelineLayout(instance).terms(posts)
+            evaluate(schedule, instance)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
