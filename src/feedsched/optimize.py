@@ -25,8 +25,9 @@ __all__ = [
 
 DEFAULT_ENUMERATION_CAP = 20_000_000
 
-# Exhaustive search scores candidates in chunks sized so that one temporary
-# array holds about this many float64 values (0.5 MB).
+# Exhaustive search builds and scores candidates in chunks of about this many
+# post counts (0.5 MB of int64), and bounds its enumeration blocks' fit masks
+# and the attention table's follower blocks by the same number of cells.
 CHUNK_ELEMENTS = 1 << 16
 
 HEURISTICS = ("uniform", "peak", "graveyard", "smart")
@@ -104,17 +105,129 @@ def marginal_allocation(
     )
 
 
-def _lex_chunks(slots: int, budget: int, rows: int):
-    """Every post vector with spend <= budget, in lexicographic order, as
-    (k x slots) arrays of at most `rows` schedules.
+def _fit_rows(spend: np.ndarray, leftover: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each leftover budget in turn, the rows whose spend fits it, in
+    ascending order, concatenated; and how many rows fit each. These are the
+    column indices of np.nonzero(spend <= leftover[:, None]), found in one
+    flat pass."""
+    mask = spend <= leftover[:, None]
+    count = mask.sum(axis=1)
+    rows = np.flatnonzero(mask)
+    rows -= np.repeat(np.arange(0, mask.size, len(spend)), count)
+    return rows, count
 
-    Stars and bars: `slots` bars among `budget + slots` cells leave the posts
-    of each slot as the empty cells before its bar, and bar positions in
-    ascending lexicographic order give post vectors in the same order.
+
+def _lex_block(slots: int, budget: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every post vector of `slots` slots with spend <= budget, in
+    lexicographic order, as a slot-major (slots x n) array, and their spends.
+
+    Built last slot first: each value p of the new first slot is followed by
+    the rows of the shorter block whose spend fits budget - p, in that block's
+    order, so the order stays lexicographic.
     """
-    bars = itertools.combinations(range(budget + slots), slots)
-    while chunk := list(itertools.islice(bars, rows)):
-        yield np.diff(np.array(chunk, dtype=np.int64), axis=1, prepend=-1) - 1
+    block = np.zeros((0, 1), dtype=np.int64)
+    spend = np.zeros(1, dtype=np.int64)
+    values = np.arange(budget + 1)
+    for _ in range(slots):
+        rows, count = _fit_rows(spend, budget - values)
+        longer = np.empty((len(block) + 1, len(rows)), dtype=np.int64)
+        longer[0] = np.repeat(values, count)
+        for s, posts in enumerate(block, 1):
+            longer[s] = posts[rows]
+        spend = longer[0] + spend[rows]
+        block = longer
+    return block, spend
+
+
+def _lex_chunks(slots: int, budget: int, rows: int):
+    """Every post vector with spend <= budget, in lexicographic order, in
+    chunks of `rows` schedules (fewer in the last): (k x slots) views of
+    slot-major (slots x k) arrays.
+
+    The slots are cut into levels of `_lex_block`s, each of as many slots as
+    keep its fit mask within CHUNK_ELEMENTS cells, with the remainder in the
+    first level. The first level's block is cut into chunks, and each further
+    level follows every head of the chunks so far by the rows of its block
+    that fit the head's leftover budget. Each level holds one chunk at a time,
+    so memory does not grow with the candidate count.
+    """
+    tail = 1
+    while tail < slots and (budget + 1) * math.comb(budget + tail + 1, tail + 1) <= CHUNK_ELEMENTS:
+        tail += 1
+    block, spend = _lex_block(tail, budget)
+    lead = slots - tail * ((slots - 1) // tail)
+    first = block if lead == tail else _lex_block(lead, budget)[0]
+    chunks = (first[:, lo : lo + rows].T for lo in range(0, first.shape[1], rows))
+    for joined in range(lead + tail, slots + 1, tail):
+        chunks = _extend(chunks, block, spend, budget, rows, joined)
+    return chunks
+
+
+def _extend(chunks, block: np.ndarray, spend: np.ndarray, budget: int, rows: int, slots: int):
+    """Follow each head of `chunks`, in order, by the rows of `block` (of the
+    last slots) whose spend fits the head's leftover budget, and cut the
+    result into chunks of `rows` schedules of `slots` slots, as `_lex_chunks`
+    yields them."""
+    # the block rows that fit a leftover budget r are fit[start[r] : start[r] + fits[r]]
+    fit, fits = _fit_rows(spend, np.arange(budget + 1))
+    start = fits.cumsum() - fits
+    lead = slots - block.shape[0]
+    remaining = math.comb(budget + slots, slots)
+    out, filled = np.empty((slots, min(rows, remaining)), dtype=np.int64), 0
+    for heads in chunks:
+        heads = heads.T
+        left = budget - heads.sum(axis=0)
+        # the schedules that follow head h are numbered ends[h] - fits[left[h]]
+        # up to ends[h] - 1; adding shift[h] to a number gives its place in fit
+        ends = fits[left].cumsum()
+        shift = start[left] + fits[left] - ends
+        done = 0
+        while done < ends[-1]:
+            k = min(out.shape[1] - filled, int(ends[-1]) - done)
+            lo, hi = np.searchsorted(ends, (done, done + k - 1), side="right")
+            cut = np.minimum(ends[lo : hi + 1], done + k)
+            head = np.repeat(np.arange(lo, hi + 1), np.diff(cut, prepend=done))
+            number = np.arange(done, done + k)
+            row = fit[number + shift[head]]
+            # one gather per slot; a 2-D take along axis 1 took twice as long
+            part = out[:, filled : filled + k]
+            for target, posts in zip(part[:lead], heads):
+                target[...] = posts[head]
+            for target, posts in zip(part[lead:], block):
+                target[...] = posts[row]
+            done += k
+            filled += k
+            if filled == out.shape[1]:
+                yield out.T
+                remaining -= filled
+                if remaining:
+                    out, filled = np.empty((slots, min(rows, remaining)), dtype=np.int64), 0
+
+
+def _chunk_totals(chunk: np.ndarray, order: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Ranking total of each schedule of a (k x slots) chunk, read off
+    `TimelineLayout.attention_table`: table[g, i, P, x] added group by group
+    and, within a group, down its timeline order, where x is the posts at
+    timeline position i and P the posts above it. Each group and position is
+    one gather over the chunk's candidates, so nothing larger than the chunk
+    is built."""
+    posts = chunk.T  # slot-major: each slot's posts over the candidates
+    slots, width = order.shape[1], table.shape[-1]
+    cells = table.reshape(-1)
+    # flat index of table[g, i, P, x] is (g * slots + i) * width**2 + P * width + x;
+    # moving down one position adds width**2 + x * width
+    step = posts * width
+    step += width * width
+    totals = np.zeros(posts.shape[1])
+    offset = np.empty(posts.shape[1], dtype=np.int64)
+    index = np.empty_like(offset)
+    for g, timeline in enumerate(order.tolist()):
+        offset.fill(g * slots * width * width)
+        for slot in timeline:
+            np.add(offset, posts[slot], out=index)
+            totals += cells[index]
+            offset += step[slot]
+    return totals
 
 
 def brute_force(
@@ -123,11 +236,12 @@ def brute_force(
     """Exact optimum by full enumeration; ties keep the lexicographically
     smallest schedule. Refuses instances whose candidate count exceeds `cap`.
 
-    Candidates stream in lexicographic chunks; the whole candidate set is
-    never held in memory. Each candidate is ranked by gathering one entry of
-    `TimelineLayout.attention_table` per login group and timeline position,
-    with no survival evaluation per candidate. The reported total is a full
-    evaluation of the best schedule.
+    Candidates stream from `_lex_chunks` in lexicographic, slot-major chunks
+    of CHUNK_ELEMENTS // slots schedules; neither the candidate set nor its
+    leading slots are ever held in memory. `_chunk_totals` ranks each chunk
+    from `TimelineLayout.attention_table`, one gather per login group and
+    timeline position over the whole chunk, with no survival evaluation per
+    candidate. The reported total is a full evaluation of the best schedule.
     """
     slots, budget = instance.slots, instance.budget
     n_candidates = math.comb(budget + slots, slots)
@@ -137,30 +251,17 @@ def brute_force(
             f"exceeding the cap of {cap}"
         )
     order, table = TimelineLayout.of(instance).attention_table(budget, CHUNK_ELEMENTS)
-    width = budget + 1
-    # flat index of table[g, i, 0, 0] for each group g and timeline position i
-    base = np.arange(order.size).reshape(order.shape) * width * width
-    table = table.ravel()
-    rows = max(1, CHUNK_ELEMENTS // max(1, order.size))
-    best_posts: np.ndarray | None = None
+    best_posts: list[int] | None = None
     best_total = -math.inf
     evaluations = 0
-    for chunk in _lex_chunks(slots, budget, rows):
-        x = chunk[:, order]  # (K x groups x slots) posts in timeline order
-        # flat index of table[g, i, P, x], built in place to keep one temporary;
-        # P = cumsum(x) - x is the producer posts above each cluster
-        index = np.cumsum(x, axis=-1)
-        index -= x
-        index *= width
-        index += x
-        index += base
-        totals = table[index].sum(axis=(1, 2))
+    for chunk in _lex_chunks(slots, budget, max(1, CHUNK_ELEMENTS // slots)):
+        totals = _chunk_totals(chunk, order, table)
         i = int(np.argmax(totals))  # the first maximum is the smallest schedule
         if totals[i] > best_total:
-            best_posts, best_total = chunk[i], totals[i]
+            best_posts, best_total = chunk[i].tolist(), totals[i]
         evaluations += len(chunk)
     assert best_posts is not None
-    best = Schedule(tuple(best_posts.tolist()))
+    best = Schedule(tuple(best_posts))
     return OptimizationReport(
         best, attention_total(best, instance), (), evaluations, "exhausted"
     )

@@ -642,3 +642,100 @@ class TestAttentionTable:
             tracemalloc.stop()
         assert report.evaluations == math.comb(9, 3)
         assert peak < 10 * 2**20
+
+
+class TestSlotMajorScoring:
+    @pytest.mark.parametrize("rows", [1, 2, 7, None], ids=["1", "2", "7", "default"])
+    @pytest.mark.parametrize("shifted", [True, False], ids=["shifted", "unshifted"])
+    @pytest.mark.parametrize("cluster_family", FAMILIES)
+    @pytest.mark.parametrize("follower_family", FAMILIES)
+    def test_chunk_totals_add_group_by_group_left_to_right(
+        self, follower_family, cluster_family, shifted, rows
+    ):
+        rng = np.random.default_rng(
+            [FAMILIES.index(follower_family), FAMILIES.index(cluster_family), shifted]
+        )
+        for budget in (0, 3, 4):
+            instance = grouped_instance(rng, follower_family, cluster_family, shifted, budget)
+            order, table = TimelineLayout.of(instance).attention_table(
+                budget, optimize.CHUNK_ELEMENTS
+            )
+            size = rows or optimize.CHUNK_ELEMENTS // instance.slots
+            enumerated = []
+            for chunk in optimize._lex_chunks(instance.slots, budget, size):
+                totals = optimize._chunk_totals(chunk, order, table)
+                candidates = chunk.tolist()
+                # the same additions in the same order: equal to the last bit
+                assert totals.tolist() == [table_total(order, table, p) for p in candidates]
+                enumerated += map(tuple, candidates)
+            assert enumerated == lexicographic_schedules(instance.slots, budget)
+
+    def test_no_followers_pick_the_zero_schedule(self):
+        instance = ProblemInstance(slots=4, budget=3, followers=())
+        report = brute_force(instance)
+        assert report.schedule.posts == (0, 0, 0, 0)
+        assert report.total == 0.0
+        assert report.evaluations == math.comb(3 + 4, 4)
+
+
+class TestStreamedEnumeration:
+    @pytest.mark.parametrize("elements", [8, 40, 300, 1 << 16])
+    @pytest.mark.parametrize("rows", [1, 3, 50])
+    @pytest.mark.parametrize("slots,budget", [(5, 4), (6, 3), (7, 2), (4, 6), (3, 9)])
+    def test_levels_join_in_lexicographic_order(self, monkeypatch, elements, rows, slots, budget):
+        # a smaller CHUNK_ELEMENTS cuts the slots into more, shorter levels
+        monkeypatch.setattr(optimize, "CHUNK_ELEMENTS", elements)
+        chunks = list(optimize._lex_chunks(slots, budget, rows))
+        # cut at exactly `rows`; slot-major, so one slot's posts lie side by side
+        assert [len(c) for c in chunks[:-1]] == [rows] * (len(chunks) - 1)
+        assert 1 <= len(chunks[-1]) <= rows
+        assert all(c.strides[0] == c.itemsize for c in chunks)
+        enumerated = [tuple(row) for chunk in chunks for row in chunk.tolist()]
+        assert enumerated == lexicographic_schedules(slots, budget)
+
+    def test_first_chunk_near_the_default_cap_stays_small(self):
+        """18M candidates at S = 8, B = 26: drawing the first chunk of
+        `CHUNK_ELEMENTS // 8` schedules traces under 3 MB."""
+        tracemalloc.start()
+        try:
+            first = next(optimize._lex_chunks(8, 26, optimize.CHUNK_ELEMENTS // 8))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert first.shape == (optimize.CHUNK_ELEMENTS // 8, 8)
+        assert peak < 3 * 2**20
+
+    def test_full_search_memory(self):
+        """A whole search over 125,970 schedules (S = 8, B = 12, 200
+        followers) traces under 3 MB."""
+        instance = instance_from_dict(
+            generators.instance_dict(0, followers=200, slots=8, budget=12)
+        )
+        tracemalloc.start()
+        try:
+            report = brute_force(instance)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.evaluations == math.comb(12 + 8, 8)
+        assert peak < 3 * 2**20
+
+
+class TestGreedyTimingBelowOnePostPerSlot:
+    """With fewer posts than slots greedy has to choose when to post. On the
+    benchmark's day-shaped populations it then departs from `uniform` and
+    leads every heuristic spending the same budget by at least 20%."""
+
+    @pytest.mark.parametrize("budget", [6, 12])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_greedy_leads_every_heuristic(self, seed, budget):
+        instance = instance_from_dict(
+            generators.instance_dict(seed, followers=1000, slots=24, budget=budget)
+        )
+        report = marginal_allocation(instance)
+        assert report.schedule.spend == budget
+        assert report.schedule != heuristic("uniform", instance, budget)
+        logins = np.bincount(instance.followers.sigma, minlength=instance.slots).tolist()
+        for kind in HEURISTICS:
+            schedule = heuristic(kind, instance, budget, logins if kind == "peak" else None)
+            assert report.total >= 1.2 * attention_total(schedule, instance), kind
