@@ -324,8 +324,10 @@ class TimelineLayout:
         return inner
 
     def totals(self, posts) -> np.ndarray:
-        """Weighted total of each schedule: shape posts.shape[:-1]."""
-        return self.terms(posts).sum(axis=-1) @ self.gamma
+        """Weighted total of each schedule, shape posts.shape[:-1]: each
+        follower's cells added left to right, as `attention_potential` adds
+        them, so a schedule's total is its `.total` bit for bit."""
+        return (self.gamma * _sum_in_order(self.terms(posts))).sum(axis=-1)
 
     def slot_gains(self, posts) -> np.ndarray:
         """Change in the total from adding one post to each slot of one

@@ -24,24 +24,30 @@ turns one follower's words into where its stream starts (`_Substreams`), and
 that start is set on one reused generator per part just before the follower
 draws.
 
-Followers are replayed in blocks of at most `_BLOCK_CELLS` (follower x day)
-cells. Per follower, a block reads the stream starts, in the order of a
-replay one follower at a time, and fills the follower's row of uniforms; it
-also evaluates `keep` for a follower with a group larger than the shift, and
-draws the skip block of a follower with an uncertain cluster. All else runs
+Followers are replayed in groups of at most `_BLOCK_CELLS` (follower x
+depth) cells. A group builds its per-follower tables once: skip groups and
+`keep` (evaluated for a follower with a group larger than the shift), the
+survival curves, the sure-cluster sums and the depth histogram, all with
+one row stride of longest + 2 columns. It then draws in blocks of at most
+`_BLOCK_CELLS` (follower x day) cells, which read the tables as views of
+their rows. Per follower, a block reads the stream starts, in the order of a
+replay one follower at a time, fills the follower's row of uniforms, and
+draws the skip block of a follower with an uncertain cluster; all else runs
 once per block, in (followers x days) buffers held for the call. A follower
 whose days alone exceed `_BLOCK_CELLS` replays them in tiles of that many
 days, each reading on from where the last stopped, and its integer sums add
 up over the tiles, so working memory does not grow with the days beyond the
 (days) totals. Scroll depths come from a guide table (`_scroll_depths`) of G
 buckets, the least power of two >= 4 * min(longest timeline, ceil(days /
-4)): one table lookup and a short walk per draw instead of a binary search,
-deciding by the same float comparisons, so the depths are those of
-`searchsorted` bit for bit whatever G is.
+4)): one table lookup and a short walk per draw, and for a draw still walking
+in a crowded bucket one count of the curve values above it, deciding by the
+same float comparisons, so the depths are those of `searchsorted` bit for
+bit whatever G is. They come back as flat indices into the block's rows,
+which index the depth histogram and the sure-cluster sums directly.
 
 A cluster kept with probability exactly 0 or 1 (a singleton under the shifted
 cluster survival, for one) draws no skip variate: clusters whose fate is
-certain are summed by scroll depth over the whole block, and a follower's skip
+certain are summed by scroll depth over the whole group, and a follower's skip
 stream is read only when some cluster's keep lies strictly between. That
 follower then draws its whole (days x groups) block as if every cluster were
 drawn, so the results are bit-identical to drawing for every cluster. The
@@ -79,12 +85,13 @@ __all__ = [
     "simulate_merged",
 ]
 
-# A replay block holds at most this many (follower x day) cells and as many
-# (follower x guide bucket) cells, or else one follower, whose days are then
-# replayed in tiles of this many. Larger blocks save little time and raise
-# peak memory.
+# A follower group's tables hold at most this many (follower x depth) cells,
+# and a draw block at most as many (follower x day) and (follower x guide
+# bucket) cells, or else one follower, whose days are then replayed in tiles
+# of this many. Larger blocks save little time and raise peak memory.
 _BLOCK_CELLS = 1 << 15
-# Steps a scroll-depth draw walks from its guide bucket before it bisects.
+# Steps a scroll-depth draw walks from its guide bucket before it counts the
+# rest of its range.
 _WALK_STEPS = 4
 # Followers whose substream seeds one vectorised pass hashes: enough to spread
 # the pass's fixed cost of a few hundred numpy calls, few enough that its
@@ -240,20 +247,23 @@ def _guide_size(longest: int, days: int) -> int:
 def _scroll_depths(
     curve: np.ndarray, u: np.ndarray, out: np.ndarray, work: np.ndarray
 ) -> np.ndarray:
-    """Scroll depth of every draw of a block: depth[r, t] = #{d : curve[r, d] >
-    u[r, t]}, for rows of `curve` that are non-increasing and end in -1, in
-    `out` (intp). `work` (float64) receives the curve values where the walks
-    start; both are contiguous and of u's shape.
+    """Scroll depth of every draw of a block as a flat index into `curve`:
+    r * width + #{d : curve[r, d] > u[r, t]} at [r, t], for contiguous rows of
+    `curve` that are non-increasing and end in -1, in `out` (intp). `work`
+    (float64) receives the curve values where the walks start; both are
+    contiguous and of u's shape.
 
     Guide-table inversion (Chen & Asau 1974; Devroye 1986, ch. III). With G
     buckets, at_least[r, k] = #{d : curve[r, d] >= k / G}, one `bincount` of
     floor(curve * G) summed from the top. A draw u in bucket b = floor(u * G)
     has its depth between at_least[r, b + 1] and at_least[r, b]: it starts at
     the first and steps while curve[r, depth] > u, and a draw still stepping
-    after `_WALK_STEPS` steps (the curve's tail crowds bucket 0) bisects what is
-    left of that range. Every step decides by the comparison curve[r, d] > u,
-    and u * G and k / G are exact for G a power of two, so the depth equals
-    `length - searchsorted(curve[r, :length][::-1], u, "right")` bit for bit.
+    after `_WALK_STEPS` steps (in a crowded bucket) counts the curve values
+    above u on what is left of that range, at a stride of about its square
+    root and then within one stride, in passes of at most `_BLOCK_CELLS`
+    (draw x depth) cells. Every step and count decides by the comparison
+    curve[r, d] > u, and u * G and k / G are exact for G a power of two, so
+    the depth is `length - searchsorted(curve[r, :length][::-1], u, "right")`.
     """
     rows, width = curve.shape
     days = u.shape[1]
@@ -264,16 +274,17 @@ def _scroll_depths(
     keys = np.maximum((curve * guide).astype(np.intp), -1)
     keys += row * (guide + 2) + 1
     counts = np.bincount(keys.ravel(), minlength=rows * (guide + 2)).reshape(rows, guide + 2)
-    at_least = np.cumsum(counts[:, :0:-1], axis=1)[:, ::-1].ravel()
+    # The table holds flat positions in `curve`: at_least[r, k] + r * width.
+    at_least = np.cumsum(counts[:, :0:-1], axis=1)[:, ::-1]
+    at_least += row * width
+    at_least = at_least.ravel()
 
-    # Positions are flat indices into `curve`; curve[r, length_r] = -1 ends
-    # every walk inside its own row. In "clip" mode `take` reads each index
-    # of `at` before it writes that element, so `at` holds its own indices
-    # without a buffer (all are in range).
+    # curve[r, length_r] = -1 ends every walk inside its own row. In "clip"
+    # mode `take` reads each index of `at` before it writes that element, so
+    # `at` holds its own indices without a buffer (all are in range).
     at = np.multiply(u, guide, out=out, casting="unsafe")
     at += row * (guide + 1)
     np.take(at_least[1:], at, out=at, mode="clip")
-    at += row * width
     flat_curve, flat_u, flat_at = curve.ravel(), u.ravel(), at.ravel()
     np.take(flat_curve, flat_at, out=work.reshape(-1), mode="clip")
     walking = np.flatnonzero(work.reshape(-1) > flat_u)
@@ -281,21 +292,28 @@ def _scroll_depths(
         flat_at[walking] += 1
         walking = walking[flat_curve[flat_at[walking]] > flat_u[walking]]
     if walking.size:
-        # The depth lies in [lo, hi]: curve[lo - 1] > u >= curve[hi].
-        v, r = flat_u[walking], walking // days
+        # The depth D lies in [lo, hi]: curve[lo - 1] > u >= curve[hi]. The
+        # count of curve values above u at lo + s - 1, lo + 2s - 1, ...
+        # (reading curve[hi] for any position past hi) is (D - lo) // s, so a
+        # count at a stride s of about sqrt(hi - lo) and one within a stride
+        # give D, for about 2 sqrt(hi - lo) comparisons a draw, not hi - lo.
+        v = flat_u[walking]
         lo = flat_at[walking] + 1
-        hi = at_least[(v * guide).astype(np.intp) + r * (guide + 1)] + r * width
-        while np.any(lo < hi):
-            mid = (lo + hi) // 2
-            above = flat_curve[mid] > v
-            lo = np.where(above, mid + 1, lo)
-            hi = np.where(above, hi, mid)
+        hi = at_least[(v * guide).astype(np.intp) + walking // days * (guide + 1)]
+        most = int((hi - lo).max())
+        for stride in sorted({math.isqrt(most) or 1, 1}, reverse=True):
+            span = np.arange(stride - 1, most, stride)
+            per = max(1, _BLOCK_CELLS // max(len(span), 1))
+            for i in range(0, len(walking), per):
+                c = slice(i, i + per)
+                ahead = flat_curve[np.minimum(lo[c, None] + span, hi[c, None])] > v[c, None]
+                lo[c] += stride * np.count_nonzero(ahead, axis=1)
+            most = stride - 1
         flat_at[walking] = lo
-    at -= row * width
     return at
 
 
-def _replay_block(
+def _replay_group(
     layout: TimelineLayout,
     first: int,
     x: np.ndarray,
@@ -304,23 +322,26 @@ def _replay_block(
     streams: _Substreams,
     merged: bool,
     per_cluster: np.ndarray,
+    step: int,
     tile: int,
     scratch: tuple[np.ndarray, ...],
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Replay followers first, first + 1, ... whose timeline posts and depth
-    offsets are the rows of x and z, `tile` days at a time, the days of a
-    block of several followers in one tile. Yields each tile's first day and
-    its (followers x days) posts seen, and once the last tile is read holds
-    the followers' per-cluster means in the columns of `per_cluster`, which
-    must start at zero. The skip draws of a follower reuse the (tile x
-    clusters) buffers in `scratch`."""
+) -> Iterator[tuple[slice, int, np.ndarray]]:
+    """Replay a group of followers first, first + 1, ... whose timeline posts
+    and depth offsets are the rows of x and z: the group's tables once, then
+    draw blocks of `step` followers, `tile` days at a time, the days of a
+    block of several followers in one tile. Yields each tile's followers (a
+    slice of the instance's), its first day and its (followers x days) posts
+    seen, and once the last tile is read holds the group's per-cluster means
+    in the columns of `per_cluster`, which must start at zero. The skip draws
+    of a follower reuse the (tile x clusters) buffers in `scratch`."""
     rows = len(x)
     # The reused generators carry one follower's streams from tile to tile.
-    assert rows == 1 or tile >= days, "several followers replay in one tile"
+    assert step == 1 or tile >= days, "several followers replay in one tile"
     length = z[:, -1] + x[:, -1]
-    longest = int(length.max())
+    # One row stride for the curve and the depth tables: depths 0..longest + 1.
+    width = int(length.max()) + 2
 
-    # Skip-draw groups over the block's clusters, in follower then timeline
+    # Skip-draw groups over the group's clusters, in follower then timeline
     # order: one per non-empty cluster or, merged, one per run of non-empty
     # clusters with no competitor posts between them.
     row, pos = np.nonzero(x)
@@ -346,109 +367,113 @@ def _replay_block(
     drawing = np.zeros(rows, dtype=bool)
     drawing[row[drawn]] = True
 
-    # Each follower's stream starts are read once, in the order of a replay
-    # one follower at a time, and set on the reused generator of their part
-    # just before the follower's first tile draws; every later tile reads on
-    # from where the last one stopped, so the streams are those of drawing
-    # all days at once.
-    quit_starts, skip_starts = [], {}
-    for r in range(rows):
-        quit_starts.append(streams.start(first + r, 0))
-        if drawing[r]:
-            skip_starts[r] = streams.start(first + r, 1)
-    quit_rng, skip_rng = streams.generators
-
     # Survival F(1..longest) per follower, -1 past its length. A follower who
     # quits at d never reaches d + 1, so F is non-increasing.
-    curve = np.full((rows, longest + 1), -1.0)
-    curve[:, :longest] = survival_array(
+    curve = np.full((rows, width), -1.0)
+    curve[:, : width - 2] = survival_array(
         layout.follower_family,
         layout.rho[first : first + rows],
         layout.follower_p,
-        np.arange(1, longest + 1),
+        np.arange(1, width - 1),
     )
-    curve[np.arange(longest + 1) >= length[:, None]] = -1.0
+    curve[np.arange(width) >= length[:, None]] = -1.0
     np.minimum.accumulate(curve, axis=1, out=curve)
 
     # Sure clusters are summed by scroll depth over (followers x depths 0..
     # longest + 1) tables: hist[r, d] counts the days follower r stops at
-    # depth d, and sure_seen[r, d] counts the sure posts at depths 1..d.
+    # depth d, and sure_seen[r, d] counts the sure posts at depths 1..d. The
+    # flat depths of `_scroll_depths` index a block's rows of both.
     on, top, end = row[sure], starts[sure], starts[sure] + counts[sure]
-    bounds = np.zeros((rows, longest + 2))
+    bounds = np.zeros((rows, width))
     bounds[on, top + 1] += 1.0
     bounds[on, end + 1] -= 1.0
-    sure_seen = np.cumsum(np.cumsum(bounds, axis=1), axis=1).ravel()
-    hist = np.zeros(rows * (longest + 2), np.intp)
+    np.cumsum(bounds, axis=1, out=bounds)
+    sure_seen = np.cumsum(bounds, axis=1, out=bounds).ravel()
+    hist = np.zeros(rows * width, np.intp)
     cluster_first = np.searchsorted(row, np.arange(rows + 1))
 
-    # depth + row_first indexes a follower's row of those tables.
-    row_first = np.arange(rows)[:, None] * (longest + 2)
+    quit_rng, skip_rng = streams.generators
     draws, seen, kept_buf, ones, uniforms, depths, work = scratch
-    for t0 in range(0, days, tile):
-        t_days = min(tile, days - t0)
-        # The (followers x days) arrays live in the call's buffers: the day
-        # sums take the place of the uniforms once they are read.
-        cells = rows * t_days
-        u = uniforms[:cells].reshape(rows, t_days)
-        for r, start in enumerate(quit_starts):
-            if t0 == 0:
-                quit_rng.bit_generator.state = start
-            quit_rng.random(out=u[r])
-        depth = _scroll_depths(
-            curve, u, depths[:cells].reshape(rows, t_days), work[:cells].reshape(rows, t_days)
-        )
-        depth += row_first
-        hist += np.bincount(depth.ravel(), minlength=len(hist))
-        day_sum = np.take(sure_seen, depth, out=u, mode="clip")
-        depth -= row_first
+    for b0 in range(0, rows, step):
+        b1 = min(b0 + step, rows)
+        block = slice(b0 * width, b1 * width)
+        # Each follower's stream starts are read once, in the order of a
+        # replay one follower at a time, and set on the reused generator of
+        # their part just before the follower's first tile draws; every later
+        # tile reads on from where the last one stopped, so the streams are
+        # those of drawing all days at once.
+        quit_starts, skip_starts = [], {}
+        for r in range(b0, b1):
+            quit_starts.append(streams.start(first + r, 0))
+            if drawing[r]:
+                skip_starts[r] = streams.start(first + r, 1)
+        for t0 in range(0, days, tile):
+            t_days = min(tile, days - t0)
+            # The (followers x days) arrays live in the call's buffers: the day
+            # sums take the place of the uniforms once they are read.
+            shape = (b1 - b0, t_days)
+            cells = shape[0] * t_days
+            u = uniforms[:cells].reshape(shape)
+            for i, start in enumerate(quit_starts):
+                if t0 == 0:
+                    quit_rng.bit_generator.state = start
+                quit_rng.random(out=u[i])
+            depth = _scroll_depths(
+                curve[b0:b1], u, depths[:cells].reshape(shape), work[:cells].reshape(shape)
+            )
+            hist[block] += np.bincount(depth.ravel(), minlength=(b1 - b0) * width)
+            day_sum = np.take(sure_seen[block], depth, out=u, mode="clip")
 
-        for r, start in skip_starts.items():
-            if t0 == 0:
-                skip_rng.bit_generator.state = start
-            c = slice(cluster_first[r], cluster_first[r + 1])
-            grp = group[c] - group[c.start]
-            mine = np.flatnonzero(drawn[c])
-            # The whole (tile x groups) block is drawn, so the stream is the
-            # same whichever clusters and days read it, even none. Every index
-            # is in range, and mode="clip" spares `take` the check that
-            # buffers its output.
-            m, g = len(mine), int(grp[-1]) + 1
-            u_skip = skip_rng.random(out=draws[: t_days * g].reshape(t_days, g))
-            # Only a day that scrolls past the top of the shallowest drawn
-            # cluster, the first in timeline order, can see a drawn post. When
-            # most days reach, all are read through a view; else the reaching
-            # days' draws are copied after the seen_m rows in `seen`, which
-            # holds both since n <= t_days / 2 and m <= g <= k.
-            at = depth[r]
-            reaching = at > starts[c.start + mine[0]]
-            n = np.count_nonzero(reaching)
-            if n == 0:
-                continue
-            if 2 * n > t_days:
-                read, n = slice(None), t_days
-            else:
-                read = np.flatnonzero(reaching)
-                picked = seen[n * m : n * (m + g)].reshape(n, g)
-                u_skip = np.take(u_skip, read, axis=0, out=picked, mode="clip")
-                at = at[read]
-            seen_m = seen[: n * m].reshape(n, m)
-            kept = kept_buf[: n * m].reshape(n, m)
-            np.take(u_skip, grp[mine], axis=1, out=seen_m, mode="clip")
-            np.less(seen_m, keep[c][mine], out=kept)
-            reach = np.arange(length[r] + 1.0)[:, None] - starts[c][mine]
-            reach = np.minimum(np.maximum(reach, 0), counts[c][mine])
-            np.take(reach, at, axis=0, out=seen_m, mode="clip")
-            seen_m *= kept
-            # Posts seen of each drawn cluster add up over the tiles in its
-            # cell of `per_cluster`: small integers, exact in any order, so
-            # the tiles sum to what one pass over all days would.
-            per_cluster[pos[c][mine], r] += ones[:n] @ seen_m
-            day_sum[r, read] += seen_m @ ones[:m]
-        yield t0, day_sum
+            for r, start in skip_starts.items():
+                if t0 == 0:
+                    skip_rng.bit_generator.state = start
+                c = slice(cluster_first[r], cluster_first[r + 1])
+                grp = group[c] - group[c.start]
+                mine = np.flatnonzero(drawn[c])
+                # The whole (tile x groups) block is drawn, so the stream is
+                # the same whichever clusters and days read it, even none.
+                # Every index is in range, and mode="clip" spares `take` the
+                # check that buffers its output.
+                m, g = len(mine), int(grp[-1]) + 1
+                u_skip = skip_rng.random(out=draws[: t_days * g].reshape(t_days, g))
+                # Only a day that scrolls past the top of the shallowest drawn
+                # cluster, the first in timeline order, can see a drawn post.
+                # When most days reach, all are read through a view; else the
+                # reaching days' draws are copied after the seen_m rows in
+                # `seen`, which holds both since n <= t_days / 2 and m <= g <=
+                # k.
+                at = depth[r - b0] - (r - b0) * width
+                reaching = at > starts[c.start + mine[0]]
+                n = np.count_nonzero(reaching)
+                if n == 0:
+                    continue
+                if 2 * n > t_days:
+                    read, n = slice(None), t_days
+                else:
+                    read = np.flatnonzero(reaching)
+                    picked = seen[n * m : n * (m + g)].reshape(n, g)
+                    u_skip = np.take(u_skip, read, axis=0, out=picked, mode="clip")
+                    at = at[read]
+                seen_m = seen[: n * m].reshape(n, m)
+                kept = kept_buf[: n * m].reshape(n, m)
+                np.take(u_skip, grp[mine], axis=1, out=seen_m, mode="clip")
+                np.less(seen_m, keep[c][mine], out=kept)
+                reach = np.arange(length[r] + 1.0)[:, None] - starts[c][mine]
+                reach = np.minimum(np.maximum(reach, 0), counts[c][mine])
+                np.take(reach, at, axis=0, out=seen_m, mode="clip")
+                seen_m *= kept
+                # Posts seen of each drawn cluster add up over the tiles in its
+                # cell of `per_cluster`: small integers, exact in any order, so
+                # the tiles sum to what one pass over all days would.
+                per_cluster[pos[c][mine], r] += ones[:n] @ seen_m
+                day_sum[r - b0, read] += seen_m @ ones[:m]
+            yield slice(first + b0, first + b1), t0, day_sum
 
-    # reached[r, d] adds up the days that reach each of the depths 1..d.
-    hist = hist.reshape(rows, -1)
-    reached = np.cumsum(np.cumsum(hist[:, ::-1], axis=1)[:, ::-1], axis=1)
+    # reached[r, d] adds up the days that reach each of the depths 1..d, in
+    # place of the histogram.
+    reached = hist.reshape(rows, width)
+    np.cumsum(reached[:, ::-1], axis=1, out=reached[:, ::-1])
+    np.cumsum(reached, axis=1, out=reached)
     per_cluster[pos[sure], on] = (reached[on, end] - reached[on, top]) / days
     per_cluster[pos[drawn], row[drawn]] /= days
 
@@ -479,12 +504,14 @@ def simulate(
     n = len(instance.followers)
     per_cluster = np.zeros((instance.slots, n))
     day_totals = np.zeros(days)
-    # Blocks of `step` followers keep their (followers x days) draws, their
-    # (followers x guide buckets) table and their (followers x depths) tables
-    # within _BLOCK_CELLS cells; a follower whose days alone exceed it
-    # replays them in tiles of that many.
+    # Groups of `members` followers keep their (followers x depths) tables
+    # within _BLOCK_CELLS cells, and their draw blocks of `step` followers
+    # keep their (followers x days) draws and (followers x guide buckets)
+    # table within as many; a follower whose days alone exceed it replays
+    # them in tiles of that many.
     longest = int((offsets[:, -1] + posts[:, -1]).max())
-    step = max(1, _BLOCK_CELLS // max(days, _guide_size(longest, days), longest + 2))
+    members = max(1, _BLOCK_CELLS // (longest + 2))
+    step = max(1, _BLOCK_CELLS // max(days, _guide_size(longest + 1, days)))
     tile = min(days, _BLOCK_CELLS)
     streams = _Substreams(seed, n)
     # Every timeline holds the schedule's k non-empty slots as k clusters, so
@@ -493,16 +520,16 @@ def simulate(
     # Held for the call, they spare the allocator a cycle of large blocks that
     # glibc may return to the system and fault in again, block after block.
     k = np.count_nonzero(schedule.posts)
-    cells = min(step, n) * tile
+    cells = min(step, members, n) * tile
     scratch = (
         np.empty(tile * k), np.empty(tile * k), np.empty(tile * k, dtype=bool),
         np.ones(max(tile, k)), np.empty(cells), np.empty(cells, np.intp), np.empty(cells),
     )
-    for first in range(0, n, step):
-        block = slice(first, first + step)
-        for t0, day_sum in _replay_block(
-            layout, first, posts[block], offsets[block], days, streams, merged,
-            per_cluster[:, block], tile, scratch,
+    for first in range(0, n, members):
+        g = slice(first, first + members)
+        for block, t0, day_sum in _replay_group(
+            layout, first, posts[g], offsets[g], days, streams, merged,
+            per_cluster[:, g], step, tile, scratch,
         ):
             # Weighted day sums add up in follower order, as one follower at a
             # time adds them, so the totals keep their bits.

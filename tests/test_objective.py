@@ -22,7 +22,9 @@ from feedsched import (
     heatmap,
     timeline_view,
 )
+from feedsched.formats import instance_from_dict
 from feedsched.objective import TimelineLayout
+from perfbench import generators
 
 from conftest import family_instance, random_instance, rotate_instance, rotate_schedule
 
@@ -415,6 +417,23 @@ class TestAgreementWithReference:
             totals = TimelineLayout(instance).totals(matrix)
             expected = [oracle_total(Schedule(tuple(map(int, row))), instance) for row in matrix]
             np.testing.assert_allclose(totals, expected, rtol=1e-9, atol=1e-300)
+
+    def test_schedule_matrix_totals_are_the_reported_totals(
+        self, follower_family, cluster_family, shifted
+    ):
+        """`totals` of a (K x slots) matrix at 1,000 followers equals each
+        row's `attention_potential(...).total` with ==, not a tolerance."""
+        instance = instance_from_dict(generators.instance_dict(
+            FAMILY_GRID.index((follower_family, cluster_family, shifted)), followers=1000,
+            follower_survival_family=follower_family, follower_survival_p=1.5,
+            cluster_survival_family=cluster_family, cluster_survival_p=2.0,
+        ))
+        instance = replace(instance, cluster_survival_shifted=shifted)
+        matrix = np.random.default_rng(13).integers(0, 4, size=(20, instance.slots))
+        totals = TimelineLayout(instance).totals(matrix)
+        assert totals.tolist() == [
+            attention_potential(Schedule(tuple(map(int, row))), instance).total for row in matrix
+        ]
 
     def test_heatmap_cells(self, follower_family, cluster_family, shifted):
         for instance, schedule in self.cases(follower_family, cluster_family, shifted):

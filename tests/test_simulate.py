@@ -516,10 +516,11 @@ class TestScrollDepths:
 
     @staticmethod
     def assert_searchsorted(curves, u):
-        depth = SIMULATE._scroll_depths(
-            _padded(curves), u, np.empty(u.shape, np.intp), np.empty(u.shape)
-        )
+        block = _padded(curves)
+        depth = SIMULATE._scroll_depths(block, u, np.empty(u.shape, np.intp), np.empty(u.shape))
         assert depth.shape == u.shape
+        # The kernel returns flat indices into the block: r * width + depth.
+        depth = depth - np.arange(len(u))[:, None] * block.shape[1]
         for r, curve in enumerate(curves):
             curve = np.asarray(curve, dtype=float)
             expected = len(curve) - np.searchsorted(curve[::-1], u[r], side="right")
@@ -581,6 +582,27 @@ class TestScrollDepths:
         curves = [survival_array("exponential", np.array([lam]), 1.0, np.arange(1, 1 + n))
                   for lam, n in ((0.01, 300), (0.05, 120), (0.9, 300))]
         self.assert_searchsorted(curves, _with_ends(rng.random((3, 10))))
+
+    def test_a_crowded_bucket_counts_its_tail_in_bounded_passes(self):
+        """A flat curve, geometric rho = 1e-6 over 2,000 depths, with every
+        draw of a 32,768-day block in one bucket of about 120 depths. The
+        depths are `searchsorted`'s, and the traced peak stays within a few
+        (32,768-cell) day buffers: the tail count never holds a (draws x
+        depths) matrix, which would take about 30 MB."""
+        days = SIMULATE._BLOCK_CELLS
+        curve = survival_array("geometric", np.array([1e-6]), 1.0, np.arange(1, 2001))
+        guide = SIMULATE._guide_size(2000, days)
+        bucket = int(curve[1000] * guide)
+        assert np.count_nonzero((curve * guide).astype(int) == bucket) > 100
+        edge = np.nextafter((bucket + 1) / guide, 0.0)
+        u = np.minimum(np.random.default_rng(6).uniform(bucket / guide, edge, (1, days)), edge)
+        tracemalloc.start()
+        try:
+            self.assert_searchsorted([curve], u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * days * 8
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -660,6 +682,35 @@ class TestReplayBlocks:
                     assert result.empirical_total == total
                     assert result.standard_error == standard_error
                     assert np.array_equal(result.per_cluster, per_cluster)
+
+    def test_block_geometry_moves_no_bit_at_plan_shape(self, monkeypatch):
+        """Follower groups build the per-follower tables once and draw in
+        blocks of their rows; under group and block sizes that cut 300 `plan`
+        followers in different places, the replay is the reference loop's."""
+        instance = instance_from_dict(generators.instance_dict(0, followers=300))
+        n, days = len(instance.followers), 200
+        layout = TimelineLayout(rounded_instance(instance))
+        expected = {}
+        for schedule in [(1,) * 24, (3, 0, 0, 2, 0, 1) * 4]:
+            posts = layout.timeline_posts(schedule)
+            longest = int((layout.depths(posts)[:, -1] + posts[:, -1]).max())
+            for merged in (False, True):
+                expected[schedule, merged] = _reference_simulate(
+                    Schedule(schedule), instance, days, 7, merged
+                )
+        # Both schedules post 24 times, so their timelines are equally long.
+        # 2^13 cells: groups of about 50 followers, each two draw blocks.
+        # 2,000 cells: groups of 13, the last one follower. Then the default.
+        for block_cells in (1 << 13, 2000, SIMULATE._BLOCK_CELLS):
+            group = block_cells // (longest + 2)
+            step = block_cells // max(days, SIMULATE._guide_size(longest + 1, days))
+            assert step < group < n and n % group
+            monkeypatch.setattr(SIMULATE, "_BLOCK_CELLS", block_cells)
+            for (schedule, merged), (total, standard_error, per_cluster) in expected.items():
+                result = simulate(Schedule(schedule), instance, days, 7, merged=merged)
+                assert result.empirical_total == total, (block_cells, schedule, merged)
+                assert result.standard_error == standard_error
+                assert np.array_equal(result.per_cluster, per_cluster)
 
     def test_generators_are_built_in_follower_order_across_blocks(
         self, monkeypatch, generator_keys
